@@ -7,6 +7,7 @@
 //
 //  1. Every leaf gets the Squeeze-style deviation d = 2(f - v)/(|f| + |v|),
 //     mirrored so the case's dominant anomaly direction is positive.
+//
 //  2. A cut point c splits the leaves into an abnormal partition (d >= c)
 //     and a normal partition (d < c). Each leaf is weighted by its distance
 //     from the cut, normalized by its partition's extent: a leaf far past
@@ -14,6 +15,7 @@
 //     is only weakly normal (weight near 0). The weighting is what makes
 //     the method robust to forecast noise — leaves pushed across the cut by
 //     noise carry almost no weight on either side.
+//
 //  3. Per cuboid, elements (attribute combinations) holding abnormal weight
 //     are ordered by abnormal-weight concentration and the best prefix is
 //     scored with the weighted risk
@@ -25,6 +27,7 @@
 //     rewards covering the abnormal mass; the second penalizes selections
 //     diluted by confidently-normal leaves, which is what stops a coarse
 //     ancestor from absorbing a fine-grained root cause.
+//
 //  4. Layers are searched coarse to fine; the first layer holding a
 //     selection with risk >= RiskThreshold is accepted (succinctness), its
 //     abnormal weight is marked covered, and the search continues on the

@@ -173,6 +173,11 @@ func (l *Localizer) locateCluster(snapshot *kpi.Snapshot, c cluster) candidateSe
 // map keys.
 func (l *Localizer) locateInCuboid(snapshot *kpi.Snapshot, cuboid kpi.Cuboid, c cluster, evalIdx []int) ([]kpi.Combination, float64) {
 	ix := kpi.NewCuboidIndexer(snapshot.Schema, cuboid)
+	if ix.Size() < 0 || ix.Size() > math.MaxInt32 {
+		// The dense per-group slices below (and leafGroup's int32 group
+		// indexes) cannot span this cuboid's domain.
+		return nil, math.Inf(-1)
+	}
 
 	// Cluster mass per group, then dataset-wide totals for the groups
 	// the cluster touches.

@@ -1,6 +1,7 @@
 package squeeze
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -247,6 +248,34 @@ func TestDeviationScore(t *testing.T) {
 	zero := kpi.Leaf{Actual: 0, Forecast: 0}
 	if got := deviationScore(zero, 1e-9); math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Errorf("deviationScore(0,0) = %v", got)
+	}
+}
+
+func TestLocateInCuboidSkipsUnrepresentableDomain(t *testing.T) {
+	// 64 binary attributes: the full cuboid's 2^64 groups fit no int, so
+	// the cuboid is skipped instead of sizing its dense slices from a
+	// wrapped (formerly 0) domain size.
+	attrs := make([]kpi.Attribute, 64)
+	all := make(kpi.Cuboid, len(attrs))
+	for i := range attrs {
+		attrs[i] = kpi.Attribute{Name: fmt.Sprintf("a%d", i), Values: []string{"0", "1"}}
+		all[i] = i
+	}
+	s := kpi.MustSchema(attrs...)
+	leaves := make([]kpi.Leaf, 2)
+	for i := range leaves {
+		c := make(kpi.Combination, len(attrs))
+		c[0] = int32(i)
+		leaves[i] = kpi.Leaf{Combo: c, Actual: float64(10 * i), Forecast: 100, Anomalous: i == 0}
+	}
+	snap, err := kpi.NewSnapshot(s, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _ := New(DefaultConfig())
+	set, gps := l.locateInCuboid(snap, all, cluster{leafIdx: []int{0}}, []int{0, 1})
+	if set != nil || !math.IsInf(gps, -1) {
+		t.Errorf("locateInCuboid over a 2^64 domain = %v, %v; want it skipped", set, gps)
 	}
 }
 

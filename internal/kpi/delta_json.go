@@ -50,40 +50,14 @@ func WriteDeltaJSON(w io.Writer, schema *Schema, d Delta) error {
 }
 
 // ReadDeltaJSON parses a delta written by WriteDeltaJSON, resolving element
-// names against the given schema.
+// names against the given schema. It shares ReadJSON's one-pass decoder and
+// accepts exactly the documents encoding/json would decode into deltaJSON.
 func ReadDeltaJSON(r io.Reader, schema *Schema) (Delta, error) {
-	var doc deltaJSON
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	body, err := readDocument(r)
+	if err != nil {
 		return Delta{}, fmt.Errorf("kpi: read delta json: %w", err)
 	}
-	var d Delta
-	for i, names := range doc.Removes {
-		combo, err := comboFromNames(schema, names)
-		if err != nil {
-			return Delta{}, fmt.Errorf("kpi: read delta json: remove %d: %w", i, err)
-		}
-		d.Removes = append(d.Removes, combo)
-	}
-	for i, row := range doc.Updates {
-		combo, err := comboFromNames(schema, row.Combination)
-		if err != nil {
-			return Delta{}, fmt.Errorf("kpi: read delta json: update %d: %w", i, err)
-		}
-		d.Updates = append(d.Updates, LeafUpdate{Combo: combo, Actual: row.Actual, Forecast: row.Forecast})
-	}
-	for i, row := range doc.Adds {
-		combo, err := comboFromNames(schema, row.Combination)
-		if err != nil {
-			return Delta{}, fmt.Errorf("kpi: read delta json: add %d: %w", i, err)
-		}
-		d.Adds = append(d.Adds, Leaf{
-			Combo:     combo,
-			Actual:    row.Actual,
-			Forecast:  row.Forecast,
-			Anomalous: row.Anomalous,
-		})
-	}
-	return d, nil
+	return decodeDelta(body, schema)
 }
 
 // comboNames maps a fully constrained combination back to element names.
@@ -93,21 +67,4 @@ func comboNames(schema *Schema, c Combination) []string {
 		names[a] = schema.Value(a, code)
 	}
 	return names
-}
-
-// comboFromNames resolves element names into a combination.
-func comboFromNames(schema *Schema, names []string) (Combination, error) {
-	if len(names) != schema.NumAttributes() {
-		return nil, fmt.Errorf("combination has %d elements, schema has %d attributes",
-			len(names), schema.NumAttributes())
-	}
-	combo := make(Combination, len(names))
-	for a, name := range names {
-		code, ok := schema.Code(a, name)
-		if !ok {
-			return nil, fmt.Errorf("attribute %q has no element %q", schema.Attribute(a).Name, name)
-		}
-		combo[a] = code
-	}
-	return combo, nil
 }

@@ -13,21 +13,23 @@ type CuboidIndexer struct {
 }
 
 // NewCuboidIndexer builds an indexer for the cuboid. Size is the product
-// of the cuboid attributes' cardinalities.
+// of the cuboid attributes' cardinalities, or -1 when it overflows an int.
 func NewCuboidIndexer(schema *Schema, cuboid Cuboid) *CuboidIndexer {
 	strides := make([]int, len(cuboid))
 	cards := make([]int, len(cuboid))
-	size := 1
+	size, stride := 1, 1
 	for i := len(cuboid) - 1; i >= 0; i-- {
-		strides[i] = size
+		strides[i] = stride
 		cards[i] = schema.Cardinality(cuboid[i])
-		size *= cards[i]
+		stride *= cards[i]
+		size = mulSize(size, cards[i])
 	}
 	return &CuboidIndexer{schema: schema, cuboid: cuboid, strides: strides, cards: cards, size: size}
 }
 
 // Size returns the number of distinct group indexes (the cuboid's full
-// Cartesian length).
+// Cartesian length), or -1 when that does not fit an int: callers treat a
+// negative size as too big for a dense domain.
 func (ix *CuboidIndexer) Size() int { return ix.size }
 
 // Index returns the dense group index of a leaf combination's projection

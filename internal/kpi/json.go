@@ -56,42 +56,13 @@ func WriteJSON(w io.Writer, s *Snapshot) error {
 }
 
 // ReadJSON parses a snapshot written by WriteJSON, rebuilding the schema
-// from the document.
+// from the document. It decodes in one pass over the bytes (wire.go) and
+// accepts exactly the documents encoding/json would decode into the wire
+// form above; bytes after the document's first JSON value are ignored.
 func ReadJSON(r io.Reader) (*Snapshot, error) {
-	var doc snapshotJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("kpi: read json: %w", err)
-	}
-	attrs := make([]Attribute, len(doc.Attributes))
-	for i, a := range doc.Attributes {
-		attrs[i] = Attribute{Name: a.Name, Values: a.Values}
-	}
-	schema, err := NewSchema(attrs...)
+	body, err := readDocument(r)
 	if err != nil {
 		return nil, fmt.Errorf("kpi: read json: %w", err)
 	}
-	leaves := make([]Leaf, 0, len(doc.Leaves))
-	for i, row := range doc.Leaves {
-		if len(row.Combination) != schema.NumAttributes() {
-			return nil, fmt.Errorf("kpi: read json: leaf %d has %d elements, schema has %d attributes",
-				i, len(row.Combination), schema.NumAttributes())
-		}
-		combo := make(Combination, len(row.Combination))
-		for a, name := range row.Combination {
-			code, ok := schema.Code(a, name)
-			if !ok {
-				return nil, fmt.Errorf("kpi: read json: leaf %d: attribute %q has no element %q",
-					i, schema.Attribute(a).Name, name)
-			}
-			combo[a] = code
-		}
-		leaves = append(leaves, Leaf{
-			Combo:     combo,
-			Actual:    row.Actual,
-			Forecast:  row.Forecast,
-			Anomalous: row.Anomalous,
-		})
-	}
-	return NewSnapshot(schema, leaves)
+	return decodeSnapshot(body)
 }

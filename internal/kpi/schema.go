@@ -3,6 +3,7 @@ package kpi
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -65,9 +66,19 @@ func NewSchema(attrs ...Attribute) (*Schema, error) {
 		s.attrs[i] = Attribute{Name: a.Name, Values: append([]string(nil), a.Values...)}
 		s.attrIndex[a.Name] = i
 		s.codes[i] = codes
-		s.numLeaves *= len(a.Values)
+		s.numLeaves = mulSize(s.numLeaves, len(a.Values))
 	}
 	return s, nil
+}
+
+// mulSize multiplies a Cartesian size by a cardinality (at least 1),
+// saturating to -1 — too big for any dense domain — once the product no
+// longer fits an int.
+func mulSize(size, card int) int {
+	if size < 0 || size > math.MaxInt/card {
+		return -1
+	}
+	return size * card
 }
 
 // MustSchema is NewSchema that panics on error; intended for tests and for
@@ -105,7 +116,7 @@ func (s *Schema) AttributeIndex(name string) (int, bool) {
 func (s *Schema) Cardinality(i int) int { return len(s.attrs[i].Values) }
 
 // NumLeaves returns the size of the most fine-grained cuboid: the product of
-// all attribute cardinalities.
+// all attribute cardinalities, or -1 when that product overflows an int.
 func (s *Schema) NumLeaves() int { return s.numLeaves }
 
 // Code interns an element name of attribute attr.

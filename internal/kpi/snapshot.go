@@ -89,7 +89,7 @@ type labelDerived struct {
 // NewSnapshot validates that every leaf is fully constrained, carries valid
 // codes, and appears at most once.
 func NewSnapshot(schema *Schema, leaves []Leaf) (*Snapshot, error) {
-	seen := make(map[string]struct{}, len(leaves))
+	seen := newLeafSet(schema, len(leaves))
 	for i, l := range leaves {
 		if len(l.Combo) != schema.NumAttributes() {
 			return nil, fmt.Errorf("kpi: leaf %d has %d attributes, schema has %d",
@@ -105,13 +105,62 @@ func NewSnapshot(schema *Schema, leaves []Leaf) (*Snapshot, error) {
 					i, code, schema.Attribute(a).Name)
 			}
 		}
-		k := l.Combo.Key()
-		if _, dup := seen[k]; dup {
+		if seen.add(l.Combo) {
 			return nil, fmt.Errorf("kpi: duplicate leaf %s", l.Combo.Format(schema))
 		}
-		seen[k] = struct{}{}
 	}
 	return &Snapshot{Schema: schema, Leaves: leaves}, nil
+}
+
+// leafSet is NewSnapshot's duplicate check. It keys each leaf by its packed
+// mixed-radix index over the whole schema: a bitset when the schema's
+// product is within a small multiple of the leaf count, a map otherwise. A
+// schema whose product overflows an int (NumLeaves -1) has no packed index
+// and falls back to the combination's byte key.
+type leafSet struct {
+	ix     *CuboidIndexer
+	bits   []uint64
+	packed map[uint64]struct{}
+	keys   map[string]struct{}
+}
+
+func newLeafSet(schema *Schema, leaves int) leafSet {
+	size := schema.NumLeaves()
+	if size < 0 {
+		return leafSet{keys: make(map[string]struct{}, leaves)}
+	}
+	all := make(Cuboid, schema.NumAttributes())
+	for a := range all {
+		all[a] = a
+	}
+	s := leafSet{ix: NewCuboidIndexer(schema, all)}
+	if size <= max(64*leaves, 1<<12) {
+		s.bits = make([]uint64, (size+63)/64)
+	} else {
+		s.packed = make(map[uint64]struct{}, leaves)
+	}
+	return s
+}
+
+// add records the leaf c, whose codes are valid for the schema, and reports
+// whether it was already there.
+func (s *leafSet) add(c Combination) bool {
+	if s.keys != nil {
+		k := c.Key()
+		_, dup := s.keys[k]
+		s.keys[k] = struct{}{}
+		return dup
+	}
+	idx := s.ix.Index(c)
+	if s.bits != nil {
+		w, bit := idx/64, uint64(1)<<(idx%64)
+		dup := s.bits[w]&bit != 0
+		s.bits[w] |= bit
+		return dup
+	}
+	_, dup := s.packed[uint64(idx)]
+	s.packed[uint64(idx)] = struct{}{}
+	return dup
 }
 
 // Len returns the number of observed leaves |D|.
