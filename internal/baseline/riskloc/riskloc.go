@@ -363,6 +363,9 @@ func flatten(accepted, pool []selection) []localize.ScoredPattern {
 
 // groupAcc accumulates one element's weights during a cuboid scan.
 type groupAcc struct {
+	// group is the element's group index — or, when the cuboid's indexes
+	// overflow, the index of its first leaf (kpi.GroupCount's convention);
+	// Snapshot.DecodeGroup decodes both.
 	group int
 	aw    float64 // uncovered abnormal weight
 	nw    float64 // normal weight
@@ -433,13 +436,16 @@ func (l *Localizer) searchCuboid(snapshot *kpi.Snapshot, cuboid kpi.Cuboid, p *p
 	}
 	combos := make([]kpi.Combination, 0, bestPrefix)
 	for j := 0; j < bestPrefix; j++ {
-		combos = append(combos, ix.Combination(kept[j].group))
+		combo := make(kpi.Combination, snapshot.Schema.NumAttributes())
+		snapshot.DecodeGroup(ix, kept[j].group, combo)
+		combos = append(combos, combo)
 	}
 	return selection{combos: combos, risk: bestRisk}, true
 }
 
 // accumulate sums the per-element partition weights, using a dense array
-// for compact cuboid domains and a map for huge sparse ones.
+// for compact cuboid domains and a map for huge sparse ones — keyed by
+// projected combination when the cuboid's group indexes overflow.
 func accumulate(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, covered []bool) []groupAcc {
 	size := ix.Size()
 	denseLimit := 64 * snapshot.Len()
@@ -466,6 +472,9 @@ func accumulate(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, cov
 		}
 		return out
 	}
+	if size < 0 {
+		return accumulateOverflow(snapshot, ix, p, covered)
+	}
 	pos := make(map[int]int, 64)
 	for i := range snapshot.Leaves {
 		g := ix.Index(snapshot.Leaves[i].Combo)
@@ -483,5 +492,25 @@ func accumulate(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, cov
 		acc.delta += p.delta[i]
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].group < out[j].group })
+	return out
+}
+
+// accumulateOverflow is accumulate's path for a cuboid whose group indexes
+// overflow and would collide: the groups of kpi.Snapshot.GroupLeaves, each
+// named by its first leaf.
+func accumulateOverflow(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, covered []bool) []groupAcc {
+	groupOf, first, _ := snapshot.GroupLeaves(ix, nil)
+	out := make([]groupAcc, len(first))
+	for g, i := range first {
+		out[g].group = i
+	}
+	for i, g := range groupOf {
+		acc := &out[g]
+		if p.aw[i] > 0 && !covered[i] {
+			acc.aw += p.aw[i]
+		}
+		acc.nw += p.nw[i]
+		acc.delta += p.delta[i]
+	}
 	return out
 }

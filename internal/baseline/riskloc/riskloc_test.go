@@ -1,6 +1,7 @@
 package riskloc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -246,5 +247,49 @@ func TestRiskLocLocalizeDeterministic(t *testing.T) {
 func TestRiskLocName(t *testing.T) {
 	if got := mustNew(t).Name(); got != "RiskLoc" {
 		t.Errorf("Name() = %q", got)
+	}
+}
+
+// TestAccumulateOverflowKeepsGroupsApart is the regression test for wrapped
+// group keys on RiskLoc's map path: five attributes of 8000 elements put the
+// full cuboid's product past 2^64, and the leaves at wrapped indexes 0 and
+// 2^64 must stay separate groups that decode back to their combinations.
+func TestAccumulateOverflowKeepsGroupsApart(t *testing.T) {
+	attrs := make([]kpi.Attribute, 5)
+	for a := range attrs {
+		vals := make([]string, 8000)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("e%d", i)
+		}
+		attrs[a] = kpi.Attribute{Name: fmt.Sprintf("a%d", a), Values: vals}
+	}
+	// 2^64 in radix 8000 is (4503, 4797, 151, 5693, 7616).
+	low, high := kpi.Combination{0, 0, 0, 0, 0}, kpi.Combination{4503, 4797, 151, 5693, 7616}
+	snap, err := kpi.NewSnapshot(kpi.MustSchema(attrs...), []kpi.Leaf{
+		{Combo: high, Actual: 100, Forecast: 100},
+		{Combo: low, Actual: 10, Forecast: 100, Anomalous: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := snap.Indexer(kpi.Cuboid{0, 1, 2, 3, 4})
+	if ix.Size() >= 0 || ix.Index(low) != ix.Index(high) {
+		t.Fatalf("premise: size %d, wrapped indexes %d and %d", ix.Size(), ix.Index(low), ix.Index(high))
+	}
+	p := partition{aw: []float64{0, 2}, nw: []float64{3, 0}, delta: []float64{0, 90}}
+	got := accumulate(snap, ix, &p, make([]bool, 2))
+	if len(got) != 2 {
+		t.Fatalf("accumulate merged colliding groups: %+v", got)
+	}
+	probe := make(kpi.Combination, 5)
+	for i, want := range []struct {
+		combo      kpi.Combination
+		aw, nw, dl float64
+	}{{low, 2, 0, 90}, {high, 0, 3, 0}} {
+		snap.DecodeGroup(ix, got[i].group, probe)
+		if !probe.Equal(want.combo) || got[i].aw != want.aw || got[i].nw != want.nw || got[i].delta != want.dl {
+			t.Fatalf("group %d: %v %+v, want %v aw %v nw %v delta %v",
+				i, probe, got[i], want.combo, want.aw, want.nw, want.dl)
+		}
 	}
 }

@@ -99,5 +99,8 @@ func derivedCase(sim *cdn.Simulator, cfg cdn.Config, r *rand.Rand, ts time.Time,
 		}
 		leaf.Anomalous = dev >= detectThreshold
 	}
+	// Values and labels were rewritten in place after the RAP draw read
+	// the snapshot.
+	snap.InvalidateStructure()
 	return inject.Case{Snapshot: snap, RAPs: raps}, nil
 }

@@ -148,6 +148,9 @@ func InjectRAPMD(r *rand.Rand, background *kpi.Snapshot, cfg RAPMDConfig) (Case,
 			leaf.Anomalous = anomalous
 		}
 	}
+	// Forecasts and labels were rewritten in place after the RAP draw read
+	// the snapshot.
+	snap.InvalidateStructure()
 	return Case{Snapshot: snap, RAPs: raps}, nil
 }
 

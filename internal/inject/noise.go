@@ -138,7 +138,8 @@ func ApplyNoise(r *rand.Rand, c Case, cfg NoiseConfig) (Case, error) {
 		}
 		snap = rebuilt
 	} else {
-		snap.InvalidateLabels()
+		// Values and labels were rewritten in place.
+		snap.InvalidateStructure()
 	}
 
 	return Case{Snapshot: snap, RAPs: c.RAPs}, nil

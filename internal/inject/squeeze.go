@@ -104,6 +104,9 @@ func InjectSqueeze(r *rand.Rand, background *kpi.Snapshot, cfg SqueezeConfig) (C
 		}
 		leaf.Anomalous = dev >= cfg.AnomalyThreshold || dev <= -cfg.AnomalyThreshold
 	}
+	// Values and labels were rewritten in place after the RAP draw read
+	// the snapshot.
+	snap.InvalidateStructure()
 	return Case{Snapshot: snap, RAPs: raps}, nil
 }
 

@@ -34,6 +34,36 @@ type colFrame struct {
 	elem     [][]uint32
 	actual   []float64
 	forecast []float64
+	// count[a][code] counts the leaves carrying element code of attribute
+	// a; built on first use (Snapshot.ElemCounts) and patched in place by
+	// ApplyDelta.
+	count [][]int32
+}
+
+// elemCounts returns the frame's per-element leaf counts, building them
+// with one pass over the element columns on first use; the snapshot's mutex
+// must be held.
+func (f *colFrame) elemCounts(schema *Schema) [][]int32 {
+	if f.count != nil {
+		return f.count
+	}
+	total := 0
+	for a := range f.elem {
+		total += schema.Cardinality(a)
+	}
+	backing := make([]int32, total)
+	count := make([][]int32, len(f.elem))
+	for a, col := range f.elem {
+		card := schema.Cardinality(a)
+		cnt := backing[:card:card]
+		backing = backing[card:]
+		for _, code := range col {
+			cnt[code]++
+		}
+		count[a] = cnt
+	}
+	f.count = count
+	return count
 }
 
 // buildColFrame encodes the leaves' combinations and values column-wise.

@@ -96,111 +96,117 @@ func (s *Snapshot) ApplyDelta(d Delta) (ApplyResult, error) {
 
 	// Validate everything against the pre-delta state plus the delta's own
 	// pending removes/adds, so application below cannot fail halfway.
-	removed := make(map[string]struct{}, len(d.Removes))
+	removed := pos.keyer.newSet(len(d.Removes))
 	for i, c := range d.Removes {
-		k, err := s.deltaKey(c, "remove", i)
-		if err != nil {
+		if err := s.checkDeltaCombo(c, "remove", i); err != nil {
 			return res, err
 		}
-		if _, ok := pos[k]; !ok {
+		if _, ok := pos.get(c); !ok {
 			return res, fmt.Errorf("kpi: delta remove %d: leaf %s not in snapshot", i, c.Format(s.Schema))
 		}
-		if _, dup := removed[k]; dup {
+		if removed.add(c) {
 			return res, fmt.Errorf("kpi: delta remove %d: duplicate leaf %s", i, c.Format(s.Schema))
 		}
-		removed[k] = struct{}{}
 	}
-	updated := make(map[string]struct{}, len(d.Updates))
+	// touched collects the updated leaves' indexes as validation resolves
+	// them, then the added leaves' as they land.
+	var touched []int
+	if n := len(d.Updates) + len(d.Adds); n > 0 {
+		touched = make([]int, 0, n)
+	}
+	updated := pos.keyer.newSet(len(d.Updates))
 	for i, u := range d.Updates {
-		k, err := s.deltaKey(u.Combo, "update", i)
-		if err != nil {
+		if err := s.checkDeltaCombo(u.Combo, "update", i); err != nil {
 			return res, err
 		}
-		if _, ok := pos[k]; !ok {
+		at, ok := pos.get(u.Combo)
+		if !ok {
 			return res, fmt.Errorf("kpi: delta update %d: leaf %s not in snapshot", i, u.Combo.Format(s.Schema))
 		}
-		if _, gone := removed[k]; gone {
+		touched = append(touched, int(at))
+		if len(d.Removes) > 0 && removed.has(u.Combo) {
 			return res, fmt.Errorf("kpi: delta update %d: leaf %s is removed by the same delta", i, u.Combo.Format(s.Schema))
 		}
-		if _, dup := updated[k]; dup {
+		if updated.add(u.Combo) {
 			return res, fmt.Errorf("kpi: delta update %d: duplicate leaf %s", i, u.Combo.Format(s.Schema))
 		}
-		updated[k] = struct{}{}
 	}
-	added := make(map[string]struct{}, len(d.Adds))
+	added := pos.keyer.newSet(len(d.Adds))
 	for i, l := range d.Adds {
-		k, err := s.deltaKey(l.Combo, "add", i)
-		if err != nil {
+		if err := s.checkDeltaCombo(l.Combo, "add", i); err != nil {
 			return res, err
 		}
-		_, present := pos[k]
-		if _, gone := removed[k]; gone {
-			present = false
-		}
-		if present {
+		if _, present := pos.get(l.Combo); present && !removed.has(l.Combo) {
 			return res, fmt.Errorf("kpi: delta add %d: leaf %s already in snapshot", i, l.Combo.Format(s.Schema))
 		}
-		if _, dup := added[k]; dup {
+		if added.add(l.Combo) {
 			return res, fmt.Errorf("kpi: delta add %d: duplicate leaf %s", i, l.Combo.Format(s.Schema))
 		}
-		added[k] = struct{}{}
 	}
 
 	res.PatchedFrame = s.frame != nil
 	res.PatchedLabels = s.labeled != nil
 
 	for _, c := range d.Removes {
-		s.removeLeafLocked(pos[c.Key()])
+		i, _ := pos.get(c)
+		s.removeLeafLocked(i)
 		res.Removed++
 	}
-	for _, u := range d.Updates {
-		i := int(pos[u.Combo.Key()])
+	if len(d.Removes) > 0 {
+		// Swap-removes move leaves: re-resolve the updated ones.
+		for j, u := range d.Updates {
+			at, _ := pos.get(u.Combo)
+			touched[j] = int(at)
+		}
+	}
+	for j, u := range d.Updates {
+		i := touched[j]
 		l := &s.Leaves[i]
 		l.Actual, l.Forecast = u.Actual, u.Forecast
 		if s.frame != nil {
 			s.frame.actual[i] = u.Actual
 			s.frame.forecast[i] = u.Forecast
 		}
-		res.Touched = append(res.Touched, i)
 		res.Updated++
 	}
 	for _, l := range d.Adds {
-		res.Touched = append(res.Touched, s.addLeafLocked(l))
+		touched = append(touched, s.addLeafLocked(l))
 		res.Added++
 	}
+	res.Touched = touched
 	s.gen++
 	return res, nil
 }
 
-// deltaKey validates a delta combination against the schema and returns its
-// map key.
-func (s *Snapshot) deltaKey(c Combination, op string, i int) (string, error) {
+// checkDeltaCombo validates a delta combination against the schema: a fully
+// constrained leaf with valid codes.
+func (s *Snapshot) checkDeltaCombo(c Combination, op string, i int) error {
 	if len(c) != s.Schema.NumAttributes() {
-		return "", fmt.Errorf("kpi: delta %s %d: combination has %d attributes, schema has %d",
+		return fmt.Errorf("kpi: delta %s %d: combination has %d attributes, schema has %d",
 			op, i, len(c), s.Schema.NumAttributes())
 	}
 	for a, code := range c {
 		if code == Wildcard {
-			return "", fmt.Errorf("kpi: delta %s %d: combination is not fully constrained (attribute %s)",
+			return fmt.Errorf("kpi: delta %s %d: combination is not fully constrained (attribute %s)",
 				op, i, s.Schema.Attribute(a).Name)
 		}
 		if !s.Schema.ValidCode(a, code) {
-			return "", fmt.Errorf("kpi: delta %s %d: invalid code %d for attribute %s",
+			return fmt.Errorf("kpi: delta %s %d: invalid code %d for attribute %s",
 				op, i, code, s.Schema.Attribute(a).Name)
 		}
 	}
-	return c.Key(), nil
+	return nil
 }
 
-// leafPosLocked returns the Combination.Key → leaf index map, building it
-// on first use; s.mu must be held.
-func (s *Snapshot) leafPosLocked() map[string]int32 {
+// leafPosLocked returns the leaf → index map, building it on first use;
+// s.mu must be held.
+func (s *Snapshot) leafPosLocked() *leafMap[int32] {
 	if s.leafPos == nil {
-		pos := make(map[string]int32, len(s.Leaves))
+		pos := newLeafMap[int32](newLeafKeyer(s.Schema), len(s.Leaves))
 		for i := range s.Leaves {
-			pos[s.Leaves[i].Combo.Key()] = int32(i)
+			pos.set(s.Leaves[i].Combo, int32(i))
 		}
-		s.leafPos = pos
+		s.leafPos = &pos
 	}
 	return s.leafPos
 }
@@ -232,6 +238,11 @@ func (s *Snapshot) removeLeafLocked(i32 int32) {
 	s.Leaves[i] = moved
 	s.Leaves = s.Leaves[:last]
 	if f := s.frame; f != nil {
+		if f.count != nil {
+			for a, code := range removed.Combo {
+				f.count[a][code]--
+			}
+		}
 		for a := range f.elem {
 			f.elem[a][i] = f.elem[a][last]
 			f.elem[a] = f.elem[a][:last]
@@ -241,9 +252,9 @@ func (s *Snapshot) removeLeafLocked(i32 int32) {
 		f.forecast[i] = f.forecast[last]
 		f.forecast = f.forecast[:last]
 	}
-	delete(s.leafPos, removed.Combo.Key())
+	s.leafPos.delete(removed.Combo)
 	if i != last {
-		s.leafPos[moved.Combo.Key()] = i32
+		s.leafPos.set(moved.Combo, i32)
 	}
 }
 
@@ -261,6 +272,11 @@ func (s *Snapshot) addLeafLocked(l Leaf) int {
 		for a, code := range l.Combo {
 			f.elem[a] = append(f.elem[a], uint32(code))
 		}
+		if f.count != nil {
+			for a, code := range l.Combo {
+				f.count[a][code]++
+			}
+		}
 		f.actual = append(f.actual, l.Actual)
 		f.forecast = append(f.forecast, l.Forecast)
 	}
@@ -272,7 +288,7 @@ func (s *Snapshot) addLeafLocked(l Leaf) int {
 			ld.insertLeaf(n, l.Combo)
 		}
 	}
-	s.leafPos[l.Combo.Key()] = int32(n)
+	s.leafPos.set(l.Combo, int32(n))
 	return n
 }
 

@@ -3,6 +3,7 @@ package kpi
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -343,12 +344,12 @@ func TestDeltaLeafPosMaintained(t *testing.T) {
 	}
 	snap.mu.Lock()
 	pos := snap.leafPosLocked()
-	if len(pos) != len(snap.Leaves) {
+	if pos.len() != len(snap.Leaves) {
 		snap.mu.Unlock()
-		t.Fatalf("leafPos has %d entries for %d leaves", len(pos), len(snap.Leaves))
+		t.Fatalf("leafPos has %d entries for %d leaves", pos.len(), len(snap.Leaves))
 	}
 	for i := range snap.Leaves {
-		if got := pos[snap.Leaves[i].Combo.Key()]; int(got) != i {
+		if got, _ := pos.get(snap.Leaves[i].Combo); int(got) != i {
 			snap.mu.Unlock()
 			t.Fatalf("leafPos[%s] = %d, want %d", snap.Leaves[i].Combo.Format(snap.Schema), got, i)
 		}
@@ -360,18 +361,27 @@ func TestDeltaLeafPosMaintained(t *testing.T) {
 // applied to a warm snapshot must keep every scan engine's counts —
 // ScanCuboid, the fused LayerScan, and roll-up-served layers — identical to
 // a from-scratch rebuild of the post-delta leaves, at several worker counts.
+// After every step the per-element counts, the anomalous count and the root
+// sums must match the rebuild too. wide swaps in a schema whose product
+// overflows, so leaf positions fall back to byte keys and the full cuboid's
+// scan to combination keys.
 func FuzzDeltaVsRebuild(f *testing.F) {
-	f.Add(int64(1), byte(60), byte(30), uint8(3))
-	f.Add(int64(2), byte(95), byte(5), uint8(1))
-	f.Add(int64(3), byte(30), byte(80), uint8(5))
-	f.Add(int64(42), byte(80), byte(50), uint8(7))
-	f.Fuzz(func(t *testing.T, seed int64, density, anomRate byte, nDeltas uint8) {
+	f.Add(int64(1), byte(60), byte(30), uint8(3), false)
+	f.Add(int64(2), byte(95), byte(5), uint8(1), false)
+	f.Add(int64(3), byte(30), byte(80), uint8(5), false)
+	f.Add(int64(42), byte(80), byte(50), uint8(7), false)
+	f.Add(int64(5), byte(40), byte(40), uint8(6), true)
+	f.Fuzz(func(t *testing.T, seed int64, density, anomRate byte, nDeltas uint8, wide bool) {
 		snap := fuzzSnapshot(seed, density, anomRate)
+		if wide {
+			snap = fuzzWideSnapshot(seed, density, anomRate)
+		}
 		schema := snap.Schema
 		nAttr := schema.NumAttributes()
 		// Warm every cache so deltas exercise the patch paths.
 		snap.Columns()
 		snap.AnomalousPostings()
+		snap.ElemCounts()
 
 		r := rand.New(rand.NewSource(seed ^ 0x64656c7461))
 		randomCombo := func() Combination {
@@ -441,6 +451,7 @@ func FuzzDeltaVsRebuild(f *testing.F) {
 				}
 				snap.PatchLabels(changed)
 			}
+			assertCountsMatchFresh(t, snap, step)
 		}
 
 		fresh := freshOf(t, snap)
@@ -510,6 +521,72 @@ func FuzzDeltaVsRebuild(f *testing.F) {
 			fp.Close()
 		}
 	})
+}
+
+// fuzzWideSnapshot is fuzzSnapshot over overflowSchema: a few dozen random
+// leaves, always including the two whose wrapped leaf indexes collide.
+func fuzzWideSnapshot(seed int64, density, anomRate byte) *Snapshot {
+	schema := overflowSchema()
+	r := rand.New(rand.NewSource(seed))
+	low, high := collidingLeaves()
+	combos := []Combination{low, high}
+	seen := map[string]bool{low.Key(): true, high.Key(): true}
+	for n := int(density % 64); n > 0; n-- {
+		c := make(Combination, schema.NumAttributes())
+		for a := range c {
+			c[a] = int32(r.Intn(schema.Cardinality(a)))
+		}
+		if !seen[c.Key()] {
+			seen[c.Key()] = true
+			combos = append(combos, c)
+		}
+	}
+	anom := float64(anomRate%100) / 100
+	leaves := make([]Leaf, len(combos))
+	for i, c := range combos {
+		leaves[i] = Leaf{
+			Combo:     c,
+			Actual:    r.NormFloat64() * 50,
+			Forecast:  r.NormFloat64() * 50,
+			Anomalous: r.Float64() < anom,
+		}
+	}
+	snap, err := NewSnapshot(schema, leaves)
+	if err != nil {
+		panic(err) // the generator only emits valid snapshots
+	}
+	return snap
+}
+
+// assertCountsMatchFresh checks what a continuous tick reads without
+// scanning — the per-element leaf counts, the anomalous postings behind the
+// per-element anomalous counts, the anomalous total and the root sums —
+// against a from-scratch rebuild of the post-delta leaves. The root sums
+// must equal, bit for bit, a Matches-filtered sum over the rebuild.
+func assertCountsMatchFresh(t *testing.T, snap *Snapshot, step int) {
+	t.Helper()
+	fresh := freshOf(t, snap)
+	if !reflect.DeepEqual(snap.ElemCounts(), fresh.ElemCounts()) {
+		t.Fatalf("step %d: element counts: patched %v, fresh %v", step, snap.ElemCounts(), fresh.ElemCounts())
+	}
+	if !samePostings(snap.AnomalousPostings(), fresh.AnomalousPostings()) {
+		t.Fatalf("step %d: postings diverge", step)
+	}
+	if got, want := snap.NumAnomalous(), fresh.NumAnomalous(); got != want {
+		t.Fatalf("step %d: NumAnomalous: patched %d, fresh %d", step, got, want)
+	}
+	root := NewRoot(snap.Schema.NumAttributes())
+	var wantV, wantF float64
+	for _, l := range fresh.Leaves {
+		if root.Matches(l.Combo) {
+			wantV += l.Actual
+			wantF += l.Forecast
+		}
+	}
+	v, f := snap.Sum(root)
+	if math.Float64bits(v) != math.Float64bits(wantV) || math.Float64bits(f) != math.Float64bits(wantF) {
+		t.Fatalf("step %d: root sum (%v, %v), want (%v, %v)", step, v, f, wantV, wantF)
+	}
 }
 
 // TestDeltaJSONRoundTrip pins the delta wire format.

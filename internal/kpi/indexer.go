@@ -34,13 +34,27 @@ func (ix *CuboidIndexer) Size() int { return ix.size }
 
 // Index returns the dense group index of a leaf combination's projection
 // onto the cuboid. The combination must be fully constrained on the
-// cuboid's attributes.
+// cuboid's attributes. When Size() < 0 the index wraps and distinct groups
+// can collide: group such cuboids with Snapshot.GroupLeaves instead.
 func (ix *CuboidIndexer) Index(leaf Combination) int {
 	idx := 0
 	for i, a := range ix.cuboid {
 		idx += int(leaf[a]) * ix.strides[i]
 	}
 	return idx
+}
+
+// appendKey appends a collision-free byte key of the leaf combination's
+// projection onto the cuboid: each cuboid attribute's code as four
+// big-endian bytes. Keys compare bytewise in the same order as the group
+// indexes of a cuboid that does not overflow, so sorting groups by key
+// keeps the scans' ascending group order.
+func (ix *CuboidIndexer) appendKey(dst []byte, leaf Combination) []byte {
+	for _, a := range ix.cuboid {
+		c := uint32(leaf[a])
+		dst = append(dst, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
+	}
+	return dst
 }
 
 // Combination reconstructs the projected combination for a group index.

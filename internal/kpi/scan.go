@@ -11,7 +11,11 @@ import (
 // the group index through the cuboid's indexer only for the rare groups
 // that become candidates.
 type GroupCount struct {
-	// Group is the dense group index within the cuboid.
+	// Group is the dense group index within the cuboid. For a cuboid whose
+	// indexer overflows (Size() < 0) mixed-radix indexes wrap and collide,
+	// so ScanCuboid keys its groups by projected combination instead and
+	// Group holds the index into Leaves of the group's first leaf.
+	// Snapshot.DecodeGroup decodes either form.
 	Group int
 	// Total and Anomalous are support_count_D(ac) and
 	// support_count_D(ac, Anomaly) for the group's combination.
@@ -106,8 +110,28 @@ func (s *Snapshot) ScanCuboidHalt(c Cuboid, dst []GroupCount, halt Halt) ([]Grou
 	return dst, true
 }
 
+// DecodeGroup writes into dst, which must have the schema's attribute
+// count, the projected combination of a group a scan of ix's cuboid
+// returned.
+func (s *Snapshot) DecodeGroup(ix *CuboidIndexer, group int, dst Combination) {
+	if ix.Size() >= 0 {
+		ix.DecodeInto(dst, group)
+		return
+	}
+	leaf := s.Leaves[group].Combo
+	for i := range dst {
+		dst[i] = Wildcard
+	}
+	for _, a := range ix.cuboid {
+		dst[a] = leaf[a]
+	}
+}
+
 // scanSparse is the map-based scan used for huge sparse domains.
 func (s *Snapshot) scanSparse(ix *CuboidIndexer, dst []GroupCount, halt Halt) ([]GroupCount, bool) {
+	if ix.Size() < 0 {
+		return s.scanOverflow(ix, dst, halt)
+	}
 	pos := make(map[int]int32, 64)
 	for i := range s.Leaves {
 		if halt != nil && i%haltStride == 0 && i > 0 && halt() {
@@ -129,4 +153,68 @@ func (s *Snapshot) scanSparse(ix *CuboidIndexer, dst []GroupCount, halt Halt) ([
 	}
 	sort.Slice(dst, func(i, j int) bool { return dst[i].Group < dst[j].Group })
 	return dst, true
+}
+
+// scanOverflow is scanSparse for a cuboid whose group indexes overflow:
+// groups come from GroupLeaves, each reported by its first leaf.
+func (s *Snapshot) scanOverflow(ix *CuboidIndexer, dst []GroupCount, halt Halt) ([]GroupCount, bool) {
+	groupOf, first, ok := s.GroupLeaves(ix, halt)
+	if !ok {
+		return dst[:0], false
+	}
+	for _, i := range first {
+		dst = append(dst, GroupCount{Group: i})
+	}
+	for i, g := range groupOf {
+		dst[g].Total++
+		if s.Leaves[i].Anomalous {
+			dst[g].Anomalous++
+		}
+	}
+	return dst, true
+}
+
+// GroupLeaves groups the leaves by their projection onto ix's cuboid, keyed
+// by the projected combination — the keying for
+// cuboids whose Size() < 0, where Index wraps and distinct groups collide.
+// Groups are numbered in ascending key order, the order their group indexes
+// would have: groupOf[i] is leaf i's group and first[g] the index of group
+// g's first leaf. halt, when non-nil, is polled every haltStride leaves; a
+// pass it aborts returns ok=false.
+func (s *Snapshot) GroupLeaves(ix *CuboidIndexer, halt Halt) (groupOf []int32, first []int, ok bool) {
+	pos := make(map[string]int32, 64)
+	var keys []string
+	var buf []byte
+	groupOf = make([]int32, len(s.Leaves))
+	for i := range s.Leaves {
+		if halt != nil && i%haltStride == 0 && i > 0 && halt() {
+			return nil, nil, false
+		}
+		buf = ix.appendKey(buf[:0], s.Leaves[i].Combo)
+		g, seen := pos[string(buf)]
+		if !seen {
+			k := string(buf)
+			g = int32(len(keys))
+			pos[k] = g
+			keys = append(keys, k)
+			first = append(first, i)
+		}
+		groupOf[i] = g
+	}
+	// Renumber the groups, numbered so far in first-seen order, by key.
+	byKey := make([]int32, len(keys))
+	for g := range byKey {
+		byKey[g] = int32(g)
+	}
+	sort.Slice(byKey, func(a, b int) bool { return keys[byKey[a]] < keys[byKey[b]] })
+	rank := make([]int32, len(keys))
+	sorted := make([]int, len(keys))
+	for r, g := range byKey {
+		rank[g] = int32(r)
+		sorted[r] = first[g]
+	}
+	for i, g := range groupOf {
+		groupOf[i] = rank[g]
+	}
+	return groupOf, sorted, true
 }

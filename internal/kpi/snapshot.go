@@ -57,9 +57,9 @@ type Snapshot struct {
 	// IDs, v/f columns); built once, shared across label invalidations and
 	// patched in place by ApplyDelta.
 	frame *colFrame
-	// leafPos maps Combination.Key() to the leaf's index; built lazily and
-	// maintained incrementally by ApplyDelta.
-	leafPos map[string]int32
+	// leafPos maps each leaf (under its leafKeyer key) to its index into
+	// Leaves; built lazily and maintained incrementally by ApplyDelta.
+	leafPos *leafMap[int32]
 	// gen stamps the snapshot's mutation generation: every label or
 	// structure mutation (InvalidateLabels, PatchLabels, ApplyDelta,
 	// InvalidateStructure) bumps it. Lazy builders that assemble a cache
@@ -112,62 +112,134 @@ func NewSnapshot(schema *Schema, leaves []Leaf) (*Snapshot, error) {
 	return &Snapshot{Schema: schema, Leaves: leaves}, nil
 }
 
-// leafSet is NewSnapshot's duplicate check. It keys each leaf by its packed
-// mixed-radix index over the whole schema: a bitset when the schema's
-// product is within a small multiple of the leaf count, a map otherwise. A
-// schema whose product overflows an int (NumLeaves -1) has no packed index
-// and falls back to the combination's byte key.
-type leafSet struct {
-	ix     *CuboidIndexer
-	bits   []uint64
-	packed map[uint64]struct{}
-	keys   map[string]struct{}
+// leafKeyer keys fully constrained, schema-valid leaves: by their packed
+// mixed-radix index over the whole schema, or — when the schema's product
+// overflows an int (NumLeaves -1), so no packed index exists — by the
+// combination's byte key. NewSnapshot's duplicate check, the leaf-position
+// index and ApplyDelta's duplicate checks all key leaves through it.
+type leafKeyer struct {
+	// ix indexes the all-attributes cuboid; nil when the schema overflows.
+	ix *CuboidIndexer
 }
 
-func newLeafSet(schema *Schema, leaves int) leafSet {
-	size := schema.NumLeaves()
-	if size < 0 {
-		return leafSet{keys: make(map[string]struct{}, leaves)}
+func newLeafKeyer(schema *Schema) leafKeyer {
+	if schema.NumLeaves() < 0 {
+		return leafKeyer{}
 	}
 	all := make(Cuboid, schema.NumAttributes())
 	for a := range all {
 		all[a] = a
 	}
-	s := leafSet{ix: NewCuboidIndexer(schema, all)}
-	if size <= max(64*leaves, 1<<12) {
-		s.bits = make([]uint64, (size+63)/64)
-	} else {
-		s.packed = make(map[uint64]struct{}, leaves)
+	return leafKeyer{ix: NewCuboidIndexer(schema, all)}
+}
+
+// leafMap maps leaves to values under a leafKeyer's keys: packed is used
+// when the schema has packed indexes, keys otherwise.
+type leafMap[V any] struct {
+	keyer  leafKeyer
+	packed map[uint64]V
+	keys   map[string]V
+}
+
+func newLeafMap[V any](k leafKeyer, leaves int) leafMap[V] {
+	if k.ix == nil {
+		return leafMap[V]{keyer: k, keys: make(map[string]V, leaves)}
 	}
-	return s
+	return leafMap[V]{keyer: k, packed: make(map[uint64]V, leaves)}
+}
+
+func (m *leafMap[V]) get(c Combination) (V, bool) {
+	if m.packed != nil {
+		v, ok := m.packed[uint64(m.keyer.ix.Index(c))]
+		return v, ok
+	}
+	v, ok := m.keys[c.Key()]
+	return v, ok
+}
+
+func (m *leafMap[V]) set(c Combination, v V) {
+	if m.packed != nil {
+		m.packed[uint64(m.keyer.ix.Index(c))] = v
+		return
+	}
+	m.keys[c.Key()] = v
+}
+
+func (m *leafMap[V]) delete(c Combination) {
+	if m.packed != nil {
+		delete(m.packed, uint64(m.keyer.ix.Index(c)))
+		return
+	}
+	delete(m.keys, c.Key())
+}
+
+func (m *leafMap[V]) len() int { return len(m.packed) + len(m.keys) }
+
+// leafSet is a set of leaves: a bitset over the packed indexes when the
+// schema's product is within a small multiple of the expected leaf count
+// (so the bitset never outweighs a map of the same leaves), a leafMap
+// otherwise.
+type leafSet struct {
+	leafMap[struct{}]
+	bits []uint64
+}
+
+// newLeafSet sizes a set for about leaves members of the schema.
+func newLeafSet(schema *Schema, leaves int) leafSet {
+	return newLeafKeyer(schema).newSet(leaves)
+}
+
+func (k leafKeyer) newSet(leaves int) leafSet {
+	if k.ix != nil {
+		if size := k.ix.Size(); size <= max(64*leaves, 1<<12) {
+			return leafSet{leafMap: leafMap[struct{}]{keyer: k}, bits: make([]uint64, (size+63)/64)}
+		}
+	}
+	return leafSet{leafMap: newLeafMap[struct{}](k, leaves)}
 }
 
 // add records the leaf c, whose codes are valid for the schema, and reports
 // whether it was already there.
 func (s *leafSet) add(c Combination) bool {
-	if s.keys != nil {
-		k := c.Key()
-		_, dup := s.keys[k]
-		s.keys[k] = struct{}{}
-		return dup
-	}
-	idx := s.ix.Index(c)
 	if s.bits != nil {
+		idx := s.keyer.ix.Index(c)
 		w, bit := idx/64, uint64(1)<<(idx%64)
 		dup := s.bits[w]&bit != 0
 		s.bits[w] |= bit
 		return dup
 	}
-	_, dup := s.packed[uint64(idx)]
-	s.packed[uint64(idx)] = struct{}{}
+	_, dup := s.get(c)
+	if !dup {
+		s.set(c, struct{}{})
+	}
 	return dup
+}
+
+// has reports whether the leaf c is in the set.
+func (s *leafSet) has(c Combination) bool {
+	if s.bits != nil {
+		idx := s.keyer.ix.Index(c)
+		return s.bits[idx/64]&(uint64(1)<<(idx%64)) != 0
+	}
+	_, ok := s.get(c)
+	return ok
 }
 
 // Len returns the number of observed leaves |D|.
 func (s *Snapshot) Len() int { return len(s.Leaves) }
 
-// NumAnomalous returns the number of leaves labeled anomalous.
+// NumAnomalous returns the number of leaves labeled anomalous: the cached
+// count when the label-derived caches are built (they are kept exact by
+// InvalidateLabels, PatchLabels and ApplyDelta), a scan of the leaves
+// otherwise.
 func (s *Snapshot) NumAnomalous() int {
+	s.mu.Lock()
+	if ld := s.labeled; ld != nil {
+		n := len(ld.anomIdx)
+		s.mu.Unlock()
+		return n
+	}
+	s.mu.Unlock()
 	n := 0
 	for _, l := range s.Leaves {
 		if l.Anomalous {
@@ -325,6 +397,19 @@ func (s *Snapshot) Columns() *Columns {
 	return ld.cols
 }
 
+// ElemCounts returns, per attribute and per element code, how many leaves
+// carry that code: counts[attr][code]. The counts live on the columnar
+// frame, are built on first use and are patched in place by ApplyDelta, so
+// on a long-lived snapshot they cost O(touched) per tick. With the lengths
+// of AnomalousPostings they are the per-branch totals of Eq. 1. Safe for
+// concurrent use; treat the result as read-only.
+func (s *Snapshot) ElemCounts() [][]int32 {
+	frame := s.colFrameCached()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return frame.elemCounts(s.Schema)
+}
+
 // AnomalousLeafSet returns the index positions (into Leaves) of the
 // anomalous leaves; used by the early-stop coverage check. The returned
 // slice is cached on the snapshot — treat it as read-only.
@@ -386,8 +471,17 @@ func (s *Snapshot) Confidence(ac Combination) float64 {
 }
 
 // Sum aggregates the fundamental KPI of ac from its leaf descendants
-// (Fig. 4): the summed actual and forecast values.
+// (Fig. 4): the summed actual and forecast values. The root — every leaf's
+// ancestor, summed on every monitor tick — skips the per-leaf Matches test;
+// the additions and their order are the same, so the sums are identical.
 func (s *Snapshot) Sum(ac Combination) (actual, forecast float64) {
+	if len(ac) == s.Schema.NumAttributes() && ac.Layer() == 0 {
+		for i := range s.Leaves {
+			actual += s.Leaves[i].Actual
+			forecast += s.Leaves[i].Forecast
+		}
+		return actual, forecast
+	}
 	for _, l := range s.Leaves {
 		if ac.Matches(l.Combo) {
 			actual += l.Actual
@@ -507,7 +601,12 @@ func denseGroupByLimit(leaves int) int {
 }
 
 // groupBySparse is the map-based group-by used for huge sparse domains.
+// Groups are keyed by group index, or by projected combination when the
+// cuboid's indexes overflow (Size() < 0) and would collide.
 func (s *Snapshot) groupBySparse(c Cuboid, ix *CuboidIndexer, dst []GroupStats) []GroupStats {
+	if ix.Size() < 0 {
+		return s.groupByOverflow(c, ix, dst)
+	}
 	pos := make(map[int]int32, 64)
 	var order []int
 	for i := range s.Leaves {
@@ -544,6 +643,25 @@ func (s *sparseStatsSort) Less(i, j int) bool { return s.groups[i] < s.groups[j]
 func (s *sparseStatsSort) Swap(i, j int) {
 	s.groups[i], s.groups[j] = s.groups[j], s.groups[i]
 	s.stats[i], s.stats[j] = s.stats[j], s.stats[i]
+}
+
+// groupByOverflow is groupBySparse over the groups of GroupLeaves.
+func (s *Snapshot) groupByOverflow(c Cuboid, ix *CuboidIndexer, dst []GroupStats) []GroupStats {
+	groupOf, first, _ := s.GroupLeaves(ix, nil)
+	for _, i := range first {
+		dst = append(dst, GroupStats{Combo: s.Leaves[i].Combo.Project(c)})
+	}
+	for i, g := range groupOf {
+		l := &s.Leaves[i]
+		st := &dst[g]
+		st.Total++
+		if l.Anomalous {
+			st.Anomalous++
+		}
+		st.Actual += l.Actual
+		st.Forecast += l.Forecast
+	}
+	return dst
 }
 
 // Clone returns a deep copy of the snapshot (leaves and combinations).

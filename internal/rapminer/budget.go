@@ -2,8 +2,6 @@ package rapminer
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -122,40 +120,4 @@ func (b *runBudget) halt() func() bool {
 		return nil
 	}
 	return b.expired
-}
-
-// panicTrap captures the first panic of a worker-pool goroutine so the
-// goroutine that owns the pool can rethrow it after Wait — turning a panic
-// that would otherwise kill the process (goroutine panics cannot be
-// recovered by their parent) back into an ordinary panic on the calling
-// goroutine, where localize's recover converts it into the run's error.
-type panicTrap struct {
-	once  sync.Once
-	val   any
-	stack []byte
-}
-
-// capture must be deferred inside each worker goroutine; stack records the
-// panicking worker's stack for the component log.
-func (p *panicTrap) capture(val any, stack []byte) {
-	p.once.Do(func() { p.val, p.stack = val, stack })
-}
-
-// rethrow re-panics on the calling goroutine with the captured value, if
-// any. Call after the pool's Wait.
-func (p *panicTrap) rethrow() {
-	if p.val != nil {
-		panic(&workerPanic{val: p.val, stack: p.stack})
-	}
-}
-
-// workerPanic wraps a panic captured on a worker goroutine, preserving the
-// worker's stack across the rethrow.
-type workerPanic struct {
-	val   any
-	stack []byte
-}
-
-func (w *workerPanic) String() string {
-	return fmt.Sprintf("%v (from worker goroutine)", w.val)
 }

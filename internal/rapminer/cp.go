@@ -2,10 +2,7 @@ package rapminer
 
 import (
 	"math"
-	"runtime/debug"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/kpi"
 )
@@ -25,41 +22,29 @@ type AttributeCP struct {
 // When Info(D) is zero (no anomalies, or every leaf anomalous) no attribute
 // can reduce entropy and CP is defined as 0.
 func ClassificationPower(s *kpi.Snapshot, attr int) float64 {
-	// The columnar store carries the anomaly bitset with a cached
-	// population count, so a run computing CP for n attributes counts
-	// anomalies once and never re-walks the leaf structs.
-	cols := s.Columns()
-	total := cols.Len()
+	// Eq. 1 needs only counts: |D|, the anomalous total, and per element of
+	// attr its leaves and anomalous leaves. The snapshot keeps all of them —
+	// the per-element totals on the columnar frame, the anomalous ones as
+	// the lengths of the inverted postings — patched in place as deltas and
+	// relabels land, so CP costs O(cardinality) and never walks the leaves.
+	total := s.Len()
 	if total == 0 {
 		return 0
 	}
-	anomalous := cols.NumAnomalous()
+	anomalous := s.NumAnomalous()
 	infoD := binaryEntropy(float64(anomalous) / float64(total))
 	if infoD == 0 {
 		return 0
 	}
 
-	// One pass over the attribute's dense element column and the packed
-	// bitset: per-element counts of the attribute's branches.
-	card := s.Schema.Cardinality(attr)
-	branchTotal := make([]int, card)
-	branchAnom := make([]int, card)
-	elem := cols.Elem(attr)
-	bits := cols.AnomalousBits()
-	for i, c := range elem {
-		branchTotal[c]++
-		if bits[i>>6]>>(uint(i)&63)&1 != 0 {
-			branchAnom[c]++
-		}
-	}
-
+	branchAnom := s.AnomalousPostings()[attr]
 	var infoAttr float64
-	for i := 0; i < card; i++ {
-		if branchTotal[i] == 0 {
+	for i, n := range s.ElemCounts()[attr] {
+		if n == 0 {
 			continue
 		}
-		w := float64(branchTotal[i]) / float64(total)
-		infoAttr += w * binaryEntropy(float64(branchAnom[i])/float64(branchTotal[i]))
+		w := float64(n) / float64(total)
+		infoAttr += w * binaryEntropy(float64(len(branchAnom[i]))/float64(n))
 	}
 	cp := (infoD - infoAttr) / infoD
 	if cp < 0 {
@@ -73,53 +58,10 @@ func ClassificationPower(s *kpi.Snapshot, attr int) float64 {
 // ClassificationPowers computes CP for every attribute of the snapshot's
 // schema, in attribute order.
 func ClassificationPowers(s *kpi.Snapshot) []AttributeCP {
-	return classificationPowers(s, 1)
-}
-
-// classificationPowers fans the per-attribute CP passes across workers.
-// Each attribute's computation is independent and identical to
-// ClassificationPower, so the result does not depend on the worker count.
-func classificationPowers(s *kpi.Snapshot, workers int) []AttributeCP {
 	out := make([]AttributeCP, s.Schema.NumAttributes())
-	if workers > len(out) {
-		workers = len(out)
+	for a := range out {
+		out[a] = AttributeCP{Attr: a, CP: ClassificationPower(s, a)}
 	}
-	if workers <= 1 || len(out) <= 1 {
-		for a := range out {
-			out[a] = AttributeCP{Attr: a, CP: ClassificationPower(s, a)}
-		}
-		return out
-	}
-	// Build the shared columnar store before forking so workers only read it.
-	_ = s.Columns()
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		trap panicTrap
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panic on a worker goroutine would kill the process; trap it
-			// and rethrow on the caller, where localize's recover converts
-			// it into the run's error.
-			defer func() {
-				if r := recover(); r != nil {
-					trap.capture(r, debug.Stack())
-				}
-			}()
-			for {
-				a := int(next.Add(1)) - 1
-				if a >= len(out) {
-					return
-				}
-				out[a] = AttributeCP{Attr: a, CP: ClassificationPower(s, a)}
-			}
-		}()
-	}
-	wg.Wait()
-	trap.rethrow()
 	return out
 }
 

@@ -240,14 +240,14 @@ func TestClassificationPowerAfterRelabel(t *testing.T) {
 		t.Errorf("CP_B = %v after relabel, want 1 (stale columnar store?)", got)
 	}
 
-	// The parallel fan-out reads the same store.
-	for _, cp := range classificationPowers(snap, 4) {
+	// The all-attributes pass reads the same store.
+	for _, cp := range ClassificationPowers(snap) {
 		want := 0.0
 		if cp.Attr == 1 {
 			want = 1.0
 		}
 		if math.Abs(cp.CP-want) > 1e-12 {
-			t.Errorf("workers=4: CP of attribute %d = %v, want %v", cp.Attr, cp.CP, want)
+			t.Errorf("CP of attribute %d = %v, want %v", cp.Attr, cp.CP, want)
 		}
 	}
 }

@@ -45,10 +45,9 @@ type Config struct {
 	// cuboids. Used by the Table VI ablation.
 	DisableAttributeDeletion bool
 	// Workers bounds the goroutines used inside one localization run: the
-	// per-cuboid scans of each search layer and the per-attribute
-	// classification-power passes fan out across this many workers. The
-	// result is bit-identical for every worker count. 0 means GOMAXPROCS;
-	// 1 runs fully sequential on the caller's goroutine.
+	// per-cuboid scans of each search layer fan out across this many
+	// workers. The result is bit-identical for every worker count. 0 means
+	// GOMAXPROCS; 1 runs fully sequential on the caller's goroutine.
 	Workers int
 	// MaxDuration is the per-run wall-clock budget: a search that is still
 	// running when it expires stops at the next cuboid boundary and
@@ -310,16 +309,12 @@ func (m *Miner) LocalizeWithDiagnosticsContext(ctx context.Context, snapshot *kp
 // journal; ctx, when non-nil, traces the stages as spans and bounds the run
 // (cancellation and deadline), composing with the configured
 // MaxDuration/MaxCuboids budget. A panic anywhere in the run — including on
-// a search or classification-power worker goroutine — is recovered into the
-// run's error with the stack logged, so one poisoned snapshot fails one
-// call, not the process.
+// a search worker goroutine — is recovered into the run's error with the
+// stack logged, so one poisoned snapshot fails one call, not the process.
 func (m *Miner) localize(ctx context.Context, snapshot *kpi.Snapshot, k int, diag *Diagnostics) (res localize.Result, out Diagnostics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			val, stack := r, debug.Stack()
-			if wp, ok := r.(*workerPanic); ok {
-				val, stack = wp.val, wp.stack
-			}
 			if sp, ok := r.(*kpi.ScanPanic); ok {
 				val, stack = sp.Val, sp.Stack
 			}
@@ -368,7 +363,7 @@ func (m *Miner) localize(ctx context.Context, snapshot *kpi.Snapshot, k int, dia
 	if ctx != nil {
 		_, span = obs.StartSpan(ctx, "rapminer.attribute_deletion")
 	}
-	cps := classificationPowers(snapshot, m.workers())
+	cps := ClassificationPowers(snapshot)
 	attrs := m.selectSearchAttributes(cps)
 	if span != nil {
 		span.SetAttr("kept", len(attrs))

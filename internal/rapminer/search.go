@@ -149,7 +149,7 @@ layers:
 					diag.CombinationsScanned++
 					stats.Combinations++
 				}
-				ix.DecodeInto(probe, g.Group)
+				snapshot.DecodeGroup(ix, g.Group, probe)
 				// Criteria 3: descendants of an accepted RAP cannot be
 				// RAPs; skip them without computing confidence.
 				if anc.hasAncestor(probe, layer) {
