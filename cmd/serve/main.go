@@ -1,7 +1,7 @@
 // Command serve exposes anomaly localization over HTTP.
 //
 //	serve [-addr :8080] [-pprof] [-log-level info] [-log-json]
-//	      [-span-capacity 512] [-workers 0] [-rollup 0] [-batch-queue -1]
+//	      [-span-capacity 512] [-workers 0] [-batch-queue -1]
 //	      [-request-timeout 0] [-read-timeout 1m] [-write-timeout 2m]
 //	      [-exemplar-threshold 0] [-log-max-per-sec 50]
 //	      [-flight-rules ""] [-flight-cooldown 2m] [-flight-capacity 4]
@@ -96,7 +96,6 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 		shutdownTimeout = fs.Duration("shutdown-timeout", 5*time.Second, "graceful shutdown deadline")
 		spanCapacity    = fs.Int("span-capacity", obs.DefaultSpanCapacity, "trace spans retained for /debug/spans")
 		workers         = fs.Int("workers", 0, "batch localization workers (0 = GOMAXPROCS)")
-		rollup          = fs.Int("rollup", 0, "roll-up base accumulator slot cap for rapminer requests (0 = auto-size from leaf count, negative = disable roll-up)")
 		batchQueue      = fs.Int("batch-queue", 0, "batch items that may wait beyond the running ones (0 = 4x workers, min 16; negative = none)")
 		requestTimeout  = fs.Duration("request-timeout", 0, "per-request localization deadline; expired requests answer 504 with best-so-far partial results (0 = none)")
 		readTimeout     = fs.Duration("read-timeout", time.Minute, "max time to read one request including the body (0 = none)")
@@ -132,7 +131,6 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 	apiSrv := httpapi.New(httpapi.Options{
 		BatchWorkers:      *workers,
 		BatchQueue:        *batchQueue,
-		RollupLimit:       *rollup,
 		RequestTimeout:    *requestTimeout,
 		ExemplarThreshold: exemplarMin.Seconds(),
 		LogMaxPerSec:      *logMaxPerSec,

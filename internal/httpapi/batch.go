@@ -124,7 +124,6 @@ func (a *api) handleLocalizeBatch(w http.ResponseWriter, r *http.Request) {
 	if rm, ok := m.(*rapminer.Miner); ok {
 		m = rm.WithWorkers(1)
 	}
-	m = a.applyRollup(m)
 
 	reqCtx := r.Context()
 	if a.timeout > 0 {

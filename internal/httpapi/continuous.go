@@ -29,18 +29,17 @@ type continuousAPI struct {
 	reg    *obs.Registry
 	runs   *explain.Store
 	window int
-	rollup int
 
 	mu     sync.Mutex
 	runner *pipeline.ContinuousRunner
 	schema *kpi.Schema
 }
 
-func newContinuousAPI(reg *obs.Registry, runs *explain.Store, window, rollup int) *continuousAPI {
+func newContinuousAPI(reg *obs.Registry, runs *explain.Store, window int) *continuousAPI {
 	if window < 1 {
 		window = defaultContinuousWindow
 	}
-	return &continuousAPI{reg: reg, runs: runs, window: window, rollup: rollup}
+	return &continuousAPI{reg: reg, runs: runs, window: window}
 }
 
 // init assembles the runner on the first baseline snapshot.
@@ -48,9 +47,6 @@ func (c *continuousAPI) init(schema *kpi.Schema) error {
 	miner, err := rapminer.New(rapminer.DefaultConfig())
 	if err != nil {
 		return err
-	}
-	if c.rollup != 0 {
-		miner = miner.WithRollupLimit(c.rollup)
 	}
 	cfg := pipeline.DefaultConfig(anomaly.DefaultRelativeDeviation(), miner)
 	cfg.AlarmThreshold = 0.01

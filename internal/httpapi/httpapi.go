@@ -84,20 +84,6 @@ type api struct {
 	batch   *pipeline.BatchExecutor
 	slo     *sloState
 	timeout time.Duration
-	rollup  int
-}
-
-// applyRollup overrides the roll-up accumulator limit on RAPMiner-backed
-// localizers when the server was configured with one; other methods pass
-// through untouched.
-func (a *api) applyRollup(m localize.Localizer) localize.Localizer {
-	if a.rollup == 0 {
-		return m
-	}
-	if rm, ok := m.(*rapminer.Miner); ok {
-		return rm.WithRollupLimit(a.rollup)
-	}
-	return m
 }
 
 // Options configures NewHandlerOpts. The zero value is valid: default
@@ -117,11 +103,6 @@ type Options struct {
 	// (4x workers, minimum 16); negative means no queue at all — items
 	// beyond the running ones are rejected immediately.
 	BatchQueue int
-	// RollupLimit overrides rapminer.Config.RollupLimit for RAPMiner-backed
-	// requests: the slot cap of the roll-up scan engine's base accumulator.
-	// 0 keeps the miner's default (auto-sized from the leaf count);
-	// negative disables roll-up, restoring per-layer fused scans.
-	RollupLimit int
 	// RequestTimeout bounds the localization work of one POST /v1/localize
 	// or /v1/localize/batch request via context.WithTimeout. An expired
 	// request answers 504 carrying the best-so-far partial result
@@ -214,7 +195,6 @@ func New(o Options) *Server {
 		runs:    explain.Default(),
 		batch:   pipeline.NewBatchExecutor(reg, workers, queue),
 		timeout: o.RequestTimeout,
-		rollup:  o.RollupLimit,
 	}
 	// Expose the full metric schema at zero from the first scrape, before
 	// any localization or incident has happened, plus the process identity
@@ -246,7 +226,7 @@ func New(o Options) *Server {
 	mux.HandleFunc("POST /v1/observe", monitor.handleObserve)
 	mux.HandleFunc("GET /v1/incidents", monitor.handleIncidents)
 	if o.Continuous {
-		cont := newContinuousAPI(reg, a.runs, o.ContinuousWindow, o.RollupLimit)
+		cont := newContinuousAPI(reg, a.runs, o.ContinuousWindow)
 		mux.HandleFunc("POST /v1/observe/snapshot", cont.handleSnapshot)
 		mux.HandleFunc("POST /v1/observe/delta", cont.handleDelta)
 		mux.HandleFunc("GET /v1/observe/continuous", cont.handleStatus)
@@ -351,7 +331,6 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	m = a.applyRollup(m)
 	reqCtx := r.Context()
 	if a.timeout > 0 {
 		// The per-request deadline bounds the localization work itself;
@@ -381,13 +360,6 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 			span.SetAttr("cuboids_visited", diag.CuboidsVisited)
 			a.runs.Put(explain.New(span.TraceID(), "httpapi", m.Name(),
 				snap, k, diag, time.Since(start)))
-		}
-	} else if dl, ok := m.(rapminer.DiagnosticLocalizer); ok {
-		var diag rapminer.Diagnostics
-		res, diag, err = dl.LocalizeWithDiagnostics(snap, k)
-		if err == nil {
-			rapminer.PublishDiagnostics(a.reg, diag)
-			span.SetAttr("cuboids_visited", diag.CuboidsVisited)
 		}
 	} else {
 		// SafeLocalize adds panic isolation and, for context-aware

@@ -108,151 +108,29 @@ func BenchmarkCuboidIndexer(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedVsPerCuboid compares one BFS layer's group counting under
-// the per-cuboid engine (one ScanCuboid pass per cuboid) against the fused
-// columnar pass (one LayerScan pass for the whole layer), across layers 1-3
-// of the CDN-sized snapshot and worker counts 1/2/4/8. The percuboid mode
-// only varies with the layer — the per-cuboid scans of the old engine ran
-// one at a time on the merge goroutine — so it is benchmarked once per
-// layer as the workers=1 baseline.
-func BenchmarkFusedVsPerCuboid(b *testing.B) {
+// BenchmarkRollupVsScan prices the search's two count sources on the
+// CDN-sized snapshot over the schedule of layers 1-3 (the BFS layer
+// barrier order), at worker counts 1/2/4/8: mode=scan counts every cuboid
+// with its own ScanCuboid leaf pass; mode=rollup pays one base pass from a
+// cold plan and serves every cuboid by memoized marginalization.
+func BenchmarkRollupVsScan(b *testing.B) {
 	snap := benchSnapshot(b)
 	attrs := []int{0, 1, 2, 3}
 	_ = snap.Columns() // build the columnar store outside the timer
+	var schedule []Cuboid
 	for layer := 1; layer <= 3; layer++ {
-		cuboids := CuboidsAtLayer(attrs, layer)
-		b.Run(fmt.Sprintf("layer=%d/mode=percuboid", layer), func(b *testing.B) {
+		schedule = append(schedule, CuboidsAtLayer(attrs, layer)...)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("schedule/mode=scan/workers=%d", workers), func(b *testing.B) {
 			var buf []GroupCount
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				total := 0
-				for _, c := range cuboids {
-					buf = snap.ScanCuboid(c, buf)
+				for _, c := range schedule {
+					buf, _ = snap.ScanCuboid(c, buf, workers, nil)
 					total += len(buf)
-				}
-				if total == 0 {
-					b.Fatal("no groups")
-				}
-			}
-		})
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("layer=%d/mode=fused/workers=%d", layer, workers), func(b *testing.B) {
-				var buf []GroupCount
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ls := snap.NewLayerScan(cuboids)
-					if !ls.Run(workers, nil) {
-						b.Fatal("Run aborted")
-					}
-					total := 0
-					for ci := range cuboids {
-						buf = ls.Groups(ci, buf)
-						total += len(buf)
-					}
-					ls.Close()
-					if total == 0 {
-						b.Fatal("no groups")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkRollupVsFused compares serving one BFS layer by roll-up
-// (memoized marginalization over the base accumulators) against rescanning
-// the leaves with the fused columnar pass, across layers 1-3 of the
-// CDN-sized snapshot and worker counts 1/2/4/8. Each rollup iteration pays
-// the FULL cost from a cold plan — base leaf pass plus marginalization plus
-// emit — so its per-layer numbers are upper bounds: in a real run the base
-// pass and the cached marginals amortize across every layer of the
-// schedule (the end-to-end effect is what BenchmarkSearchParallel shows).
-// The base sub-benchmarks price that one-time leaf pass alone.
-func BenchmarkRollupVsFused(b *testing.B) {
-	snap := benchSnapshot(b)
-	attrs := []int{0, 1, 2, 3}
-	_ = snap.Columns() // build the columnar store outside the timer
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("base/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan := snap.NewRollupPlan(attrs, 0)
-				if plan == nil || !plan.Run(workers, nil) {
-					b.Fatal("base pass failed")
-				}
-				plan.Close()
-			}
-		})
-	}
-	for layer := 1; layer <= 3; layer++ {
-		cuboids := CuboidsAtLayer(attrs, layer)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("layer=%d/mode=fused/workers=%d", layer, workers), func(b *testing.B) {
-				var buf []GroupCount
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ls := snap.NewLayerScan(cuboids)
-					if !ls.Run(workers, nil) {
-						b.Fatal("Run aborted")
-					}
-					total := 0
-					for ci := range cuboids {
-						buf = ls.Groups(ci, buf)
-						total += len(buf)
-					}
-					ls.Close()
-					if total == 0 {
-						b.Fatal("no groups")
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("layer=%d/mode=rollup/workers=%d", layer, workers), func(b *testing.B) {
-				var buf []GroupCount
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					plan := snap.NewRollupPlan(attrs, 0)
-					if plan == nil || !plan.Run(workers, nil) {
-						b.Fatal("base pass failed")
-					}
-					total := 0
-					for _, c := range cuboids {
-						buf = plan.Groups(c, buf)
-						total += len(buf)
-					}
-					plan.Close()
-					if total == 0 {
-						b.Fatal("no groups")
-					}
-				}
-			})
-		}
-	}
-	// The schedule pair is the tentpole claim measured directly: all of
-	// layers 1-3 under the BFS layer barrier, one fused leaf pass PER LAYER
-	// versus ONE base pass total plus memoized marginalization.
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("schedule/mode=fused/workers=%d", workers), func(b *testing.B) {
-			var buf []GroupCount
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				total := 0
-				for layer := 1; layer <= 3; layer++ {
-					cuboids := CuboidsAtLayer(attrs, layer)
-					ls := snap.NewLayerScan(cuboids)
-					if !ls.Run(workers, nil) {
-						b.Fatal("Run aborted")
-					}
-					for ci := range cuboids {
-						buf = ls.Groups(ci, buf)
-						total += len(buf)
-					}
-					ls.Close()
 				}
 				if total == 0 {
 					b.Fatal("no groups")
@@ -264,16 +142,14 @@ func BenchmarkRollupVsFused(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan := snap.NewRollupPlan(attrs, 0)
+				plan := snap.NewRollupPlan(attrs)
 				if plan == nil || !plan.Run(workers, nil) {
 					b.Fatal("base pass failed")
 				}
 				total := 0
-				for layer := 1; layer <= 3; layer++ {
-					for _, c := range CuboidsAtLayer(attrs, layer) {
-						buf = plan.Groups(c, buf)
-						total += len(buf)
-					}
+				for _, c := range schedule {
+					buf = plan.Groups(c, buf)
+					total += len(buf)
 				}
 				plan.Close()
 				if total == 0 {

@@ -72,7 +72,7 @@ func buildColFrame(schema *Schema, leaves []Leaf) *colFrame {
 	n := len(leaves)
 	// One backing array for all element columns keeps them adjacent in
 	// memory and cuts the build to two allocations. Columns are placed in
-	// descending cardinality order: the fused scans read several columns
+	// descending cardinality order: the dense scans read several columns
 	// per chunk, and the high-cardinality columns — the ones whose strides
 	// dominate the mixed-radix keys and whose values the scan cannot
 	// predict — profit most from landing adjacent at the front of the

@@ -16,7 +16,7 @@ import (
 // The contract is exactness, not approximation: after ApplyDelta the
 // snapshot must be indistinguishable from NewSnapshot(schema, Leaves) built
 // from scratch over the post-delta leaf slice. Every scan (ScanCuboid,
-// LayerScan, RollupPlan), every cached structure (Columns, AnomalousLeafSet,
+// RollupPlan), every cached structure (Columns, AnomalousLeafSet,
 // AnomalousPostings) and everything derived from them — results and
 // Diagnostics both — is bit-identical to the rebuilt snapshot's, at any
 // worker count. The delta fuzz and the engine-level pins enforce this.

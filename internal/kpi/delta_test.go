@@ -127,8 +127,8 @@ func assertDeltaEquivalence(t *testing.T, patched *Snapshot) {
 	var want, got []GroupCount
 	for layer := 1; layer <= len(attrs); layer++ {
 		for _, cuboid := range CuboidsAtLayer(attrs, layer) {
-			want = fresh.ScanCuboid(cuboid, want)
-			got = patched.ScanCuboid(cuboid, got)
+			want, _ = fresh.ScanCuboid(cuboid, want, 1, nil)
+			got, _ = patched.ScanCuboid(cuboid, got, 1, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("cuboid %v: patched %v, fresh %v", cuboid, got, want)
 			}
@@ -358,9 +358,8 @@ func TestDeltaLeafPosMaintained(t *testing.T) {
 }
 
 // FuzzDeltaVsRebuild is the delta property test: random delta sequences
-// applied to a warm snapshot must keep every scan engine's counts —
-// ScanCuboid, the fused LayerScan, and roll-up-served layers — identical to
-// a from-scratch rebuild of the post-delta leaves, at several worker counts.
+// applied to a warm snapshot must keep every count path's output —
+// ScanCuboid and roll-up-served layers — identical to a from-scratch rebuild of the post-delta leaves, at several worker counts.
 // After every step the per-element counts, the anomalous count and the root
 // sums must match the rebuild too. wide swaps in a schema whose product
 // overflows, so leaf positions fall back to byte keys and the full cuboid's
@@ -461,39 +460,19 @@ func FuzzDeltaVsRebuild(f *testing.F) {
 		}
 		var want, got []GroupCount
 		for layer := 1; layer <= nAttr; layer++ {
-			cuboids := CuboidsAtLayer(attrs, layer)
-			for _, cuboid := range cuboids {
-				want = fresh.ScanCuboid(cuboid, want)
-				got = snap.ScanCuboid(cuboid, got)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("ScanCuboid %v: patched %v, fresh %v", cuboid, got, want)
-				}
-			}
-			for _, workers := range []int{1, 4} {
-				ls := snap.NewLayerScan(cuboids)
-				fl := fresh.NewLayerScan(cuboids)
-				ls.Run(workers, nil)
-				fl.Run(workers, nil)
-				for ci, cuboid := range cuboids {
-					if ls.Done(ci) != fl.Done(ci) {
-						t.Fatalf("cuboid %v: fused on one side only", cuboid)
-					}
-					if !ls.Done(ci) {
-						continue
-					}
-					want = fl.Groups(ci, want)
-					got = ls.Groups(ci, got)
+			for _, cuboid := range CuboidsAtLayer(attrs, layer) {
+				for _, workers := range []int{1, 4} {
+					want, _ = fresh.ScanCuboid(cuboid, want, workers, nil)
+					got, _ = snap.ScanCuboid(cuboid, got, workers, nil)
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("LayerScan %v workers %d: patched %v, fresh %v", cuboid, workers, got, want)
+						t.Fatalf("ScanCuboid %v workers %d: patched %v, fresh %v", cuboid, workers, got, want)
 					}
 				}
-				ls.Close()
-				fl.Close()
 			}
 		}
 		for _, workers := range []int{1, 4} {
-			pp := snap.NewRollupPlan(attrs, 0)
-			fp := fresh.NewRollupPlan(attrs, 0)
+			pp := snap.NewRollupPlan(attrs)
+			fp := fresh.NewRollupPlan(attrs)
 			if (pp == nil) != (fp == nil) {
 				t.Fatal("roll-up materializable on one side only")
 			}

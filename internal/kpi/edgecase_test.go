@@ -98,7 +98,8 @@ func TestIndexerCacheHighAttributeIndexes(t *testing.T) {
 }
 
 // bigScanSnapshot builds a dense two-attribute snapshot with more leaves
-// than one halt stride, so ScanCuboidHalt polls its hook mid-scan.
+// than two halt strides, so ScanCuboid polls its hook mid-scan and splits
+// across workers, with anomalous leaves in every worker's range.
 func bigScanSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	vals := func(prefix string, n int) []string {
@@ -117,7 +118,7 @@ func bigScanSnapshot(t *testing.T) *Snapshot {
 		for b := int32(0); b < 100; b++ {
 			leaves = append(leaves, Leaf{
 				Combo: Combination{a, b}, Actual: 1, Forecast: 1,
-				Anomalous: a == 3,
+				Anomalous: a == 3 || (a+b)%7 == 0,
 			})
 		}
 	}
@@ -128,43 +129,40 @@ func bigScanSnapshot(t *testing.T) *Snapshot {
 	return snap
 }
 
-// TestScanCuboidHalt pins the Halt contract: a tripped hook aborts the scan
-// with (empty, false) — never a partial result mistakable for a complete
-// one — while a nil or never-tripping hook reproduces ScanCuboid exactly.
+// TestScanCuboidHalt pins the Halt contract at every worker count: a
+// tripped hook aborts the scan with (dst[:0], false) — never a partial
+// result mistakable for a complete one — while a never-tripping hook
+// reproduces the unhalted scan exactly.
 func TestScanCuboidHalt(t *testing.T) {
 	snap := bigScanSnapshot(t)
 	if snap.Len() <= 2*haltStride {
 		t.Fatalf("snapshot has %d leaves, need more than two halt strides (%d)", snap.Len(), haltStride)
 	}
-	for _, cuboid := range []Cuboid{{0}, {1}, {0, 1}} {
-		want := snap.ScanCuboid(cuboid, nil)
-
-		got, ok := snap.ScanCuboidHalt(cuboid, nil, func() bool { return false })
-		if !ok {
-			t.Fatalf("cuboid %v: never-tripping halt aborted the scan", cuboid)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("cuboid %v: halt variant returned %d groups, want %d", cuboid, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("cuboid %v group %d: %+v != %+v", cuboid, i, got[i], want[i])
+	for _, workers := range []int{1, 2, 4} {
+		for _, cuboid := range []Cuboid{{0}, {1}, {0, 1}} {
+			want, _ := snap.ScanCuboid(cuboid, nil, workers, nil)
+			got, ok := snap.ScanCuboid(cuboid, nil, workers, func() bool { return false })
+			if !ok {
+				t.Fatalf("workers %d cuboid %v: never-tripping halt aborted the scan", workers, cuboid)
 			}
-		}
+			if !sameCounts(got, want) {
+				t.Fatalf("workers %d cuboid %v: halt variant %v, want %v", workers, cuboid, got, want)
+			}
 
-		got, ok = snap.ScanCuboidHalt(cuboid, got, func() bool { return true })
-		if ok {
-			t.Fatalf("cuboid %v: tripped halt reported a complete scan", cuboid)
-		}
-		if len(got) != 0 {
-			t.Fatalf("cuboid %v: aborted scan returned %d groups, want none", cuboid, len(got))
+			got, ok = snap.ScanCuboid(cuboid, got, workers, func() bool { return true })
+			if ok {
+				t.Fatalf("workers %d cuboid %v: tripped halt reported a complete scan", workers, cuboid)
+			}
+			if len(got) != 0 {
+				t.Fatalf("workers %d cuboid %v: aborted scan returned %d groups, want none", workers, cuboid, len(got))
+			}
 		}
 	}
 
 	// A hook tripping partway through still yields a clean abort, and the
 	// scan stops promptly: the hook is not polled for the whole leaf count.
 	polls := 0
-	_, ok := snap.ScanCuboidHalt(Cuboid{0}, nil, func() bool {
+	_, ok := snap.ScanCuboid(Cuboid{0}, nil, 1, func() bool {
 		polls++
 		return polls >= 2
 	})

@@ -55,9 +55,9 @@ func fuzzSnapshot(seed int64, density, anomRate byte) *Snapshot {
 
 // FuzzColumnsFusedScan is the dictionary-encoding property test: on
 // randomized snapshots, EncodeColumns->decode round-trips every leaf, and
-// the fused layer scan's group counts equal the existing per-cuboid
-// GroupCount output for every cuboid of the lattice at several worker
-// counts.
+// the two count paths that read the columns — the columnar ScanCuboid and
+// the roll-up served from one base pass — match GroupBy's counts for every
+// cuboid of the lattice at several worker counts.
 func FuzzColumnsFusedScan(f *testing.F) {
 	f.Add(int64(1), byte(60), byte(30))
 	f.Add(int64(2), byte(95), byte(5))
@@ -77,76 +77,49 @@ func FuzzColumnsFusedScan(f *testing.F) {
 			}
 		}
 
-		// Property 2: fused counts == per-cuboid scan counts, layer by
-		// layer, independent of the worker count.
+		// Property 2: columnar scan counts == GroupBy counts, independent
+		// of the worker count.
 		attrs := make([]int, snap.Schema.NumAttributes())
 		for a := range attrs {
 			attrs[a] = a
 		}
-		var want, got []GroupCount
-		for layer := 1; layer <= len(attrs); layer++ {
-			cuboids := CuboidsAtLayer(attrs, layer)
+		var got []GroupCount
+		for _, cuboid := range AllCuboids(attrs) {
+			want := wantCounts(snap, cuboid)
 			for _, workers := range []int{1, 3, 8} {
-				ls := snap.NewLayerScan(cuboids)
-				if !ls.Run(workers, nil) {
-					t.Fatalf("layer %d workers %d: Run aborted without a halt", layer, workers)
+				var ok bool
+				got, ok = snap.ScanCuboid(cuboid, got, workers, nil)
+				if !ok || !sameCounts(got, want) {
+					t.Fatalf("cuboid %v workers %d: scan %v (ok %v), want %v", cuboid, workers, got, ok, want)
 				}
-				for ci, cuboid := range cuboids {
-					want, _ = snap.ScanCuboidHalt(cuboid, want, nil)
-					if !ls.Done(ci) {
-						continue // sparse fallback: not part of the fusion
-					}
-					got = ls.Groups(ci, got)
-					if len(got) != len(want) {
-						t.Fatalf("layer %d cuboid %v: %d fused groups, %d scanned", layer, cuboid, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("layer %d cuboid %v group %d: fused %+v, scan %+v",
-								layer, cuboid, i, got[i], want[i])
-						}
-					}
-				}
-				ls.Close()
 			}
 		}
 
-		// Property 3: roll-up-served counts == per-cuboid scan counts for
-		// every cuboid the base refines, at base limits straddling the
+		// Property 3: roll-up-served counts == GroupBy counts for every
+		// cuboid the base refines, at base limits straddling the
 		// materialization boundary — the full domain (everything rolls
 		// up), the leaf-count heuristic, and a limit tight enough that the
-		// base shrinks to a strict attribute subset or to nothing (the
-		// sparse-fallback boundary).
+		// base shrinks to a strict attribute subset or to nothing.
 		domain := 1
 		for a := range attrs {
 			domain *= snap.Schema.Cardinality(a)
 		}
-		for _, limit := range []int{domain, domain - 1, 0, 4} {
+		for _, limit := range []int{domain, domain - 1, defaultRollupLimit(snap.Len()), 4} {
 			for _, workers := range []int{1, 3, 8} {
-				plan := snap.NewRollupPlan(attrs, limit)
+				plan := snap.newRollupPlan(attrs, limit)
 				if plan == nil {
 					continue // nothing materializable under this limit
 				}
-				if plan.Run(workers, nil) != true {
+				if !plan.Run(workers, nil) {
 					t.Fatalf("limit %d workers %d: base pass aborted without a halt", limit, workers)
 				}
-				for layer := 1; layer <= len(attrs); layer++ {
-					for _, cuboid := range CuboidsAtLayer(attrs, layer) {
-						if !plan.Serves(cuboid) {
-							continue // outside the base: fused/fallback territory
-						}
-						want, _ = snap.ScanCuboidHalt(cuboid, want, nil)
-						got = plan.Groups(cuboid, got)
-						if len(got) != len(want) {
-							t.Fatalf("limit %d cuboid %v: %d rolled-up groups, %d scanned",
-								limit, cuboid, len(got), len(want))
-						}
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("limit %d cuboid %v group %d: rolled up %+v, scan %+v",
-									limit, cuboid, i, got[i], want[i])
-							}
-						}
+				for _, cuboid := range AllCuboids(attrs) {
+					if !plan.Serves(cuboid) {
+						continue // outside the base: scanned by the search
+					}
+					got = plan.Groups(cuboid, got)
+					if want := wantCounts(snap, cuboid); !sameCounts(got, want) {
+						t.Fatalf("limit %d cuboid %v: rolled up %v, want %v", limit, cuboid, got, want)
 					}
 				}
 				plan.Close()

@@ -49,7 +49,7 @@ func TestOverflowGroupsDoNotCollide(t *testing.T) {
 		t.Fatalf("premise: size %d, wrapped indexes %d and %d", ix.Size(), ix.Index(low), ix.Index(high))
 	}
 
-	counts := snap.ScanCuboid(all, nil)
+	counts, _ := snap.ScanCuboid(all, nil, 1, nil)
 	if len(counts) != 2 {
 		t.Fatalf("ScanCuboid merged colliding groups: %+v", counts)
 	}

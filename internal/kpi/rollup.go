@@ -1,12 +1,11 @@
 package kpi
 
-// RollupPlan is the run-level extension of the fused layer scan: instead of
-// one pass over the leaf columns per BFS layer, the plan scans the leaves
-// ONCE into the flat (total, anomalous) accumulators of a single base
-// cuboid — the finest materializable cuboid of the search's surviving
-// attributes — and then serves every cuboid that coarsens the base by
-// memoized marginalization over that array: pure integer arithmetic, zero
-// further leaf reads.
+// RollupPlan serves a whole search's cuboid schedule from one pass over
+// the leaves: it scans the leaves ONCE into the flat (total, anomalous)
+// accumulators of a single base cuboid — the finest materializable cuboid
+// of the search's surviving attributes — and then serves every cuboid that
+// coarsens the base by memoized marginalization over that array: pure
+// integer arithmetic, zero further leaf reads.
 //
 // The roll-up is exact, not approximate. A cuboid c ⊆ base partitions the
 // base's Cartesian groups — every base group projects onto exactly one
@@ -14,33 +13,32 @@ package kpi
 // into c's slots reproduces precisely the counts a direct scan of c would
 // have produced, in the same ascending group order. Integer addition
 // commutes, so the result is also independent of how the base pass itself
-// was partitioned across workers: the PR 3 merge-replay determinism
-// contract (bit-identical results at any worker count) carries over
-// unchanged.
+// was partitioned across workers: the search's determinism contract
+// (bit-identical results at any worker count) carries over unchanged.
 //
-// The base pass reuses the LayerScan machinery — chunk blocking, halt
-// polling every scanChunk leaves, worker partitioning by contiguous leaf
-// range with exact integer merge, and ScanPanic trapping — by planning a
-// single-cuboid layer with the plan's own accumulator limit. Cuboids that
-// constrain an attribute outside the base (the attribute was too wide to
-// materialize) are not served; callers fall back to the fused per-layer
-// scan for those.
+// The base pass is the dense kernel behind ScanCuboid — chunked halt
+// polling, worker partitioning by contiguous leaf range with exact integer
+// merge, and ScanPanic trapping. Cuboids that constrain an attribute
+// outside the base (the attribute was too wide to materialize) are not
+// served; callers scan those with ScanCuboid.
 //
 // A RollupPlan is built and consumed by one goroutine (the search's merge
 // goroutine); it is not safe for concurrent use.
 type RollupPlan struct {
 	snap *Snapshot
 	// base is the materialized cuboid, a subsequence of the attrs given to
-	// NewRollupPlan; cards are its per-position cardinalities.
+	// NewRollupPlan; cards are its per-position cardinalities and size
+	// their product.
 	base  Cuboid
 	cards []int
-	scan  *LayerScan
-	// tot/anm are the merged base accumulators, valid once Run succeeds.
-	tot, anm []int32
+	size  int
+	// buf is the base pass's pooled accumulator buffer (totals then
+	// anomalous counts), nil until Run succeeds.
+	buf *[]int32
 	// marg memoizes the marginal accumulators computed so far, keyed by the
-	// bitmask of retained base positions. The full mask aliases tot/anm;
-	// coarser masks are derived on demand (see marginal) and reused across
-	// every cuboid of every later layer that refines them.
+	// bitmask of retained base positions. The full mask aliases the base
+	// accumulators; coarser masks are derived on demand (see marginal) and
+	// reused across every cuboid of every later layer that refines them.
 	marg map[uint32]*marginal
 }
 
@@ -51,14 +49,14 @@ type marginal struct {
 	tot, anm []int32
 }
 
-// DefaultRollupLimit bounds the base accumulator size relative to the
+// defaultRollupLimit bounds the base accumulator size relative to the
 // observed leaf count. Serving a cuboid costs one arithmetic walk of the
 // base array, so the base must stay within a small multiple of the leaf
 // count for the roll-up to beat rescanning the leaves; past 2x the walk
-// spends more time skipping empty slots than a fused scan spends reading
+// spends more time skipping empty slots than a scan spends reading
 // columns. The floor keeps small snapshots from refusing a base that
 // costs next to nothing either way.
-func DefaultRollupLimit(leaves int) int {
+func defaultRollupLimit(leaves int) int {
 	const floor = 1 << 12
 	if limit := 2 * leaves; limit > floor {
 		return limit
@@ -68,18 +66,20 @@ func DefaultRollupLimit(leaves int) int {
 
 // NewRollupPlan picks the finest materializable base cuboid over attrs
 // (given in search order) and returns a plan for it, or nil when no base
-// worth materializing exists. limit caps the base's Cartesian size in
-// accumulator slots; limit <= 0 means DefaultRollupLimit.
+// worth materializing exists.
+func (s *Snapshot) NewRollupPlan(attrs []int) *RollupPlan {
+	return s.newRollupPlan(attrs, defaultRollupLimit(len(s.Leaves)))
+}
+
+// newRollupPlan is NewRollupPlan with the base's Cartesian size capped at
+// limit accumulator slots.
 //
 // The base is chosen greedily by ascending cardinality: admitting narrow
 // attributes first maximizes how many attributes — and therefore how many
 // of the layer schedule's cuboids — the base covers. A base must span at
 // least two attributes: a single-attribute base serves only itself, so
-// materializing it saves nothing over the fused layer scan.
-func (s *Snapshot) NewRollupPlan(attrs []int, limit int) *RollupPlan {
-	if limit <= 0 {
-		limit = DefaultRollupLimit(len(s.Leaves))
-	}
+// materializing it saves nothing over scanning that cuboid directly.
+func (s *Snapshot) newRollupPlan(attrs []int, limit int) *RollupPlan {
 	if len(attrs) < 2 {
 		return nil
 	}
@@ -121,14 +121,11 @@ func (s *Snapshot) NewRollupPlan(attrs []int, limit int) *RollupPlan {
 		snap:  s,
 		base:  base,
 		cards: make([]int, len(base)),
+		size:  size,
 	}
 	for i, a := range base {
 		p.cards[i] = s.Schema.Cardinality(a)
 	}
-	// The base pass is a one-cuboid fused layer under the plan's own
-	// accumulator limit (the base was chosen to fit it, so it always
-	// fuses into a single batch).
-	p.scan = s.newLayerScanLimit([]Cuboid{base}, size)
 	return p
 }
 
@@ -151,23 +148,19 @@ func (p *RollupPlan) Serves(c Cuboid) bool {
 }
 
 // Run executes the base pass across workers goroutines, polling halt every
-// scanChunk leaves. It returns false — and the plan must be discarded —
+// few thousand leaves. It returns false — and the plan must be discarded —
 // when the halt tripped mid-pass; partial counts are never served. A panic
 // on a scan worker is rethrown on the calling goroutine as a *ScanPanic.
 func (p *RollupPlan) Run(workers int, halt Halt) bool {
-	if !p.scan.Run(workers, halt) {
+	buf, ok := p.snap.scanDense(p.snap.Indexer(p.base), workers, halt)
+	if !ok {
 		return false
 	}
-	b := &p.scan.batches[0]
-	p.tot, p.anm = b.tot, b.anm
+	p.buf = buf
 	full := uint32(1)<<len(p.base) - 1
-	p.marg = map[uint32]*marginal{full: {tot: p.tot, anm: p.anm}}
+	p.marg = map[uint32]*marginal{full: {tot: (*buf)[:p.size], anm: (*buf)[p.size : 2*p.size]}}
 	return true
 }
-
-// Passes returns the completed leaf passes of the base scan (one, once Run
-// succeeds).
-func (p *RollupPlan) Passes() int { return p.scan.Passes() }
 
 // Groups appends cuboid c's non-empty groups into dst (reusing its
 // capacity after truncation to zero length), in ascending group index —
@@ -199,13 +192,7 @@ func (p *RollupPlan) Groups(c Cuboid, dst []GroupCount) []GroupCount {
 		}
 	}
 	m := p.marginal(mask)
-	for g, v := range m.tot {
-		if v == 0 {
-			continue
-		}
-		dst = append(dst, GroupCount{Group: g, Total: int(v), Anomalous: int(m.anm[g])})
-	}
-	return dst
+	return appendGroups(dst, m.tot, m.anm)
 }
 
 // marginal returns the accumulators projected onto the base positions in
@@ -268,9 +255,8 @@ func (p *RollupPlan) marginal(mask uint32) *marginal {
 // Close returns the base accumulators to their pool and drops the cached
 // marginals. The plan must not be used afterwards.
 func (p *RollupPlan) Close() {
-	p.tot, p.anm, p.marg = nil, nil, nil
-	if p.scan != nil {
-		p.scan.Close()
-		p.scan = nil
+	if p.buf != nil {
+		accPool.Put(p.buf)
 	}
+	p.buf, p.marg = nil, nil
 }

@@ -24,7 +24,7 @@ func TestRollupBaseSelection(t *testing.T) {
 		{limit: 1, base: nil},
 	}
 	for _, tc := range cases {
-		plan := snap.NewRollupPlan(attrs, tc.limit)
+		plan := snap.newRollupPlan(attrs, tc.limit)
 		if tc.base == nil {
 			if plan != nil {
 				t.Fatalf("limit %d: got base %v, want no plan", tc.limit, plan.Base())
@@ -40,7 +40,7 @@ func TestRollupBaseSelection(t *testing.T) {
 		plan.Close()
 	}
 
-	if plan := snap.NewRollupPlan([]int{0}, 0); plan != nil {
+	if plan := snap.NewRollupPlan([]int{0}); plan != nil {
 		t.Fatalf("single-attribute schedule built a plan with base %v", plan.Base())
 	}
 }
@@ -49,7 +49,7 @@ func TestRollupBaseSelection(t *testing.T) {
 // attribute it constrains is in the base.
 func TestRollupServes(t *testing.T) {
 	snap := scanTestSnapshot(t, 0)
-	plan := snap.NewRollupPlan([]int{1, 0, 2}, 6) // base {0, 2}
+	plan := snap.newRollupPlan([]int{1, 0, 2}, 6) // base {0, 2}
 	if plan == nil {
 		t.Fatal("no plan")
 	}
@@ -73,31 +73,28 @@ func TestRollupServes(t *testing.T) {
 
 // TestRollupGroupsMatchScanCuboid pins the roll-up arithmetic to the
 // per-cuboid scan: for every served cuboid of every layer, Groups must be
-// byte-identical to ScanCuboid, at every worker count.
+// identical to ScanCuboid, at every worker count.
 func TestRollupGroupsMatchScanCuboid(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		snap := scanTestSnapshot(t, seed)
 		attrs := []int{0, 1, 2}
-		var want, got []GroupCount
+		var got []GroupCount
 		for _, workers := range []int{1, 2, 4, 8} {
-			plan := snap.NewRollupPlan(attrs, 0) // heuristic limit: full domain fits
+			plan := snap.NewRollupPlan(attrs) // heuristic limit: full domain fits
 			if plan == nil {
 				t.Fatalf("seed %d: no plan under the default limit", seed)
 			}
 			if !plan.Run(workers, nil) {
 				t.Fatalf("seed %d workers %d: base pass aborted without a halt", seed, workers)
 			}
-			if plan.Passes() != 1 {
-				t.Fatalf("seed %d: Passes() = %d, want 1", seed, plan.Passes())
-			}
 			for layer := 1; layer <= len(attrs); layer++ {
 				for _, cuboid := range CuboidsAtLayer(attrs, layer) {
 					if !plan.Serves(cuboid) {
 						t.Fatalf("seed %d: full-domain base does not serve %v", seed, cuboid)
 					}
-					want = snap.ScanCuboid(cuboid, want)
+					want, _ := snap.ScanCuboid(cuboid, nil, workers, nil)
 					got = plan.Groups(cuboid, got)
-					if !reflect.DeepEqual(got, want) {
+					if !sameCounts(got, want) {
 						t.Fatalf("seed %d workers %d cuboid %v:\nrollup %v\n  scan %v",
 							seed, workers, cuboid, got, want)
 					}
@@ -109,10 +106,10 @@ func TestRollupGroupsMatchScanCuboid(t *testing.T) {
 }
 
 // TestRollupHaltAborts checks a tripped halt abandons the base pass: Run
-// reports false and the plan is discarded, never serving partial counts.
+// reports false and the plan holds no accumulators to serve from.
 func TestRollupHaltAborts(t *testing.T) {
 	snap := scanTestSnapshot(t, 0)
-	plan := snap.NewRollupPlan([]int{0, 1, 2}, 0)
+	plan := snap.NewRollupPlan([]int{0, 1, 2})
 	if plan == nil {
 		t.Fatal("no plan")
 	}
@@ -120,14 +117,14 @@ func TestRollupHaltAborts(t *testing.T) {
 	if plan.Run(1, func() bool { return true }) {
 		t.Fatal("Run completed under an always-tripped halt")
 	}
-	if plan.Passes() != 0 {
-		t.Fatalf("Passes() = %d after an aborted base pass, want 0", plan.Passes())
+	if plan.buf != nil || plan.marg != nil {
+		t.Fatal("aborted base pass left accumulators behind")
 	}
 }
 
-// TestRollupEmptySnapshotShortCircuit checks both Groups short-circuits on
-// a leafless snapshot: the roll-up and the fused layer scan skip their
-// accumulator walks and report no groups.
+// TestRollupEmptySnapshotShortCircuit checks both count paths report no
+// groups on a leafless snapshot: the roll-up skips its marginal walk and
+// the scan counts nothing.
 func TestRollupEmptySnapshotShortCircuit(t *testing.T) {
 	s := MustSchema(
 		Attribute{Name: "a", Values: []string{"a1", "a2", "a3"}},
@@ -139,7 +136,7 @@ func TestRollupEmptySnapshotShortCircuit(t *testing.T) {
 	}
 	attrs := []int{0, 1}
 
-	plan := snap.NewRollupPlan(attrs, 0)
+	plan := snap.NewRollupPlan(attrs)
 	if plan == nil {
 		t.Fatal("no plan for the empty snapshot")
 	}
@@ -150,16 +147,9 @@ func TestRollupEmptySnapshotShortCircuit(t *testing.T) {
 	if got := plan.Groups(Cuboid{0, 1}, nil); len(got) != 0 {
 		t.Fatalf("rolled up %d groups from an empty snapshot", len(got))
 	}
-
-	cuboids := CuboidsAtLayer(attrs, 1)
-	ls := snap.NewLayerScan(cuboids)
-	defer ls.Close()
-	if !ls.Run(2, nil) {
-		t.Fatal("layer scan aborted")
-	}
-	for ci := range cuboids {
-		if got := ls.Groups(ci, nil); len(got) != 0 {
-			t.Fatalf("cuboid %d: fused %d groups from an empty snapshot", ci, len(got))
+	for _, c := range CuboidsAtLayer(attrs, 1) {
+		if got, ok := snap.ScanCuboid(c, nil, 2, nil); !ok || len(got) != 0 {
+			t.Fatalf("cuboid %v: scanned %d groups (ok %v) from an empty snapshot", c, len(got), ok)
 		}
 	}
 }
@@ -168,10 +158,10 @@ func TestRollupEmptySnapshotShortCircuit(t *testing.T) {
 // count with a floor, so realistic dense snapshots materialize their full
 // surviving-attribute cuboid.
 func TestRollupDefaultLimit(t *testing.T) {
-	if got := DefaultRollupLimit(0); got != 1<<12 {
-		t.Fatalf("DefaultRollupLimit(0) = %d, want the floor %d", got, 1<<12)
+	if got := defaultRollupLimit(0); got != 1<<12 {
+		t.Fatalf("defaultRollupLimit(0) = %d, want the floor %d", got, 1<<12)
 	}
-	if got := DefaultRollupLimit(10_000); got != 20_000 {
-		t.Fatalf("DefaultRollupLimit(10000) = %d, want 20000", got)
+	if got := defaultRollupLimit(10_000); got != 20_000 {
+		t.Fatalf("defaultRollupLimit(10000) = %d, want 20000", got)
 	}
 }

@@ -1,6 +1,7 @@
 package kpi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -38,31 +39,114 @@ func scanTestSnapshot(t testing.TB, seed int64) *Snapshot {
 	return snap
 }
 
-// TestScanCuboidMatchesGroupBy pins ScanCuboid to GroupBy: same groups, same
-// order, same support counts, for every cuboid of the lattice.
-func TestScanCuboidMatchesGroupBy(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		snap := scanTestSnapshot(t, seed)
-		attrs := []int{0, 1, 2}
-		var buf []GroupCount
-		for _, cuboid := range AllCuboids(attrs) {
-			stats := snap.GroupBy(cuboid)
-			buf = snap.ScanCuboid(cuboid, buf)
-			if len(buf) != len(stats) {
-				t.Fatalf("seed %d cuboid %v: %d scanned groups, %d group-by groups",
-					seed, cuboid, len(buf), len(stats))
+// wantCounts is the count-only view of GroupBy, the row-wise reference
+// every count path is pinned to. An overflowing cuboid's groups are named
+// by their first leaf, as ScanCuboid names them.
+func wantCounts(s *Snapshot, c Cuboid) []GroupCount {
+	ix := s.Indexer(c)
+	var out []GroupCount
+	for _, g := range s.GroupBy(c) {
+		group := -1
+		if ix.Size() >= 0 {
+			group = ix.Index(g.Combo)
+		} else {
+			for i := range s.Leaves {
+				if g.Combo.Matches(s.Leaves[i].Combo) {
+					group = i
+					break
+				}
 			}
-			ix := snap.Indexer(cuboid)
-			for i, gc := range buf {
-				if want := ix.Index(stats[i].Combo); gc.Group != want {
-					t.Errorf("seed %d cuboid %v group %d: index %d, want %d", seed, cuboid, i, gc.Group, want)
+		}
+		out = append(out, GroupCount{Group: group, Total: g.Total, Anomalous: g.Anomalous})
+	}
+	return out
+}
+
+// sameCounts compares two scan outputs, treating nil and empty alike.
+func sameCounts(a, b []GroupCount) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// hugeDomainSnapshot builds a snapshot whose two-attribute cuboid exceeds
+// the dense accumulator limit (forcing the sparse path) while each
+// single-attribute cuboid stays dense.
+func hugeDomainSnapshot(t *testing.T) *Snapshot {
+	t.Helper()
+	mk := func(name string, n int) Attribute {
+		vals := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("%s%04d", name, i)
+		}
+		return Attribute{Name: name, Values: vals}
+	}
+	s := MustSchema(mk("x", 5000), mk("y", 5000))
+	r := rand.New(rand.NewSource(11))
+	seen := map[[2]int32]bool{}
+	var leaves []Leaf
+	for len(leaves) < 300 {
+		k := [2]int32{int32(r.Intn(5000)), int32(r.Intn(5000))}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		leaves = append(leaves, Leaf{
+			Combo:     Combination{k[0], k[1]},
+			Actual:    r.Float64(),
+			Forecast:  r.Float64(),
+			Anomalous: r.Float64() < 0.3,
+		})
+	}
+	snap, err := NewSnapshot(s, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestScanCuboidMatchesGroupBy pins ScanCuboid to GroupBy: same groups,
+// same order, same support counts, for every cuboid of the lattice at
+// workers 1/2/4/8 — on small dense snapshots, on one large enough for the
+// dense scan to partition across workers, on sparse domains, and on
+// cuboids whose indexes overflow.
+func TestScanCuboidMatchesGroupBy(t *testing.T) {
+	snaps := []*Snapshot{bigScanSnapshot(t), hugeDomainSnapshot(t)}
+	low, high := collidingLeaves()
+	wide, err := NewSnapshot(overflowSchema(), []Leaf{
+		{Combo: high, Actual: 1, Forecast: 2},
+		{Combo: low, Actual: 3, Forecast: 4, Anomalous: true},
+		{Combo: Combination{0, 1, 0, 7, 7}, Actual: 5, Forecast: 6, Anomalous: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps = append(snaps, wide)
+	for seed := int64(0); seed < 5; seed++ {
+		snaps = append(snaps, scanTestSnapshot(t, seed))
+	}
+	var got []GroupCount
+	for si, snap := range snaps {
+		attrs := make([]int, snap.Schema.NumAttributes())
+		for a := range attrs {
+			attrs[a] = a
+		}
+		for _, cuboid := range AllCuboids(attrs) {
+			want := wantCounts(snap, cuboid)
+			for _, workers := range []int{1, 2, 4, 8} {
+				var ok bool
+				got, ok = snap.ScanCuboid(cuboid, got, workers, nil)
+				if !ok {
+					t.Fatalf("snapshot %d cuboid %v workers %d: scan aborted without a halt", si, cuboid, workers)
 				}
-				if gc.Total != stats[i].Total || gc.Anomalous != stats[i].Anomalous {
-					t.Errorf("seed %d cuboid %v group %d: counts (%d, %d), want (%d, %d)",
-						seed, cuboid, i, gc.Total, gc.Anomalous, stats[i].Total, stats[i].Anomalous)
-				}
-				if gc.Confidence() != stats[i].Confidence() {
-					t.Errorf("seed %d cuboid %v group %d: confidence mismatch", seed, cuboid, i)
+				if !sameCounts(got, want) {
+					t.Fatalf("snapshot %d cuboid %v workers %d:\n scan %v\n want %v", si, cuboid, workers, got, want)
 				}
 			}
 		}
@@ -105,7 +189,7 @@ func TestScanCuboidSparsePath(t *testing.T) {
 		t.Fatalf("domain %d does not exercise the sparse path", size)
 	}
 	stats := snap.GroupBy(cuboid)
-	scan := snap.ScanCuboid(cuboid, nil)
+	scan, _ := snap.ScanCuboid(cuboid, nil, 4, nil)
 	if len(scan) != len(stats) {
 		t.Fatalf("%d scanned groups, %d group-by groups", len(scan), len(stats))
 	}
@@ -115,6 +199,192 @@ func TestScanCuboidSparsePath(t *testing.T) {
 			scan[i].Total != stats[i].Total || scan[i].Anomalous != stats[i].Anomalous {
 			t.Errorf("group %d: scan %+v does not match stats %+v", i, scan[i], stats[i])
 		}
+		if scan[i].Confidence() != stats[i].Confidence() {
+			t.Errorf("group %d: confidence mismatch", i)
+		}
+	}
+}
+
+// TestLayerScanMatchesScanCuboid walks the lattice one layer at a time, the
+// way the search scans the cuboids the roll-up does not serve: for every
+// cuboid of every layer, the scan at workers 2/4/8 must be identical to the
+// single-worker scan — same groups, same order, same counts — and each
+// cuboid's groups must account for every leaf exactly once.
+func TestLayerScanMatchesScanCuboid(t *testing.T) {
+	snaps := []*Snapshot{bigScanSnapshot(t)}
+	for seed := int64(0); seed < 5; seed++ {
+		snaps = append(snaps, scanTestSnapshot(t, seed))
+	}
+	var got []GroupCount
+	for si, snap := range snaps {
+		attrs := make([]int, snap.Schema.NumAttributes())
+		for a := range attrs {
+			attrs[a] = a
+		}
+		for layer := 1; layer <= len(attrs); layer++ {
+			for _, cuboid := range CuboidsAtLayer(attrs, layer) {
+				want, ok := snap.ScanCuboid(cuboid, nil, 1, nil)
+				if !ok {
+					t.Fatalf("snapshot %d layer %d cuboid %v: single-worker scan aborted without a halt", si, layer, cuboid)
+				}
+				total := 0
+				for _, g := range want {
+					total += g.Total
+				}
+				if total != snap.Len() {
+					t.Fatalf("snapshot %d cuboid %v: groups cover %d leaves, want %d", si, cuboid, total, snap.Len())
+				}
+				for _, workers := range []int{2, 4, 8} {
+					got, ok = snap.ScanCuboid(cuboid, got, workers, nil)
+					if !ok {
+						t.Fatalf("snapshot %d layer %d cuboid %v workers %d: scan aborted without a halt", si, layer, cuboid, workers)
+					}
+					if !sameCounts(got, want) {
+						t.Fatalf("snapshot %d layer %d cuboid %v workers %d:\n scan %v\n want %v", si, layer, cuboid, workers, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLayerScanSparseFallback checks that within one layer each cuboid
+// picks its own path: on the 5000x5000 huge-domain snapshot the layer-2
+// cuboid's domain is past the dense limit and falls back to the map-based
+// scan, while the layer-1 cuboids stay dense, and both paths agree with
+// GroupBy at every worker count.
+func TestLayerScanSparseFallback(t *testing.T) {
+	snap := hugeDomainSnapshot(t)
+	limit := denseGroupByLimit(snap.Len())
+	attrs := []int{0, 1}
+	for layer, wantDense := range map[int]bool{1: true, 2: false} {
+		for _, cuboid := range CuboidsAtLayer(attrs, layer) {
+			size := snap.Indexer(cuboid).Size()
+			if dense := size >= 0 && size <= limit; dense != wantDense {
+				t.Fatalf("layer %d cuboid %v: domain %d against limit %d, dense %v, want %v",
+					layer, cuboid, size, limit, dense, wantDense)
+			}
+			want := wantCounts(snap, cuboid)
+			for _, workers := range []int{1, 4} {
+				got, ok := snap.ScanCuboid(cuboid, nil, workers, nil)
+				if !ok {
+					t.Fatalf("layer %d cuboid %v workers %d: scan aborted without a halt", layer, cuboid, workers)
+				}
+				if !sameCounts(got, want) {
+					t.Fatalf("layer %d cuboid %v workers %d:\n scan %v\n want %v", layer, cuboid, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLayerScanHaltAborts checks a tripped halt abandons every scan of a
+// layer — ok=false and no groups, even into a dst that held a previous
+// result — and that the scans after the abort, reusing the same dst and
+// the pooled accumulators, still count every cuboid from zero.
+func TestLayerScanHaltAborts(t *testing.T) {
+	tripped := func() bool { return true }
+	for si, snap := range []*Snapshot{scanTestSnapshot(t, 0), bigScanSnapshot(t)} {
+		attrs := make([]int, snap.Schema.NumAttributes())
+		for a := range attrs {
+			attrs[a] = a
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for layer := 1; layer <= len(attrs); layer++ {
+				cuboids := CuboidsAtLayer(attrs, layer)
+				var dst []GroupCount
+				for _, cuboid := range cuboids {
+					dst, _ = snap.ScanCuboid(cuboid, dst, workers, nil)
+					var ok bool
+					dst, ok = snap.ScanCuboid(cuboid, dst, workers, tripped)
+					if ok {
+						t.Fatalf("snapshot %d workers %d cuboid %v: scan completed under an always-tripped halt", si, workers, cuboid)
+					}
+					if len(dst) != 0 {
+						t.Fatalf("snapshot %d workers %d cuboid %v: aborted scan returned %d groups", si, workers, cuboid, len(dst))
+					}
+				}
+				for _, cuboid := range cuboids {
+					var ok bool
+					dst, ok = snap.ScanCuboid(cuboid, dst, workers, nil)
+					if !ok {
+						t.Fatalf("snapshot %d workers %d cuboid %v: scan after an abort did not complete", si, workers, cuboid)
+					}
+					if want := wantCounts(snap, cuboid); !sameCounts(dst, want) {
+						t.Fatalf("snapshot %d workers %d cuboid %v after an abort:\n scan %v\n want %v", si, workers, cuboid, dst, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScanCuboidWorkerPanic checks a panic on a scan worker goroutine is
+// rethrown on the calling goroutine as *ScanPanic instead of killing the
+// process. The snapshot is poisoned via a struct literal (bypassing
+// NewSnapshot validation) with an element code outside its attribute's
+// cardinality, and is large enough that the scan actually forks workers.
+func TestScanCuboidWorkerPanic(t *testing.T) {
+	s := MustSchema(
+		Attribute{Name: "a", Values: []string{"a1", "a2"}},
+		Attribute{Name: "b", Values: []string{"b1", "b2"}},
+	)
+	// >= 2*haltStride leaves so workers > 1 actually partitions the pass.
+	n := 2*haltStride + 100
+	leaves := make([]Leaf, n)
+	for i := range leaves {
+		leaves[i] = Leaf{Combo: Combination{int32(i % 2), int32(i / 2 % 2)}}
+	}
+	leaves[n-1].Combo = Combination{9, 0} // out of range for cardinality 2
+	snap := &Snapshot{Schema: s, Leaves: leaves}
+
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("workers %d: poisoned scan did not panic", workers)
+				}
+				if workers > 1 {
+					if _, ok := r.(*ScanPanic); !ok {
+						t.Fatalf("workers %d: recovered %T, want *ScanPanic", workers, r)
+					}
+				}
+			}()
+			snap.ScanCuboid(Cuboid{0}, nil, workers, nil)
+		}()
+	}
+}
+
+// TestScanCuboidReusesPooledBuffers checks the dense scan recycles its
+// accumulators: a scan after a larger one reuses the dirtied pooled
+// arrays yet still counts from zero, and a steady-state scan into a
+// grown dst allocates nothing.
+func TestScanCuboidReusesPooledBuffers(t *testing.T) {
+	snap := bigScanSnapshot(t)
+	small := scanTestSnapshot(t, 4)
+	var buf []GroupCount
+	for rep := 0; rep < 3; rep++ {
+		for _, workers := range []int{1, 2} {
+			buf, _ = snap.ScanCuboid(Cuboid{0, 1}, buf, workers, nil)
+			for _, c := range AllCuboids([]int{0, 1, 2}) {
+				buf, _ = small.ScanCuboid(c, buf, workers, nil)
+				if want := wantCounts(small, c); !sameCounts(buf, want) {
+					t.Fatalf("rep %d workers %d cuboid %v: %v after recycling, want %v", rep, workers, c, buf, want)
+				}
+			}
+		}
+	}
+	if raceEnabled {
+		return // the race detector makes sync.Pool drop items at random
+	}
+	c := Cuboid{0, 1}
+	buf, _ = snap.ScanCuboid(c, buf, 1, nil)
+	allocs := testing.AllocsPerRun(50, func() {
+		buf, _ = snap.ScanCuboid(c, buf, 1, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state scan allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -219,7 +489,7 @@ func TestScanCuboidConcurrent(t *testing.T) {
 			var buf []GroupCount
 			for rep := 0; rep < 50; rep++ {
 				for _, c := range cuboids {
-					buf = snap.ScanCuboid(c, buf)
+					buf, _ = snap.ScanCuboid(c, buf, 1+rep%3, nil)
 					_ = snap.AnomalousPostings()
 				}
 			}

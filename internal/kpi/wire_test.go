@@ -175,7 +175,7 @@ func TestCartesianSizesSaturate(t *testing.T) {
 	if groups := snap.GroupBy(all); len(groups) != 3 {
 		t.Errorf("GroupBy over the full cuboid = %d groups, want 3", len(groups))
 	}
-	if groups, ok := snap.ScanCuboidHalt(all, nil, nil); !ok || len(groups) != 3 {
+	if groups, ok := snap.ScanCuboid(all, nil, 1, nil); !ok || len(groups) != 3 {
 		t.Errorf("ScanCuboid over the full cuboid = %d groups (ok %v), want 3", len(groups), ok)
 	}
 }

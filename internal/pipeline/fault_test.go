@@ -5,7 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/anomaly"
 	"repro/internal/kpi"
 	"repro/internal/localize"
 	"repro/internal/obs"
@@ -132,5 +134,67 @@ func TestBatchQueueDepthGaugeConverges(t *testing.T) {
 	}
 	if got := e.depth.Value(); got != 0 {
 		t.Fatalf("queue depth gauge = %v after all batches, want 0 (stale Set race)", got)
+	}
+}
+
+// ctxLocalizer is a context-aware localizer that records the context each
+// run received.
+type ctxLocalizer struct{ got []context.Context }
+
+func (c *ctxLocalizer) Name() string { return "ctx" }
+
+func (c *ctxLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+	return c.LocalizeContext(context.Background(), s, k)
+}
+
+func (c *ctxLocalizer) LocalizeContext(ctx context.Context, s *kpi.Snapshot, k int) (localize.Result, error) {
+	c.got = append(c.got, ctx)
+	return localize.Result{}, nil
+}
+
+// alarmingTicks drives a fresh monitor over loc through enough failing
+// ticks to localize once, returning the localizing tick's error.
+func alarmingTicks(t *testing.T, ctx context.Context, loc localize.Localizer) error {
+	t.Helper()
+	m, err := New(DefaultConfig(anomaly.DefaultRelativeDeviation(), loc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := kpi.MustParseCombination(testSchema(), "(a2, *)")
+	if _, err := m.ProcessContext(ctx, t0, snapshotWithDrop(t, scope, 0.5)); err != nil {
+		t.Fatalf("arming tick: %v", err)
+	}
+	_, err = m.ProcessContext(ctx, t0.Add(time.Minute), snapshotWithDrop(t, scope, 0.5))
+	return err
+}
+
+// TestPlainLocalizerPanicIsolated checks a localizer without diagnostics
+// that panics fails its tick with an error instead of unwinding the
+// caller's goroutine.
+func TestPlainLocalizerPanicIsolated(t *testing.T) {
+	err := alarmingTicks(t, context.Background(), panicLocalizer{boomLen: 6})
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("localizing tick error = %v, want a panic-derived error", err)
+	}
+}
+
+// TestContextLocalizerGetsTickContext checks a context-aware localizer
+// without diagnostics runs under the tick's context: it carries the
+// caller's values and the tick's trace.
+func TestContextLocalizerGetsTickContext(t *testing.T) {
+	type key struct{}
+	loc := &ctxLocalizer{}
+	ctx := context.WithValue(context.Background(), key{}, "tick")
+	if err := alarmingTicks(t, ctx, loc); err != nil {
+		t.Fatal(err)
+	}
+	if len(loc.got) != 1 {
+		t.Fatalf("localizer ran %d times, want 1", len(loc.got))
+	}
+	if v := loc.got[0].Value(key{}); v != "tick" {
+		t.Fatalf("localizer context value = %v, want the caller's", v)
+	}
+	if _, ok := obs.TraceFromContext(loc.got[0]); !ok {
+		t.Fatal("localizer context carries no trace")
 	}
 }

@@ -332,16 +332,10 @@ func (m *Monitor) localize(ctx context.Context, snap *kpi.Snapshot) ([]localize.
 				slog.String("reason", diag.DegradedReason),
 				slog.Int("candidates", diag.Candidates))
 		}
-	} else if dl, ok := m.cfg.Localizer.(rapminer.DiagnosticLocalizer); ok {
-		var diag rapminer.Diagnostics
-		res, diag, err = dl.LocalizeWithDiagnostics(snap, m.cfg.K)
-		if err == nil {
-			rapminer.PublishDiagnostics(m.cfg.Registry, diag)
-			span.SetAttr("cuboids_visited", diag.CuboidsVisited)
-			span.SetAttr("early_stopped", diag.EarlyStopped)
-		}
 	} else {
-		res, err = m.cfg.Localizer.Localize(snap, m.cfg.K)
+		// SafeLocalize adds panic isolation and, for context-aware
+		// localizers, the tick's cancellation and deadline.
+		res, err = localize.SafeLocalize(locCtx, m.cfg.Localizer, snap, m.cfg.K)
 	}
 	m.mx.observeStage(stageLocalize, time.Since(start))
 	if err != nil {

@@ -13,8 +13,7 @@ import (
 // the engine level: a snapshot grown through a baseline plus a sequence of
 // ticks (ApplyDelta + incremental LabelDelta, all caches warm and patched in
 // place) must localize bit-identically — results AND Diagnostics — to a
-// from-scratch snapshot of the same final state, at every worker count and
-// with roll-up on and off.
+// from-scratch snapshot of the same final state, at every worker count.
 func TestDeltaIngestedMatchesFresh(t *testing.T) {
 	spec := gendata.StreamSpec{
 		Attributes: []gendata.StreamAttr{
@@ -65,24 +64,20 @@ func TestDeltaIngestedMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, rollup := range []int{0, -1} {
-			m := base.WithWorkers(workers).WithRollupLimit(rollup)
-			wantRes, wantDiag, err := m.LocalizeWithDiagnostics(fresh, 5)
-			if err != nil {
-				t.Fatalf("workers %d rollup %d: fresh run: %v", workers, rollup, err)
-			}
-			gotRes, gotDiag, err := m.LocalizeWithDiagnostics(patched, 5)
-			if err != nil {
-				t.Fatalf("workers %d rollup %d: patched run: %v", workers, rollup, err)
-			}
-			if !reflect.DeepEqual(gotRes, wantRes) {
-				t.Errorf("workers %d rollup %d: results diverge\n got %+v\nwant %+v",
-					workers, rollup, gotRes, wantRes)
-			}
-			if !reflect.DeepEqual(gotDiag, wantDiag) {
-				t.Errorf("workers %d rollup %d: diagnostics diverge\n got %+v\nwant %+v",
-					workers, rollup, gotDiag, wantDiag)
-			}
+		m := base.WithWorkers(workers)
+		wantRes, wantDiag, err := m.LocalizeWithDiagnostics(fresh, 5)
+		if err != nil {
+			t.Fatalf("workers %d: fresh run: %v", workers, err)
+		}
+		gotRes, gotDiag, err := m.LocalizeWithDiagnostics(patched, 5)
+		if err != nil {
+			t.Fatalf("workers %d: patched run: %v", workers, err)
+		}
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("workers %d: results diverge\n got %+v\nwant %+v", workers, gotRes, wantRes)
+		}
+		if !reflect.DeepEqual(gotDiag, wantDiag) {
+			t.Errorf("workers %d: diagnostics diverge\n got %+v\nwant %+v", workers, gotDiag, wantDiag)
 		}
 	}
 }

@@ -181,7 +181,7 @@ func (r Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "\nstage 2 — AC-guided search (t_conf = %g, Algorithm 2)\n", r.TConf)
 	for _, l := range r.Layers {
 		fmt.Fprintf(w, "  layer %d: %d cuboids, %d combinations scanned, %d pruned, %d candidates"+
-			" (%d leaf passes, %d cuboids fused, %d rolled up)\n",
+			" (%d leaf passes, %d cuboids scanned, %d rolled up)\n",
 			l.Layer, l.Cuboids, l.Combinations, l.Pruned, l.Candidates,
 			l.ScanPasses, l.FusedCuboids, l.RollupServed)
 	}

@@ -25,16 +25,15 @@ const (
 	MetricEarlyStopRatio      = "rapminer_early_stop_ratio"
 	MetricRunsDegraded        = "rapminer_runs_degraded_total"
 	// Layer-scan metrics are observed live by the search engine itself
-	// (they time the fused columnar passes), not via PublishDiagnostics:
-	// wall-clock timings are nondeterministic and must stay out of
-	// Diagnostics, whose contents are bit-identical across worker counts.
-	MetricLayerScanSeconds      = "rapminer_layer_scan_seconds"
-	MetricLayerScanPasses       = "rapminer_layer_scan_passes_total"
-	MetricLayerScanFusedCuboids = "rapminer_layer_scan_fused_cuboids_total"
+	// (they time the passes over the leaf store), not via
+	// PublishDiagnostics: wall-clock timings are nondeterministic and must
+	// stay out of Diagnostics, whose contents are bit-identical across
+	// worker counts.
+	MetricLayerScanSeconds = "rapminer_layer_scan_seconds"
+	MetricLayerScanPasses  = "rapminer_layer_scan_passes_total"
 	// Roll-up telemetry: layers answered entirely from the run's
-	// materialized base cuboid versus layers that still needed leaf scans
-	// while roll-up was enabled (sparse base, wide attributes, or an
-	// aborted base pass).
+	// materialized base cuboid versus layers with cuboids that needed leaf
+	// scans (sparse base, wide attributes, or an aborted base pass).
 	MetricRollupLayers   = "rapminer_rollup_layers_total"
 	MetricRollupFallback = "rapminer_rollup_fallback_total"
 )
@@ -84,7 +83,7 @@ func RegisterMetrics(reg *obs.Registry) {
 	scanInstrumentsOn(reg)
 }
 
-// layerScanBuckets resolves fused-pass timings: the passes are
+// layerScanBuckets resolves leaf-pass timings: the passes are
 // microsecond-to-millisecond on realistic snapshots, well under the default
 // request-latency buckets.
 var layerScanBuckets = []float64{
@@ -98,7 +97,6 @@ var layerScanBuckets = []float64{
 type scanMetrics struct {
 	seconds        *obs.Histogram
 	passes         *obs.Counter
-	fused          *obs.Counter
 	rollupLayers   *obs.Counter
 	rollupFallback *obs.Counter
 }
@@ -111,16 +109,14 @@ func scanInstrumentsOn(reg *obs.Registry) scanMetrics {
 	}
 	return scanMetrics{
 		seconds: reg.Histogram(MetricLayerScanSeconds,
-			"Wall-clock seconds per fused layer scan (one observation per BFS layer).",
+			"Wall-clock seconds per pass over the leaf store (the roll-up base pass or one cuboid's scan).",
 			layerScanBuckets),
 		passes: reg.Counter(MetricLayerScanPasses,
-			"Completed passes over the leaf store across all runs (fused batches plus per-cuboid fallbacks)."),
-		fused: reg.Counter(MetricLayerScanFusedCuboids,
-			"Cuboids whose group counts were served by a fused layer scan."),
+			"Completed passes over the leaf store across all runs (roll-up base passes plus per-cuboid scans)."),
 		rollupLayers: reg.Counter(MetricRollupLayers,
 			"BFS layers served entirely by roll-up over the run's base cuboid (zero leaf reads)."),
 		rollupFallback: reg.Counter(MetricRollupFallback,
-			"BFS layers that fell back to leaf scans while roll-up was enabled (sparse base, wide attributes, or an aborted base pass)."),
+			"BFS layers with cuboids the roll-up could not serve, counted by leaf scans (sparse base, wide attributes, or an aborted base pass)."),
 	}
 }
 
@@ -160,27 +156,14 @@ func PublishDiagnostics(reg *obs.Registry, d Diagnostics) {
 	}
 }
 
-// DiagnosticLocalizer is implemented by localizers that report per-run
-// Diagnostics. Callers holding a plain localize.Localizer type-assert to
-// it to publish search telemetry without naming the concrete miner:
-//
-//	if dl, ok := loc.(rapminer.DiagnosticLocalizer); ok {
-//		res, diag, err := dl.LocalizeWithDiagnostics(snap, k)
-//		rapminer.PublishDiagnostics(nil, diag)
-//	}
-type DiagnosticLocalizer interface {
-	localize.Localizer
-	LocalizeWithDiagnostics(snapshot *kpi.Snapshot, k int) (localize.Result, Diagnostics, error)
-}
-
-var _ DiagnosticLocalizer = (*Miner)(nil)
-
-// TracedLocalizer is a DiagnosticLocalizer whose run joins the caller's
-// trace: the context's trace ID groups the run's stage spans and keys its
-// explain report. The HTTP API and the pipeline prefer this interface so
-// every localization is individually traceable after the fact.
+// TracedLocalizer is a localizer that reports per-run Diagnostics and
+// whose run joins the caller's trace: the context's trace ID groups the
+// run's stage spans and keys its explain report. Callers holding a plain
+// localize.Localizer type-assert to it to publish search telemetry without
+// naming the concrete miner; the HTTP API and the pipeline do so, so every
+// localization is individually traceable after the fact.
 type TracedLocalizer interface {
-	DiagnosticLocalizer
+	localize.Localizer
 	LocalizeWithDiagnosticsContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, Diagnostics, error)
 }
 

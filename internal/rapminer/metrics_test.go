@@ -79,7 +79,7 @@ func TestRegisterMetricsExposesZeroSchema(t *testing.T) {
 	}
 	// The live layer-scan instruments register too: the counters at zero,
 	// the histogram with its bucket series.
-	for _, name := range []string{MetricLayerScanPasses, MetricLayerScanFusedCuboids} {
+	for _, name := range []string{MetricLayerScanPasses, MetricRollupLayers, MetricRollupFallback} {
 		if !strings.Contains(body, name+" 0") {
 			t.Errorf("registration did not expose %s at zero:\n%s", name, body)
 		}
@@ -94,13 +94,15 @@ func TestRegisterMetricsExposesZeroSchema(t *testing.T) {
 }
 
 // TestSearchObservesLayerScanMetrics checks a localization run feeds the
-// live layer-scan instruments on the default registry: passes and fused
-// cuboids accumulate, and the seconds histogram records one observation per
-// layer entered.
+// live layer-scan instruments on the default registry: the pass counter
+// advances by the run's leaf passes, the seconds histogram records one
+// observation per pass, and every layer entered counts as rolled up or
+// fallen back.
 func TestSearchObservesLayerScanMetrics(t *testing.T) {
 	mx := layerScanInstruments()
 	passes0 := mx.passes.Value()
-	fused0 := mx.fused.Value()
+	seconds0 := mx.seconds.Count()
+	layers0 := mx.rollupLayers.Value() + mx.rollupFallback.Value()
 
 	snap := fig6Snapshot(t)
 	res, diag, err := MustNew(DefaultConfig()).LocalizeWithDiagnostics(snap, 3)
@@ -114,17 +116,16 @@ func TestSearchObservesLayerScanMetrics(t *testing.T) {
 	for _, l := range diag.Layers {
 		wantPasses += l.ScanPasses
 	}
+	if wantPasses == 0 {
+		t.Fatal("run made no leaf pass")
+	}
 	if got := mx.passes.Value() - passes0; got != float64(wantPasses) {
 		t.Errorf("%s advanced by %v, want %d", MetricLayerScanPasses, got, wantPasses)
 	}
-	if got := mx.fused.Value() - fused0; got < 1 {
-		t.Errorf("%s advanced by %v, want >= 1", MetricLayerScanFusedCuboids, got)
+	if got := mx.seconds.Count() - seconds0; got != uint64(wantPasses) {
+		t.Errorf("%s observed %v passes, want %d", MetricLayerScanSeconds, got, wantPasses)
 	}
-}
-
-func TestMinerImplementsDiagnosticLocalizer(t *testing.T) {
-	var loc interface{} = MustNew(DefaultConfig())
-	if _, ok := loc.(DiagnosticLocalizer); !ok {
-		t.Fatal("*Miner does not satisfy DiagnosticLocalizer")
+	if got := mx.rollupLayers.Value() + mx.rollupFallback.Value() - layers0; got != float64(len(diag.Layers)) {
+		t.Errorf("roll-up layer counters advanced by %v, want %d", got, len(diag.Layers))
 	}
 }

@@ -45,8 +45,8 @@ type Config struct {
 	// cuboids. Used by the Table VI ablation.
 	DisableAttributeDeletion bool
 	// Workers bounds the goroutines used inside one localization run: the
-	// per-cuboid scans of each search layer fan out across this many
-	// workers. The result is bit-identical for every worker count. 0 means
+	// search's passes over the leaf store (the roll-up base pass and the
+	// per-cuboid scans) fan out across this many workers. The result is bit-identical for every worker count. 0 means
 	// GOMAXPROCS; 1 runs fully sequential on the caller's goroutine.
 	Workers int
 	// MaxDuration is the per-run wall-clock budget: a search that is still
@@ -59,17 +59,6 @@ type Config struct {
 	// off the same way; unlike MaxDuration the cut-off is deterministic.
 	// 0 means unlimited.
 	MaxCuboids int
-	// RollupLimit caps the flat base-accumulator size (in slots) of the
-	// roll-up scan engine: the search scans the leaves once into the
-	// finest cuboid of the surviving attributes whose Cartesian size fits
-	// the limit, then serves every cuboid that coarsens the base by pure
-	// integer roll-up — zero further leaf reads. 0 picks a heuristic limit
-	// from the leaf count (kpi.DefaultRollupLimit); negative disables
-	// roll-up, restoring the per-layer fused scans. The results and
-	// Diagnostics' search semantics are bit-identical either way — only
-	// the scan-strategy telemetry (ScanPasses, FusedCuboids, RollupServed)
-	// reflects the chosen engine.
-	RollupLimit int
 }
 
 // DefaultConfig returns the thresholds used in the paper's experiments:
@@ -125,15 +114,6 @@ func (m *Miner) WithWorkers(n int) *Miner {
 	}
 	cfg := m.cfg
 	cfg.Workers = n
-	return &Miner{cfg: cfg}
-}
-
-// WithRollupLimit returns a miner sharing m's thresholds with the roll-up
-// accumulator limit replaced; m is unchanged. See Config.RollupLimit for
-// the knob's meaning (0 auto-sizes, negative disables roll-up).
-func (m *Miner) WithRollupLimit(n int) *Miner {
-	cfg := m.cfg
-	cfg.RollupLimit = n
 	return &Miner{cfg: cfg}
 }
 
@@ -211,13 +191,11 @@ type LayerStats struct {
 	// Candidates counts RAP candidates accepted at this layer.
 	Candidates int `json:"candidates"`
 	// ScanPasses counts completed passes over the leaf store for this
-	// layer: one per fused columnar batch (however many cuboids it
-	// covered, and regardless of how many workers partitioned it) plus one
-	// per per-cuboid fallback scan. Without fusion this would equal
-	// Cuboids; fusion drives it toward the batch count.
+	// layer, however many workers partitioned each: one per scanned
+	// cuboid, plus the run's roll-up base pass on layer 1.
 	ScanPasses int `json:"scan_passes"`
-	// FusedCuboids counts cuboids of this layer whose counts were served
-	// by the fused pass rather than a per-cuboid scan.
+	// FusedCuboids counts cuboids of this layer whose counts came from a
+	// leaf scan of their own rather than the roll-up.
 	FusedCuboids int `json:"fused_cuboids"`
 	// RollupServed counts cuboids of this layer whose counts were rolled
 	// up from the run's materialized base cuboid — pure arithmetic over

@@ -9,29 +9,10 @@ import (
 	"repro/internal/kpi"
 )
 
-// scrubScanStrategy zeroes the per-layer scan-strategy telemetry
-// (ScanPasses, FusedCuboids, RollupServed) so Diagnostics from different
-// scan engines can be compared on their search semantics — which must be
-// bit-identical — without the strategy counters that differ by
-// construction.
-func scrubScanStrategy(d Diagnostics) Diagnostics {
-	layers := make([]LayerStats, len(d.Layers))
-	copy(layers, d.Layers)
-	for i := range layers {
-		layers[i].ScanPasses, layers[i].FusedCuboids, layers[i].RollupServed = 0, 0, 0
-	}
-	d.Layers = layers
-	return d
-}
-
-// TestRollupEngineMatchesFused is the determinism pin between the two scan
-// engines: at every worker count, a roll-up run (RollupLimit 0, the
-// default) and a fused-only run (RollupLimit -1) must produce bit-identical
-// results and — up to the scan-strategy counters — bit-identical
-// Diagnostics, so the fallback path can never drift from the roll-up path.
-// It also pins the headline claim: with roll-up on, the whole search over a
-// dense corpus costs ONE pass over the leaf store, and every layer's
-// cuboids are served without leaf reads.
+// TestRollupEngineMatchesFused pins the roll-up's cost model: on dense
+// corpora, at every worker count, the whole search costs ONE pass over the
+// leaf store and every layer's cuboids are rolled up from the base without
+// leaf reads. TestMinerMatchesOracle checks the same runs' results.
 func TestRollupEngineMatchesFused(t *testing.T) {
 	corpus, err := gendata.RAPMD(17, 6)
 	if err != nil {
@@ -43,95 +24,70 @@ func TestRollupEngineMatchesFused(t *testing.T) {
 	}
 	snapshots = append(snapshots, benchCase(t))
 
-	base, err := New(DefaultConfig()) // RollupLimit 0: roll-up on, auto-sized
-	if err != nil {
-		t.Fatal(err)
-	}
-	fusedOnly := base.WithRollupLimit(-1)
+	base := MustNew(DefaultConfig())
 	for si, snap := range snapshots {
 		for _, workers := range []int{1, 2, 4, 8} {
-			on := base.WithWorkers(workers)
-			off := fusedOnly.WithWorkers(workers)
-			onRes, onDiag, err := on.LocalizeWithDiagnostics(snap, 10)
+			_, diag, err := base.WithWorkers(workers).LocalizeWithDiagnostics(snap, 10)
 			if err != nil {
-				t.Fatalf("case %d workers %d (rollup on): %v", si, workers, err)
+				t.Fatalf("case %d workers %d: %v", si, workers, err)
 			}
-			offRes, offDiag, err := off.LocalizeWithDiagnostics(snap, 10)
-			if err != nil {
-				t.Fatalf("case %d workers %d (rollup off): %v", si, workers, err)
-			}
-			if !reflect.DeepEqual(onRes, offRes) {
-				t.Errorf("case %d workers %d: results diverge between engines\n  on %+v\n off %+v",
-					si, workers, onRes, offRes)
-			}
-			if !reflect.DeepEqual(scrubScanStrategy(onDiag), scrubScanStrategy(offDiag)) {
-				t.Errorf("case %d workers %d: diagnostics diverge between engines\n  on %+v\n off %+v",
-					si, workers, onDiag, offDiag)
-			}
-
-			// The roll-up run's cost model: one base pass over the leaves
-			// serves every layer of these dense corpora by pure arithmetic.
 			passes := 0
-			for _, l := range onDiag.Layers {
+			for _, l := range diag.Layers {
 				passes += l.ScanPasses
 			}
 			if passes > 1 {
-				t.Errorf("case %d workers %d: %d leaf passes with roll-up on, want <= 1", si, workers, passes)
+				t.Errorf("case %d workers %d: %d leaf passes, want <= 1", si, workers, passes)
 			}
-			if len(onDiag.KeptAttributes) >= 2 {
-				for _, l := range onDiag.Layers {
-					if l.RollupServed != l.Cuboids {
-						t.Errorf("case %d workers %d layer %d: %d of %d cuboids rolled up, want all",
-							si, workers, l.Layer, l.RollupServed, l.Cuboids)
+			if len(diag.KeptAttributes) >= 2 {
+				for _, l := range diag.Layers {
+					if l.RollupServed != l.Cuboids || l.FusedCuboids != 0 {
+						t.Errorf("case %d workers %d layer %d: %d of %d cuboids rolled up, %d scanned, want all rolled up",
+							si, workers, l.Layer, l.RollupServed, l.Cuboids, l.FusedCuboids)
 					}
-				}
-			}
-			// The fused-only engine must never report roll-up service.
-			for _, l := range offDiag.Layers {
-				if l.RollupServed != 0 {
-					t.Errorf("case %d workers %d layer %d: fused-only run reports %d rolled up",
-						si, workers, l.Layer, l.RollupServed)
 				}
 			}
 		}
 	}
 }
 
-// TestRollupBudgetCutoffMatchesFused pins the degraded semantics across
-// engines: a deterministic MaxCuboids budget must cut both engines off at
-// the same cuboid boundary with identical partial results at any worker
-// count.
+// TestRollupBudgetCutoffMatchesFused pins the degraded semantics whether
+// the cut-off cuboids were rolled up (benchCase) or scanned (the sparse
+// world): a deterministic MaxCuboids budget cuts the run off at the same
+// cuboid boundary with identical partial results at any worker count.
 func TestRollupBudgetCutoffMatchesFused(t *testing.T) {
-	snap := benchCase(t)
 	cfg := DefaultConfig()
 	cfg.MaxCuboids = 3
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want Diagnostics
-	for i, workers := range []int{1, 2, 4, 8} {
-		for _, rollup := range []int{0, -1} {
-			res, diag, err := m.WithWorkers(workers).WithRollupLimit(rollup).LocalizeWithDiagnostics(snap, 10)
+	m := MustNew(cfg)
+	sparse := worldSnapshot(t, 3, []int{20, 16, 12, 10, 8, 6}, 0.015, 2, 2)
+	for name, snap := range map[string]*kpi.Snapshot{"bench": benchCase(t), "sparse": sparse} {
+		var want Diagnostics
+		for i, workers := range []int{1, 2, 4, 8} {
+			res, diag, err := m.WithWorkers(workers).LocalizeWithDiagnostics(snap, 10)
 			if err != nil {
-				t.Fatalf("workers %d rollup %d: %v", workers, rollup, err)
+				t.Fatalf("%s workers %d: %v", name, workers, err)
 			}
 			if !res.Degraded || res.DegradedReason != DegradedMaxCuboids {
-				t.Fatalf("workers %d rollup %d: degraded = %v (%q), want max-cuboids cutoff",
-					workers, rollup, res.Degraded, res.DegradedReason)
+				t.Fatalf("%s workers %d: degraded = %v (%q), want max-cuboids cutoff",
+					name, workers, res.Degraded, res.DegradedReason)
 			}
 			if diag.CuboidsVisited != cfg.MaxCuboids {
-				t.Fatalf("workers %d rollup %d: visited %d cuboids, want %d",
-					workers, rollup, diag.CuboidsVisited, cfg.MaxCuboids)
+				t.Fatalf("%s workers %d: visited %d cuboids, want %d",
+					name, workers, diag.CuboidsVisited, cfg.MaxCuboids)
 			}
-			scrubbed := scrubScanStrategy(diag)
-			if i == 0 && rollup == 0 {
-				want = scrubbed
+			if i == 0 {
+				want = diag
 				continue
 			}
-			if !reflect.DeepEqual(scrubbed, want) {
-				t.Errorf("workers %d rollup %d: budgeted diagnostics diverge", workers, rollup)
+			if !reflect.DeepEqual(diag, want) {
+				t.Errorf("%s workers %d: budgeted diagnostics diverge from workers=1", name, workers)
 			}
+		}
+		scanned := 0
+		for _, l := range want.Layers {
+			scanned += l.FusedCuboids
+		}
+		if (name == "sparse") != (scanned > 0) {
+			t.Errorf("%s: %d of the cut-off cuboids scanned", name, scanned)
 		}
 	}
 }
@@ -161,18 +117,5 @@ func TestRollupPreCanceledContext(t *testing.T) {
 		if !reflect.DeepEqual(diag, want) {
 			t.Errorf("workers %d: pre-canceled diagnostics diverge from workers=1", workers)
 		}
-	}
-}
-
-// TestWithRollupLimitDoesNotMutateReceiver checks WithRollupLimit derives a
-// new miner and leaves the receiver untouched.
-func TestWithRollupLimitDoesNotMutateReceiver(t *testing.T) {
-	m := MustNew(DefaultConfig())
-	d := m.WithRollupLimit(-1)
-	if d.cfg.RollupLimit != -1 {
-		t.Fatalf("derived miner RollupLimit = %d, want -1", d.cfg.RollupLimit)
-	}
-	if m.cfg.RollupLimit != 0 {
-		t.Fatalf("receiver mutated to RollupLimit %d, want 0", m.cfg.RollupLimit)
 	}
 }

@@ -35,25 +35,25 @@ type candidate struct {
 // when it trips the search stops at the next cuboid boundary and returns
 // the best-so-far candidates with a non-empty degraded reason.
 //
-// Concurrency model: the expensive part of a run — the count-only group-bys
-// of its cuboids — is driven to a single pass over the snapshot's columnar
-// leaf store: the first layer's prefetch scans the leaves once into the
-// finest materializable base cuboid (kpi.RollupPlan), and every cuboid the
-// base refines — across all layers — is served by exact integer roll-up
-// over that array, with zero further leaf reads. Cuboids outside the base
-// take the per-layer fused pass (kpi.LayerScan), which accumulates every
-// residual cuboid of the layer simultaneously. Both passes partition across
-// cfg.Workers goroutines by contiguous leaf range; per-range partial counts
-// merge by integer addition, which is exact and order-independent. The cheap per-group decisions (Criteria 2/3,
-// coverage, journaling) replay sequentially over the fused results in
-// cuboid order, then group-index order. That merge order is exactly the
-// sequential visit order, so candidates, scores, ranking and Diagnostics
-// are bit-identical to a single-worker run. The layer barrier is preserved:
-// no combination is judged before every shallower layer has been fully
-// merged, which is what Definition 1 and Criteria 3 rely on. Pruning and
-// early-stop state (ancestorIndex, coverage) are touched only by the
-// merging goroutine, so the parallel path needs no locks beyond the
-// snapshot's internal caches.
+// Concurrency model: the expensive part of a run — the count-only
+// group-bys of its cuboids — is driven toward a single pass over the
+// snapshot's columnar leaf store: before layer 1 the search scans the
+// leaves once into the finest materializable base cuboid
+// (kpi.RollupPlan), and every cuboid the base refines — across all layers
+// — is served by exact integer roll-up over that array, with zero further
+// leaf reads. A cuboid outside the base is counted by its own columnar
+// scan (kpi.ScanCuboid) when the merge loop reaches it. Both passes
+// partition across cfg.Workers goroutines by contiguous leaf range;
+// per-range partial counts merge by integer addition, which is exact and
+// order-independent. The cheap per-group decisions (Criteria 2/3,
+// coverage, journaling) run sequentially in cuboid order, then
+// group-index order — exactly the sequential visit order, so candidates,
+// scores, ranking and Diagnostics are bit-identical to a single-worker
+// run. The layer barrier is preserved: no combination is judged before
+// every shallower layer has been fully merged, which is what Definition 1
+// and Criteria 3 rely on. Pruning and early-stop state (ancestorIndex,
+// coverage) are touched only by the merging goroutine, so the parallel
+// path needs no locks beyond the snapshot's internal caches.
 //
 // Cancellation model: the budget is polled between cuboids by the merging
 // goroutine and inside scans (every few thousand leaves) by the workers, so
@@ -70,51 +70,45 @@ func (m *Miner) search(snapshot *kpi.Snapshot, attrs []int, diag *Diagnostics, b
 		merged     int
 		anc        = newAncestorIndex(snapshot.Schema)
 		covered    = newCoverage(snapshot)
-		scanner    = layerScanner{snap: snapshot, workers: m.workers(), halt: budget.halt()}
-		mx         = layerScanInstruments()
+		scanner    = layerScanner{
+			snap:    snapshot,
+			workers: m.workers(),
+			halt:    budget.halt(),
+			plan:    snapshot.NewRollupPlan(attrs),
+			mx:      layerScanInstruments(),
+		}
 		// probe is the scratch combination groups are decoded into; it is
 		// cloned only when a group becomes a candidate.
 		probe = kpi.NewRoot(snapshot.Schema.NumAttributes())
 	)
 	defer scanner.close()
-	if m.cfg.RollupLimit >= 0 {
-		// The plan is only a choice of base cuboid at this point; the one
-		// leaf pass that fills it runs inside the first layer's prefetch,
-		// under the run budget's halt hook.
-		scanner.rollupOn = true
-		scanner.plan = snapshot.NewRollupPlan(attrs, m.cfg.RollupLimit)
-	}
+	scanner.runBase()
 
 layers:
 	for layer := 1; layer <= len(attrs); layer++ {
-		// The budget is checked before the fused pass as well as between
-		// cuboids: an exhausted budget at a layer boundary must not pay for
-		// a whole layer's scan it will never merge. The trip point is the
-		// same cuboid boundary either way, so determinism is unaffected.
-		if merged > 0 && budget.exceeded() {
-			degraded = budget.reason
-			break layers
-		}
 		var stats *LayerStats
-		if diag != nil {
-			diag.Layers = append(diag.Layers, LayerStats{Layer: layer})
-			stats = &diag.Layers[len(diag.Layers)-1]
-		}
 		cuboids := kpi.CuboidsAtLayer(attrs, layer)
-		scanStart := time.Now()
-		scanner.prefetch(cuboids, layer)
-		mx.seconds.Observe(time.Since(scanStart).Seconds())
 		for ci, cuboid := range cuboids {
-			// The budget is enforced on the cuboid boundary: the layer's
-			// merge replay is sequential, so stopping here is deterministic
-			// for deterministic budgets (pre-canceled context, MaxCuboids)
-			// and never splits a cuboid's group stream. The first cuboid is
+			// The budget is enforced on the cuboid boundary: the merge
+			// replay is sequential, so stopping here is deterministic for
+			// deterministic budgets (pre-canceled context, MaxCuboids) and
+			// never splits a cuboid's group stream. The first cuboid is
 			// exempt so a degraded run still carries best-so-far work.
 			if merged > 0 && budget.exceeded() {
 				degraded = budget.reason
 				break layers
 			}
-			groups, src, ok := scanner.groups(ci, cuboid, merged == 0)
+			if ci == 0 {
+				scanner.enterLayer(cuboids)
+				if diag != nil {
+					diag.Layers = append(diag.Layers, LayerStats{Layer: layer})
+					stats = &diag.Layers[len(diag.Layers)-1]
+					if layer == 1 {
+						stats.ScanPasses = scanner.passes // the base pass
+					}
+				}
+			}
+			groups, rolled, ok := scanner.groups(cuboid, layer, merged == 0)
 			if !ok {
 				// The scan itself aborted mid-pass (budget tripped inside a
 				// large snapshot); its partial counts are discarded.
@@ -129,19 +123,12 @@ layers:
 			if diag != nil {
 				diag.CuboidsVisited++
 				stats.Cuboids++
-				stats.ScanPasses = scanner.passes
-				switch src {
-				case srcFused:
-					stats.FusedCuboids++
-				case srcRollup:
+				if rolled {
 					stats.RollupServed++
+				} else {
+					stats.ScanPasses++
+					stats.FusedCuboids++
 				}
-			}
-			switch src {
-			case srcFused:
-				scanner.fusedMerged++
-			case srcRollup:
-				scanner.rollupMerged++
 			}
 			ix := snapshot.Indexer(cuboid)
 			for _, g := range groups {
@@ -194,14 +181,7 @@ layers:
 			}
 		}
 	}
-	mx.passes.Add(float64(scanner.totalPasses))
-	mx.fused.Add(float64(scanner.fusedMerged))
-	if scanner.rollupLayers > 0 {
-		mx.rollupLayers.Add(float64(scanner.rollupLayers))
-	}
-	if scanner.fallbackLayers > 0 {
-		mx.rollupFallback.Add(float64(scanner.fallbackLayers))
-	}
+	scanner.mx.passes.Add(float64(scanner.passes))
 	if diag != nil {
 		diag.Candidates = len(candidates)
 		if degraded != "" {
@@ -253,163 +233,93 @@ func rapScore(conf float64, layer int) float64 {
 	return conf / math.Sqrt(float64(layer))
 }
 
-// groupSource names where a cuboid's counts came from, for the per-layer
-// strategy telemetry (LayerStats.FusedCuboids / RollupServed and the scan
-// metric counters).
-type groupSource int
-
-const (
-	// srcScan is the per-cuboid fallback scan in the merge loop.
-	srcScan groupSource = iota
-	// srcFused is the layer's fused columnar pass.
-	srcFused
-	// srcRollup is pure arithmetic over the run's materialized base cuboid.
-	srcRollup
-)
-
-// layerScanner produces the count-only group-bys of one BFS layer. The
-// primary path is the run-level roll-up (kpi.RollupPlan): the first layer's
-// prefetch scans the leaves once into the base cuboid's flat accumulators,
-// and every cuboid the base refines — on this layer and every deeper one —
-// is answered by mixed-radix roll-up over that array, with zero further
-// leaf reads. Cuboids outside the base (attributes too wide to
-// materialize, or roll-up disabled) take the per-layer fused columnar pass
-// (kpi.LayerScan): one scan of the leaf columns accumulates every dense
-// residual cuboid of the layer at once, partitioned across the worker pool
-// by leaf range. Cuboids neither engine covered — sparse domains, or
-// passes a tripped budget abandoned — fall back to the per-cuboid scan in
-// the merge loop, where the run's first cuboid scans without the halt hook
-// so a degraded run always merges at least one cuboid. A panic on a scan
+// layerScanner produces the count-only group-bys of the search's cuboids.
+// The run-level roll-up (kpi.RollupPlan) scans the leaves once, before
+// layer 1, into the base cuboid's flat accumulators, and every cuboid the
+// base refines is answered by mixed-radix roll-up over that array. Any
+// other cuboid — its attributes too wide to materialize, or the base pass
+// abandoned by a tripped budget — is scanned on its own when the merge
+// loop reaches it, so a search that stops early never pays for the scans
+// it skips. The run's first cuboid scans without the halt hook, so a
+// degraded run always merges at least one cuboid. A panic on a scan
 // worker is rethrown on the merging goroutine (as *kpi.ScanPanic), where
 // localize's recover turns it into the run's error.
 type layerScanner struct {
 	snap    *kpi.Snapshot
 	workers int
 	halt    kpi.Halt
-	// plan is the run-level roll-up engine; nil when disabled, not
-	// materializable, or dropped after an aborted base pass. rollupOn
-	// records that roll-up was requested, so fallback layers stay
-	// observable even after the plan is dropped.
-	plan     *kpi.RollupPlan
-	planRan  bool
-	rollupOn bool
-	scan     *kpi.LayerScan
-	// residx maps a layer cuboid index to its position in the residual
-	// fused scan, or -1 when the roll-up plan serves it.
-	residx   []int32
-	residual []kpi.Cuboid
-	fbuf     []kpi.GroupCount
-	lazy     []kpi.GroupCount
-	rbuf     []kpi.GroupCount
-	// passes counts completed full passes over the leaf store for the
-	// current layer (base pass, fused batches, per-cuboid fallbacks); the
-	// remaining fields accumulate across the run for the scan metrics.
-	passes         int
-	totalPasses    int
-	fusedMerged    int
-	rollupMerged   int
-	rollupLayers   int
-	fallbackLayers int
+	// plan is the run-level roll-up; nil when no base is materializable or
+	// after an aborted base pass.
+	plan *kpi.RollupPlan
+	buf  []kpi.GroupCount
+	mx   scanMetrics
+	// passes counts the run's completed passes over the leaf store: the
+	// base pass plus one per scanned cuboid.
+	passes int
 }
 
-// prefetch prepares the layer: it runs the roll-up base pass the first
-// time through (one leaf scan for the whole run), partitions the layer's
-// cuboids into roll-up-served and residual, and runs the residual fused
-// pass. The scan workers carry pprof labels (layer, cuboid_count) so CPU
-// profiles attribute scan time to lattice layers. A tripped budget
-// abandons the in-flight pass — an aborted base pass drops the plan for
-// the rest of the run — and the merge loop's per-cuboid fallback notices
-// via the residual scan's Done.
-func (ls *layerScanner) prefetch(cuboids []kpi.Cuboid, layer int) {
-	ls.closeLayer()
-	ls.passes = 0
-	if ls.plan != nil && !ls.planRan {
-		ls.planRan = true
-		ok := false
-		pprof.Do(context.Background(), pprof.Labels(
-			"layer", strconv.Itoa(layer),
-			"rollup_base", strconv.Itoa(len(ls.plan.Base())),
-		), func(context.Context) {
-			ok = ls.plan.Run(ls.workers, ls.halt)
-		})
-		if ok {
-			ls.passes += ls.plan.Passes()
-			ls.totalPasses += ls.plan.Passes()
-		} else {
-			ls.plan.Close()
-			ls.plan = nil
-		}
-	}
-	if cap(ls.residx) < len(cuboids) {
-		ls.residx = make([]int32, len(cuboids))
-	}
-	ls.residx = ls.residx[:len(cuboids)]
-	ls.residual = ls.residual[:0]
-	for ci, c := range cuboids {
-		if ls.plan != nil && ls.plan.Serves(c) {
-			ls.residx[ci] = -1
-			continue
-		}
-		ls.residx[ci] = int32(len(ls.residual))
-		ls.residual = append(ls.residual, c)
-	}
-	if len(ls.residual) == 0 {
-		// The whole layer rolls up from the base: no leaf access at all.
-		ls.rollupLayers++
+// runBase runs the roll-up base pass, dropping the plan when the budget
+// aborts it. The scan workers carry pprof labels so CPU profiles
+// attribute the pass to the run's base cuboid.
+func (ls *layerScanner) runBase() {
+	if ls.plan == nil {
 		return
 	}
-	if ls.rollupOn {
-		ls.fallbackLayers++
-	}
-	ls.scan = ls.snap.NewLayerScan(ls.residual)
+	start := time.Now()
+	ok := false
 	pprof.Do(context.Background(), pprof.Labels(
-		"layer", strconv.Itoa(layer),
-		"cuboid_count", strconv.Itoa(len(ls.residual)),
+		"layer", "1",
+		"rollup_base", strconv.Itoa(len(ls.plan.Base())),
 	), func(context.Context) {
-		ls.scan.Run(ls.workers, ls.halt)
+		ok = ls.plan.Run(ls.workers, ls.halt)
 	})
-	ls.passes += ls.scan.Passes()
-	ls.totalPasses += ls.scan.Passes()
+	if !ok {
+		ls.plan.Close()
+		ls.plan = nil
+		return
+	}
+	ls.passes++
+	ls.mx.seconds.Observe(time.Since(start).Seconds())
 }
 
-// groups returns cuboid ci's counts, reporting which engine served them
-// and ok=false when the budget aborted the fallback scan. first marks the
-// run's guaranteed cuboid, which scans without the halt hook.
-func (ls *layerScanner) groups(ci int, cuboid kpi.Cuboid, first bool) (groups []kpi.GroupCount, src groupSource, ok bool) {
-	if ls.residx[ci] < 0 {
-		ls.rbuf = ls.plan.Groups(cuboid, ls.rbuf)
-		return ls.rbuf, srcRollup, true
+// enterLayer records the roll-up telemetry of a layer the search enters:
+// whether every cuboid of it is served by the base or some need a scan.
+func (ls *layerScanner) enterLayer(cuboids []kpi.Cuboid) {
+	for _, c := range cuboids {
+		if ls.plan == nil || !ls.plan.Serves(c) {
+			ls.mx.rollupFallback.Inc()
+			return
+		}
 	}
-	ri := int(ls.residx[ci])
-	if ls.scan != nil && ls.scan.Done(ri) {
-		ls.fbuf = ls.scan.Groups(ri, ls.fbuf)
-		return ls.fbuf, srcFused, true
+	ls.mx.rollupLayers.Inc()
+}
+
+// groups returns cuboid c's counts, reporting whether the roll-up served
+// them and ok=false when the budget aborted the scan. first marks the
+// run's guaranteed cuboid, which scans without the halt hook.
+func (ls *layerScanner) groups(c kpi.Cuboid, layer int, first bool) (groups []kpi.GroupCount, rolled, ok bool) {
+	if ls.plan != nil && ls.plan.Serves(c) {
+		ls.buf = ls.plan.Groups(c, ls.buf)
+		return ls.buf, true, true
 	}
 	halt := ls.halt
 	if first {
 		halt = nil
 	}
-	ls.lazy, ok = ls.snap.ScanCuboidHalt(cuboid, ls.lazy, halt)
+	start := time.Now()
+	pprof.Do(context.Background(), pprof.Labels("layer", strconv.Itoa(layer)), func(context.Context) {
+		ls.buf, ok = ls.snap.ScanCuboid(c, ls.buf, ls.workers, halt)
+	})
 	if ok {
 		ls.passes++
-		ls.totalPasses++
+		ls.mx.seconds.Observe(time.Since(start).Seconds())
 	}
-	return ls.lazy, srcScan, ok
+	return ls.buf, false, ok
 }
 
-// closeLayer releases the current layer's fused accumulators back to their
-// pool; the roll-up base survives across layers.
-func (ls *layerScanner) closeLayer() {
-	if ls.scan != nil {
-		ls.scan.Close()
-		ls.scan = nil
-	}
-}
-
-// close releases everything, base included; the scanner must not be used
+// close releases the base accumulators; the scanner must not be used
 // afterwards.
 func (ls *layerScanner) close() {
-	ls.closeLayer()
 	if ls.plan != nil {
 		ls.plan.Close()
 		ls.plan = nil
