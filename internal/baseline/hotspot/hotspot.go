@@ -224,6 +224,10 @@ func (l *Localizer) cuboidElements(snapshot *kpi.Snapshot, cuboid kpi.Cuboid) []
 func potentialScore(snapshot *kpi.Snapshot, elements []element, setBits []bool, totalDev float64) float64 {
 	var vS, fS float64
 	inSet := make(map[int]struct{})
+	// members lists S's leaves in first-seen order: the residual below is
+	// summed in that fixed order, not in map order, so ps(S) has the same
+	// bits on every run.
+	var members []int
 	for i, on := range setBits {
 		if !on {
 			continue
@@ -233,11 +237,12 @@ func potentialScore(snapshot *kpi.Snapshot, elements []element, setBits []bool, 
 				continue
 			}
 			inSet[li] = struct{}{}
+			members = append(members, li)
 			vS += snapshot.Leaves[li].Actual
 			fS += snapshot.Leaves[li].Forecast
 		}
 	}
-	if len(inSet) == 0 {
+	if len(members) == 0 {
 		return 0
 	}
 	ripple := 1.0
@@ -247,7 +252,7 @@ func potentialScore(snapshot *kpi.Snapshot, elements []element, setBits []bool, 
 	// residual = sum over all leaves of |v - a|; outside S, a = f, so we
 	// start from totalDev and correct the in-S part.
 	residual := totalDev
-	for li := range inSet {
+	for _, li := range members {
 		leaf := snapshot.Leaves[li]
 		residual -= math.Abs(leaf.Actual - leaf.Forecast)
 		residual += math.Abs(leaf.Actual - leaf.Forecast*ripple)
