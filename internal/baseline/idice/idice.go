@@ -10,10 +10,11 @@
 //     cleanly they split the dataset's anomaly labels into an inside and an
 //     outside partition (an entropy-based measure).
 //
-// iDice traverses every cuboid breadth-first and scores each surviving
-// combination with a full pass over the leaf set, which makes it markedly
-// slower than the other methods — matching its running-time profile in
-// Fig. 9 of the RAPMiner paper.
+// iDice traverses every cuboid breadth-first. Isolation power depends only
+// on four counts (the leaves inside the combination, how many of them are
+// anomalous, and the same two for the whole dataset), so each surviving
+// combination is scored from the group counts of its cuboid's group-by
+// rather than from a pass over the leaf set.
 package idice
 
 import (
@@ -36,8 +37,7 @@ type Config struct {
 
 // DefaultConfig mirrors the small thresholds of the original system: prune
 // combinations below 0.1% volume share or 5% aggregate change. The low
-// impact floor keeps iDice's candidate pool large, which is what makes it
-// the slowest method in the paper's Fig. 9.
+// impact floor keeps iDice's candidate pool large.
 func DefaultConfig() Config {
 	return Config{MinImpact: 0.001, MinChange: 0.05}
 }
@@ -77,6 +77,7 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 
 	totalV, totalF := snapshot.Sum(kpi.NewRoot(snapshot.Schema.NumAttributes()))
 	totalVolume := totalV + totalF
+	total, anomalous := snapshot.Len(), snapshot.NumAnomalous()
 
 	attrs := make([]int, snapshot.Schema.NumAttributes())
 	for i := range attrs {
@@ -94,8 +95,7 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 			if !l.changed(g.Actual, g.Forecast) {
 				continue
 			}
-			// Isolation power over the full leaf set.
-			ip := isolationPower(snapshot, g.Combo)
+			ip := isolationPower(g.Total, g.Anomalous, total, anomalous)
 			if ip <= 0 {
 				continue
 			}
@@ -120,31 +120,18 @@ func (l *Localizer) changed(actual, forecast float64) bool {
 }
 
 // isolationPower is the entropy reduction achieved by splitting the leaf
-// dataset into the leaves inside the combination's scope and those outside:
+// dataset D into the leaves inside a combination's scope and those outside:
 //
 //	IP(S) = H(D) - (|in|/|D|) H(in) - (|out|/|D|) H(out)
 //
-// where H is the binary entropy of the anomalous proportion. It is computed
-// with a full scan of D per candidate, as in the original algorithm.
-func isolationPower(s *kpi.Snapshot, combo kpi.Combination) float64 {
-	var inTotal, inAnom, outTotal, outAnom int
-	for _, leaf := range s.Leaves {
-		if combo.Matches(leaf.Combo) {
-			inTotal++
-			if leaf.Anomalous {
-				inAnom++
-			}
-		} else {
-			outTotal++
-			if leaf.Anomalous {
-				outAnom++
-			}
-		}
-	}
-	total := inTotal + outTotal
+// where H is the binary entropy of the anomalous proportion. inTotal and
+// inAnom count the leaves inside the scope and the anomalous ones among
+// them; total and anomalous count the same over D.
+func isolationPower(inTotal, inAnom, total, anomalous int) float64 {
 	if total == 0 || inTotal == 0 {
 		return 0
 	}
+	outTotal, outAnom := total-inTotal, anomalous-inAnom
 	hd := binaryEntropy(float64(inAnom+outAnom) / float64(total))
 	hin := binaryEntropy(float64(inAnom) / float64(inTotal))
 	var hout float64

@@ -50,19 +50,63 @@ func denseSnapshot(t *testing.T, s *kpi.Schema, raps ...kpi.Combination) *kpi.Sn
 	return snap
 }
 
+// scanIsolationPower is the definitional isolation power: one pass over D
+// sorting every leaf into the combination's scope or out of it. It is the
+// oracle the count-based isolationPower is held to.
+func scanIsolationPower(s *kpi.Snapshot, combo kpi.Combination) float64 {
+	var inTotal, inAnom, outTotal, outAnom int
+	for _, leaf := range s.Leaves {
+		if combo.Matches(leaf.Combo) {
+			inTotal++
+			if leaf.Anomalous {
+				inAnom++
+			}
+		} else {
+			outTotal++
+			if leaf.Anomalous {
+				outAnom++
+			}
+		}
+	}
+	total := inTotal + outTotal
+	if total == 0 || inTotal == 0 {
+		return 0
+	}
+	hd := binaryEntropy(float64(inAnom+outAnom) / float64(total))
+	hin := binaryEntropy(float64(inAnom) / float64(inTotal))
+	var hout float64
+	if outTotal > 0 {
+		hout = binaryEntropy(float64(outAnom) / float64(outTotal))
+	}
+	return hd - float64(inTotal)/float64(total)*hin - float64(outTotal)/float64(total)*hout
+}
+
+// comboIsolationPower scores one combination the way Localize does, from
+// its support counts and the dataset's, and checks the bits against the
+// scanning oracle.
+func comboIsolationPower(t *testing.T, s *kpi.Snapshot, combo kpi.Combination) float64 {
+	t.Helper()
+	inTotal, inAnom := s.SupportCount(combo)
+	ip := isolationPower(inTotal, inAnom, s.Len(), s.NumAnomalous())
+	if want := scanIsolationPower(s, combo); math.Float64bits(ip) != math.Float64bits(want) {
+		t.Errorf("IP(%v) = %v from counts, %v from a scan", combo, ip, want)
+	}
+	return ip
+}
+
 func TestIsolationPowerPeaksAtTrueRAP(t *testing.T) {
 	s := testSchema()
 	rap := kpi.MustParseCombination(s, "(a1, *, *)")
 	snap := denseSnapshot(t, s, rap)
 
-	ipRAP := isolationPower(snap, rap)
+	ipRAP := comboIsolationPower(t, snap, rap)
 	// The RAP isolates perfectly: IP equals the dataset entropy.
 	if ipRAP <= 0 {
 		t.Fatalf("IP(RAP) = %v, want > 0", ipRAP)
 	}
 	for _, other := range []string{"(a2, *, *)", "(*, b1, *)", "(a1, b1, *)"} {
 		c := kpi.MustParseCombination(s, other)
-		if ip := isolationPower(snap, c); ip >= ipRAP {
+		if ip := comboIsolationPower(t, snap, c); ip >= ipRAP {
 			t.Errorf("IP(%s) = %v >= IP(RAP) = %v", other, ip, ipRAP)
 		}
 	}
@@ -75,7 +119,7 @@ func TestIsolationPowerEmptyScope(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSnapshot: %v", err)
 	}
-	if got := isolationPower(empty, kpi.NewRoot(3)); got != 0 {
+	if got := comboIsolationPower(t, empty, kpi.NewRoot(3)); got != 0 {
 		t.Errorf("IP on empty snapshot = %v", got)
 	}
 	// A combination matching nothing has zero isolation power.
@@ -84,7 +128,7 @@ func TestIsolationPowerEmptyScope(t *testing.T) {
 		t.Fatalf("NewSnapshot: %v", err)
 	}
 	c := kpi.MustParseCombination(s, "(a3, b2, c2)")
-	if got := isolationPower(sparse, c); got != 0 {
+	if got := comboIsolationPower(t, sparse, c); got != 0 {
 		t.Errorf("IP of unmatched combination = %v, want 0", got)
 	}
 }

@@ -253,7 +253,7 @@ func TestDeviationScore(t *testing.T) {
 
 func TestLocateInCuboidSkipsUnrepresentableDomain(t *testing.T) {
 	// 64 binary attributes: the full cuboid's 2^64 groups fit no int, so
-	// the cuboid is skipped instead of sizing its dense slices from a
+	// the cuboid is skipped instead of numbering its groups from a
 	// wrapped (formerly 0) domain size.
 	attrs := make([]kpi.Attribute, 64)
 	all := make(kpi.Cuboid, len(attrs))
@@ -272,10 +272,9 @@ func TestLocateInCuboidSkipsUnrepresentableDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, _ := New(DefaultConfig())
-	set, gps := l.locateInCuboid(snap, all, cluster{leafIdx: []int{0}}, []int{0, 1})
-	if set != nil || !math.IsInf(gps, -1) {
-		t.Errorf("locateInCuboid over a 2^64 domain = %v, %v; want it skipped", set, gps)
+	var groups cuboidGroups
+	if groups.build(snap, all) {
+		t.Errorf("cuboidGroups.build over a 2^64 domain succeeded; want the cuboid skipped")
 	}
 }
 
@@ -286,14 +285,24 @@ func TestLocateInCuboidPicksExactSet(t *testing.T) {
 	l, _ := New(DefaultConfig())
 
 	var clusterLeaves []int
-	evalIdx := make([]int, snap.Len())
-	for i := range evalIdx {
-		evalIdx[i] = i
+	for i := range snap.Leaves {
 		if snap.Leaves[i].Anomalous {
 			clusterLeaves = append(clusterLeaves, i)
 		}
 	}
-	set, gps := l.locateInCuboid(snap, kpi.Cuboid{0}, cluster{leafIdx: clusterLeaves}, evalIdx)
+	u := newUniverse(snap, []cluster{{leafIdx: clusterLeaves}})
+	locate := func(cuboid kpi.Cuboid) ([]kpi.Combination, float64) {
+		var (
+			groups cuboidGroups
+			sc     prefixScratch
+		)
+		if !groups.build(snap, cuboid) {
+			t.Fatalf("cuboid %v not searchable", cuboid)
+		}
+		n, gps := l.locateInCuboid(snap, &groups, u, 0, &sc)
+		return groups.combos(sc.order[:n]), gps
+	}
+	set, gps := locate(kpi.Cuboid{0})
 	if len(set) != 1 || !set[0].Equal(rap) {
 		t.Fatalf("locateInCuboid = %v (gps %v), want the RAP", set, gps)
 	}
@@ -301,7 +310,7 @@ func TestLocateInCuboidPicksExactSet(t *testing.T) {
 		t.Errorf("GPS(exact set) = %v, want near 1", gps)
 	}
 	// The wrong cuboid {B} cannot reach the exact set's score.
-	_, gpsB := l.locateInCuboid(snap, kpi.Cuboid{1}, cluster{leafIdx: clusterLeaves}, evalIdx)
+	_, gpsB := locate(kpi.Cuboid{1})
 	if gpsB >= gps {
 		t.Errorf("GPS in cuboid {B} = %v >= GPS in {A} = %v", gpsB, gps)
 	}
