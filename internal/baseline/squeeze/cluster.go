@@ -22,61 +22,61 @@ type cluster struct {
 // separable on datasets that honor it; on data with per-leaf random
 // magnitudes (RAPMD) the modes merge or shatter, which is exactly the
 // failure mode the RAPMiner paper reports.
+//
+// Only the non-empty bins are materialized: the scores are stably sorted
+// by bin and split where two or more empty bins separate neighbours, so a
+// score far from the rest (a leaf whose forecast + actual is near zero)
+// costs nothing extra. A score that is not finite (NaN or ±Inf, where
+// forecast + actual + Eps is zero or the deviation overflows) has no bin
+// and joins no cluster: Squeeze leaves that leaf unexplained and outside
+// every cluster's evaluation universe.
 func clusterByDeviation(scores []float64, leafIdx []int, binWidth float64) []cluster {
-	if len(scores) == 0 {
-		return nil
-	}
 	if binWidth <= 0 {
 		binWidth = 0.05
 	}
-	minScore := scores[0]
-	maxScore := scores[0]
+	minScore := math.Inf(1)
 	for _, s := range scores {
-		minScore = math.Min(minScore, s)
-		maxScore = math.Max(maxScore, s)
-	}
-	nBins := int((maxScore-minScore)/binWidth) + 1
-	bins := make([][]int, nBins)
-	for i, s := range scores {
-		b := int((s - minScore) / binWidth)
-		if b >= nBins {
-			b = nBins - 1
+		if !math.IsNaN(s) && !math.IsInf(s, 0) {
+			minScore = math.Min(minScore, s)
 		}
-		bins[b] = append(bins[b], i)
 	}
+	type binned struct {
+		bin float64
+		i   int
+	}
+	var items []binned
+	for i, s := range scores {
+		if !math.IsNaN(s) && !math.IsInf(s, 0) {
+			items = append(items, binned{bin: math.Floor((s - minScore) / binWidth), i: i})
+		}
+	}
+	if len(items) == 0 {
+		return nil
+	}
+	sort.SliceStable(items, func(a, b int) bool { return items[a].bin < items[b].bin })
 
 	// A run of adjacent non-empty bins is one density mode; a single
 	// empty bin inside a run is tolerated (smoothing), two or more
 	// consecutive empty bins split the run.
 	var clusters []cluster
-	var current []int
-	gap := 0
-	flush := func() {
-		if len(current) == 0 {
-			return
-		}
-		c := cluster{leafIdx: make([]int, 0, len(current))}
+	flush := func(run []binned) {
+		c := cluster{leafIdx: make([]int, 0, len(run))}
 		var sum float64
-		for _, i := range current {
-			c.leafIdx = append(c.leafIdx, leafIdx[i])
-			sum += scores[i]
+		for _, it := range run {
+			c.leafIdx = append(c.leafIdx, leafIdx[it.i])
+			sum += scores[it.i]
 		}
-		c.center = sum / float64(len(current))
+		c.center = sum / float64(len(run))
 		clusters = append(clusters, c)
-		current = nil
 	}
-	for _, b := range bins {
-		if len(b) == 0 {
-			gap++
-			if gap >= 2 {
-				flush()
-			}
-			continue
+	start := 0
+	for j := 1; j < len(items); j++ {
+		if items[j].bin-items[j-1].bin >= 3 {
+			flush(items[start:j])
+			start = j
 		}
-		gap = 0
-		current = append(current, b...)
 	}
-	flush()
+	flush(items[start:])
 
 	// Largest clusters first: Squeeze explains the dominant failure mode
 	// before the minor ones.

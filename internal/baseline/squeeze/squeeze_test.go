@@ -315,3 +315,69 @@ func TestLocateInCuboidPicksExactSet(t *testing.T) {
 		t.Errorf("GPS in cuboid {B} = %v >= GPS in {A} = %v", gpsB, gps)
 	}
 }
+
+func TestClusterSkipsEmptyBinsAndNonFiniteScores(t *testing.T) {
+	// 2e10 sits 4e11 bins above the rest: it forms its own cluster
+	// without a histogram spanning the gap. NaN and ±Inf join none.
+	scores := []float64{0.5, 2e10, math.NaN(), 0.52, math.Inf(1), math.Inf(-1)}
+	clusters := clusterByDeviation(scores, []int{0, 1, 2, 3, 4, 5}, 0.05)
+	if len(clusters) != 2 {
+		t.Fatalf("got %d clusters, want 2: %+v", len(clusters), clusters)
+	}
+	if got := clusters[0].leafIdx; len(got) != 2 || got[0] != 0 || got[1] != 3 {
+		t.Errorf("first cluster = %v, want leaves [0 3]", got)
+	}
+	if got := clusters[1].leafIdx; len(got) != 1 || got[0] != 1 {
+		t.Errorf("second cluster = %v, want leaf [1]", got)
+	}
+	if got := clusterByDeviation([]float64{math.NaN()}, []int{0}, 0.05); got != nil {
+		t.Errorf("only non-finite scores produced %+v", got)
+	}
+}
+
+func TestLocalizeZeroDenominatorLeaf(t *testing.T) {
+	// forecast + actual ≈ 0 makes the deviation score enormous (5/-5),
+	// infinite (±MaxFloat64) or NaN (actual = forecast = -Eps/2). Each
+	// used to size the clustering histogram from the score range.
+	s := kpi.MustSchema(kpi.Attribute{Name: "A", Values: []string{"a1", "a2", "a3"}})
+	for _, tc := range []struct {
+		name             string
+		actual, forecast float64
+		clustered        bool
+	}{
+		{"huge", -5, 5, true},
+		{"inf", -math.MaxFloat64, math.MaxFloat64, false},
+		{"nan", -5e-10, -5e-10, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, err := kpi.NewSnapshot(s, []kpi.Leaf{
+				{Combo: kpi.Combination{0}, Actual: tc.actual, Forecast: tc.forecast, Anomalous: true},
+				{Combo: kpi.Combination{1}, Actual: 40, Forecast: 100, Anomalous: true},
+				{Combo: kpi.Combination{2}, Actual: 100, Forecast: 100},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, _ := New(DefaultConfig())
+			res, err := l.Localize(snap, 3)
+			if err != nil {
+				t.Fatalf("Localize: %v", err)
+			}
+			found := map[string]bool{}
+			for _, p := range res.Patterns {
+				found[p.Combo.Format(s)] = true
+			}
+			if !found["(a2)"] {
+				t.Errorf("finite failing leaf not localized: %s", res.Format(s))
+			}
+			if found["(a1)"] != tc.clustered {
+				t.Errorf("zero-denominator leaf reported = %v, want %v: %s", found["(a1)"], tc.clustered, res.Format(s))
+			}
+			if tc.clustered {
+				if want := l.referenceLocalize(snap, 3); res.Format(s) != want.Format(s) {
+					t.Errorf("Localize = %s, reference %s", res.Format(s), want.Format(s))
+				}
+			}
+		})
+	}
+}

@@ -138,6 +138,33 @@ func TestLocalizeEveryMethod(t *testing.T) {
 	}
 }
 
+func TestLocalizeSqueezeZeroDenominator(t *testing.T) {
+	// L1's forecast + actual is 0, so its Squeeze deviation score is
+	// 2e10: a histogram over the score range would need 4e11 bins, and
+	// the server used to die of a fatal out-of-memory error here.
+	const body = "Location,actual,forecast\nL1,-5,5\nL2,40,100\nL3,100,100\n"
+	srv := newServer(t)
+	resp, out := postLocalize(t, srv, "/v1/localize?method=squeeze&k=3", "text/csv", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	found := map[string]bool{}
+	for _, p := range out.Patterns {
+		found[strings.Join(p.Combination, ",")] = true
+	}
+	if !found["L1"] || !found["L2"] {
+		t.Errorf("patterns = %+v, want L1 and L2", out.Patterns)
+	}
+	health, err := http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the request = %d", health.StatusCode)
+	}
+}
+
 func TestLocalizeErrors(t *testing.T) {
 	srv := newServer(t)
 	tests := []struct {
