@@ -131,6 +131,20 @@ func BenchmarkFig8bRAPMD(b *testing.B) {
 	}
 }
 
+// BenchmarkFig9bRAPMD times each paper method on one fixed RAPMD case with
+// k = 5: the per-case running time Fig. 9(b) compares. One case keeps
+// ns/op comparable between commits at any iteration count, where the
+// Fig. 8(b) benchmark's average depends on how many cases it cycles
+// through.
+func BenchmarkFig9bRAPMD(b *testing.B) {
+	c := rapmdCorpus(b).Cases[:1]
+	for _, m := range benchMethods(b) {
+		b.Run("method="+m.Name(), func(b *testing.B) {
+			benchmarkLocalize(b, m, c, 5)
+		})
+	}
+}
+
 // BenchmarkFig10aSensitivityTCP times RAPMiner across the t_CP grid of
 // Fig. 10(a); effectiveness per grid point is produced by cmd/experiments.
 func BenchmarkFig10aSensitivityTCP(b *testing.B) {

@@ -132,7 +132,7 @@ func isolationPower(inTotal, inAnom, total, anomalous int) float64 {
 		return 0
 	}
 	outTotal, outAnom := total-inTotal, anomalous-inAnom
-	hd := binaryEntropy(float64(inAnom+outAnom) / float64(total))
+	hd := binaryEntropy(float64(anomalous) / float64(total))
 	hin := binaryEntropy(float64(inAnom) / float64(inTotal))
 	var hout float64
 	if outTotal > 0 {

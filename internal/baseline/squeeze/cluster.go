@@ -34,24 +34,23 @@ func clusterByDeviation(scores []float64, leafIdx []int, binWidth float64) []clu
 	if binWidth <= 0 {
 		binWidth = 0.05
 	}
-	minScore := math.Inf(1)
-	for _, s := range scores {
-		if !math.IsNaN(s) && !math.IsInf(s, 0) {
-			minScore = math.Min(minScore, s)
-		}
-	}
 	type binned struct {
 		bin float64
 		i   int
 	}
 	var items []binned
+	minScore := math.Inf(1)
 	for i, s := range scores {
 		if !math.IsNaN(s) && !math.IsInf(s, 0) {
-			items = append(items, binned{bin: math.Floor((s - minScore) / binWidth), i: i})
+			items = append(items, binned{i: i})
+			minScore = math.Min(minScore, s)
 		}
 	}
 	if len(items) == 0 {
 		return nil
+	}
+	for j := range items {
+		items[j].bin = math.Floor((scores[items[j].i] - minScore) / binWidth)
 	}
 	sort.SliceStable(items, func(a, b int) bool { return items[a].bin < items[b].bin })
 

@@ -214,18 +214,13 @@ func (l *Localizer) locateClusters(snapshot *kpi.Snapshot, clusters []cluster) [
 			}
 		}
 	}
-	for c := range best {
-		if len(best[c].combos) == 0 {
-			best[c] = candidateSet{}
-		}
-	}
 	return best
 }
 
 // cuboidGroups partitions the leaves by their projection onto one cuboid.
 // Groups are numbered compactly in ascending mixed-radix index, so group
-// numbers compare exactly as the indexes do. Every slice is O(leaves) and
-// reused across cuboids.
+// numbers compare exactly as the indexes do. Every slice is O(leaves) —
+// rank has at most denseRankLimit entries — and reused across cuboids.
 type cuboidGroups struct {
 	ix *kpi.CuboidIndexer
 	// of holds each leaf's group.
