@@ -119,6 +119,8 @@ func run(r io.Reader, w io.Writer) (*benchReport, error) {
 
 // compareBaseline diffs the run against an archived report, emitting GitHub
 // `::warning::` lines for ns/op regressions past the threshold ratio.
+// Benchmarks pair up by name without the -GOMAXPROCS suffix (benchName), so
+// a baseline recorded on one core count diffs runs on another.
 // Everything here is advisory: a missing or unreadable baseline, benchmarks
 // present on only one side, and regressions all leave the exit status
 // untouched, because shared-runner timings are too noisy for a hard gate.
@@ -135,11 +137,11 @@ func compareBaseline(w io.Writer, report *benchReport, path string, threshold fl
 	}
 	byName := make(map[string]benchResult, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		byName[b.Name] = b
+		byName[benchName(b.Name)] = b
 	}
 	regressions := 0
 	for _, b := range report.Benchmarks {
-		old, ok := byName[b.Name]
+		old, ok := byName[benchName(b.Name)]
 		if !ok || old.NsPerOp <= 0 || b.NsPerOp <= 0 {
 			continue
 		}
@@ -153,6 +155,22 @@ func compareBaseline(w io.Writer, report *benchReport, path string, threshold fl
 		fmt.Fprintf(w, "benchjson: %d benchmarks within %.2fx of baseline %s\n",
 			len(report.Benchmarks), threshold, path)
 	}
+}
+
+// benchName strips the -GOMAXPROCS suffix `go test` appends to a
+// benchmark's name when GOMAXPROCS is not 1 ("BenchmarkX/workers=2-8" is
+// "BenchmarkX/workers=2").
+func benchName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, r := range name[i+1:] {
+		if r < '0' || r > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // parse scans bench output, collecting the environment header and every

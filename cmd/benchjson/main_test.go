@@ -107,6 +107,32 @@ func TestCompareBaseline(t *testing.T) {
 	}
 }
 
+// TestCompareBaselineAcrossCoreCounts checks runs pair with a baseline
+// recorded at another GOMAXPROCS (or at 1, which prints no suffix).
+func TestCompareBaselineAcrossCoreCounts(t *testing.T) {
+	baseline := `{"benchmarks": [
+		{"name": "BenchmarkA/workers=2-2", "ns_per_op": 1000},
+		{"name": "BenchmarkB", "ns_per_op": 1000},
+		{"name": "BenchmarkC/mode=x-y", "ns_per_op": 1000}
+	]}`
+	path := t.TempDir() + "/base.json"
+	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report := &benchReport{Benchmarks: []benchResult{
+		{Name: "BenchmarkA/workers=2-4", NsPerOp: 2000},
+		{Name: "BenchmarkB-4", NsPerOp: 3000},
+		{Name: "BenchmarkC/mode=x-y-4", NsPerOp: 4000},
+	}}
+	var out bytes.Buffer
+	compareBaseline(&out, report, path, 1.25)
+	for _, name := range []string{"BenchmarkA/workers=2-4", "BenchmarkB-4", "BenchmarkC/mode=x-y-4"} {
+		if !strings.Contains(out.String(), "::warning::bench regression: "+name+" ") {
+			t.Errorf("no regression warning for %s:\n%s", name, out.String())
+		}
+	}
+}
+
 func TestCompareBaselineClean(t *testing.T) {
 	path := t.TempDir() + "/base.json"
 	if err := os.WriteFile(path, []byte(`{"benchmarks": [{"name": "BenchmarkA-8", "ns_per_op": 1000}]}`), 0o644); err != nil {

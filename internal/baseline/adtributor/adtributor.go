@@ -109,14 +109,18 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 // explainAttribute runs the per-dimension element scan of the Adtributor
 // algorithm.
 func (l *Localizer) explainAttribute(s *kpi.Snapshot, attr int, totalV, totalF, change float64) (candidate, bool) {
-	groups := s.GroupBy(kpi.Cuboid{attr})
+	cuboid := kpi.Cuboid{attr}
+	ix := s.Indexer(cuboid)
+	groups := s.GroupBy(cuboid)
 	elems := make([]scoredElement, 0, len(groups))
 	for _, g := range groups {
 		p := safeRatio(g.Forecast, totalF)
 		q := safeRatio(g.Actual, totalV)
 		ep := explanatoryPower(g.Actual, g.Forecast, change)
+		combo := make(kpi.Combination, s.Schema.NumAttributes())
+		s.DecodeGroup(ix, g.Group, combo)
 		elems = append(elems, scoredElement{
-			combo:    g.Combo,
+			combo:    combo,
 			surprise: jsDivergence(p, q),
 			ep:       ep,
 		})

@@ -26,18 +26,18 @@ func (l *Localizer) referenceLocalize(snapshot *kpi.Snapshot, k int) localize.Re
 	}
 	var patterns []localize.ScoredPattern
 	for _, cuboid := range kpi.AllCuboids(attrs) {
-		for _, g := range snapshot.GroupBy(cuboid) {
-			if totalVolume > 0 && (g.Actual+g.Forecast)/totalVolume < l.cfg.MinImpact {
+		for _, g := range rowGroupBy(snapshot, cuboid) {
+			if totalVolume > 0 && (g.actual+g.forecast)/totalVolume < l.cfg.MinImpact {
 				continue
 			}
-			if !l.changed(g.Actual, g.Forecast) {
+			if !l.changed(g.actual, g.forecast) {
 				continue
 			}
-			ip := scanIsolationPower(snapshot, g.Combo)
+			ip := scanIsolationPower(snapshot, g.combo)
 			if ip <= 0 {
 				continue
 			}
-			patterns = append(patterns, localize.ScoredPattern{Combo: g.Combo, Score: ip})
+			patterns = append(patterns, localize.ScoredPattern{Combo: g.combo, Score: ip})
 		}
 	}
 	localize.SortPatterns(patterns)
@@ -45,6 +45,33 @@ func (l *Localizer) referenceLocalize(snapshot *kpi.Snapshot, k int) localize.Re
 		patterns = patterns[:k]
 	}
 	return localize.Result{Patterns: patterns}
+}
+
+// rowGroup is one group of a row-wise group-by: its projected combination
+// and its leaves' summed values.
+type rowGroup struct {
+	combo            kpi.Combination
+	actual, forecast float64
+}
+
+// rowGroupBy groups the leaves by projected combination, reading each
+// leaf's Combination and summing its values in ascending leaf order. The
+// groups come back in first-seen order; SortPatterns orders the result.
+func rowGroupBy(s *kpi.Snapshot, c kpi.Cuboid) []*rowGroup {
+	pos := make(map[string]*rowGroup)
+	var out []*rowGroup
+	for _, leaf := range s.Leaves {
+		combo := leaf.Combo.Project(c)
+		g := pos[combo.Key()]
+		if g == nil {
+			g = &rowGroup{combo: combo}
+			pos[combo.Key()] = g
+			out = append(out, g)
+		}
+		g.actual += leaf.Actual
+		g.forecast += leaf.Forecast
+	}
+	return out
 }
 
 // wideSchema has four 56,000-value attributes, so its index product

@@ -14,7 +14,8 @@
 // on four counts (the leaves inside the combination, how many of them are
 // anomalous, and the same two for the whole dataset), so each surviving
 // combination is scored from the group counts of its cuboid's group-by
-// rather than from a pass over the leaf set.
+// rather than from a pass over the leaf set, and only the combinations
+// that survive pruning are decoded from their group indexes.
 package idice
 
 import (
@@ -84,9 +85,14 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 		attrs[i] = i
 	}
 
-	var patterns []localize.ScoredPattern
+	var (
+		patterns []localize.ScoredPattern
+		groups   []kpi.GroupStats
+	)
 	for _, cuboid := range kpi.AllCuboids(attrs) {
-		for _, g := range snapshot.GroupBy(cuboid) {
+		ix := snapshot.Indexer(cuboid)
+		groups = snapshot.GroupByAppend(cuboid, groups)
+		for _, g := range groups {
 			// Impact-based pruning.
 			if totalVolume > 0 && (g.Actual+g.Forecast)/totalVolume < l.cfg.MinImpact {
 				continue
@@ -99,7 +105,10 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 			if ip <= 0 {
 				continue
 			}
-			patterns = append(patterns, localize.ScoredPattern{Combo: g.Combo, Score: ip})
+			// Only surviving groups get a combination.
+			combo := make(kpi.Combination, len(attrs))
+			snapshot.DecodeGroup(ix, g.Group, combo)
+			patterns = append(patterns, localize.ScoredPattern{Combo: combo, Score: ip})
 		}
 	}
 	localize.SortPatterns(patterns)

@@ -146,6 +146,9 @@ type partition struct {
 	// AW and totalDelta are the snapshot totals.
 	AW         float64
 	totalDelta float64
+	// keys is accumulate's per-leaf group index scratch, reused across
+	// the run's cuboids.
+	keys []int32
 }
 
 // buildPartition computes deviations, picks the dominant direction, splits
@@ -443,22 +446,27 @@ func (l *Localizer) searchCuboid(snapshot *kpi.Snapshot, cuboid kpi.Cuboid, p *p
 	return selection{combos: combos, risk: bestRisk}, true
 }
 
-// accumulate sums the per-element partition weights, using a dense array
-// for compact cuboid domains and a map for huge sparse ones — keyed by
-// projected combination when the cuboid's group indexes overflow.
+// accumulate sums the per-element partition weights over the leaves'
+// group indexes (kpi.Columns.GroupIndexes), using a dense array for compact
+// cuboid domains and a map for huge sparse ones; a cuboid too wide for
+// int32 group indexes is grouped by projected combination instead.
 func accumulate(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, covered []bool) []groupAcc {
 	size := ix.Size()
+	if size < 0 || size > math.MaxInt32 {
+		return accumulateWide(snapshot, ix, p, covered)
+	}
+	p.keys = snapshot.Columns().GroupIndexes(ix, p.keys)
+	keys := p.keys
 	denseLimit := 64 * snapshot.Len()
 	if denseLimit < 1<<16 {
 		denseLimit = 1 << 16
 	}
 	var out []groupAcc
-	if size >= 0 && size <= denseLimit {
+	if size <= denseLimit {
 		dense := make([]groupAcc, size)
-		for i := range snapshot.Leaves {
-			g := ix.Index(snapshot.Leaves[i].Combo)
+		for i, g := range keys {
 			acc := &dense[g]
-			acc.group = g
+			acc.group = int(g)
 			if p.aw[i] > 0 && !covered[i] {
 				acc.aw += p.aw[i]
 			}
@@ -472,17 +480,13 @@ func accumulate(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, cov
 		}
 		return out
 	}
-	if size < 0 {
-		return accumulateOverflow(snapshot, ix, p, covered)
-	}
-	pos := make(map[int]int, 64)
-	for i := range snapshot.Leaves {
-		g := ix.Index(snapshot.Leaves[i].Combo)
+	pos := make(map[int32]int, 64)
+	for i, g := range keys {
 		j, seen := pos[g]
 		if !seen {
 			j = len(out)
 			pos[g] = j
-			out = append(out, groupAcc{group: g})
+			out = append(out, groupAcc{group: int(g)})
 		}
 		acc := &out[j]
 		if p.aw[i] > 0 && !covered[i] {
@@ -495,14 +499,14 @@ func accumulate(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, cov
 	return out
 }
 
-// accumulateOverflow is accumulate's path for a cuboid whose group indexes
-// overflow and would collide: the groups of kpi.Snapshot.GroupLeaves, each
-// named by its first leaf.
-func accumulateOverflow(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, covered []bool) []groupAcc {
-	groupOf, first, _ := snapshot.GroupLeaves(ix, nil)
-	out := make([]groupAcc, len(first))
-	for g, i := range first {
-		out[g].group = i
+// accumulateWide is accumulate's path for a cuboid too wide for int32
+// group indexes: the groups of kpi.Snapshot.GroupLeaves, in group index
+// order.
+func accumulateWide(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, covered []bool) []groupAcc {
+	groupOf, names, _ := snapshot.GroupLeaves(ix, nil)
+	out := make([]groupAcc, len(names))
+	for g, name := range names {
+		out[g].group = name
 	}
 	for i, g := range groupOf {
 		acc := &out[g]

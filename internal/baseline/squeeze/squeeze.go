@@ -18,8 +18,10 @@ package squeeze
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/kpi"
 	"repro/internal/localize"
@@ -139,9 +141,12 @@ type candidateSet struct {
 }
 
 // universe is the cuboid-independent half of the GPS evaluation. Cluster
-// c's evaluation universe is its own leaves plus every normal leaf.
+// c's evaluation universe is its own leaves plus every normal leaf. It is
+// read-only once built, so every cuboid worker shares it.
 type universe struct {
 	clusters []cluster
+	// actual and forecast are the snapshot's v/f columns.
+	actual, forecast []float64
 	// role holds each leaf's cluster id, normalLeaf or unclusteredLeaf.
 	role []int32
 	// dev holds each leaf's |v - f|.
@@ -152,18 +157,20 @@ type universe struct {
 }
 
 func newUniverse(snapshot *kpi.Snapshot, clusters []cluster) *universe {
-	n := snapshot.Len()
+	cols := snapshot.Columns()
+	n := cols.Len()
 	u := &universe{
 		clusters: clusters,
+		actual:   cols.Actual(),
+		forecast: cols.Forecast(),
 		role:     make([]int32, n),
 		dev:      make([]float64, n),
 		totalDev: make([]float64, len(clusters)),
 	}
-	for i := range snapshot.Leaves {
-		leaf := &snapshot.Leaves[i]
-		u.dev[i] = math.Abs(leaf.Actual - leaf.Forecast)
+	for i := range n {
+		u.dev[i] = math.Abs(u.actual[i] - u.forecast[i])
 		u.role[i] = normalLeaf
-		if leaf.Anomalous {
+		if cols.Anomalous(i) {
 			u.role[i] = unclusteredLeaf
 		}
 	}
@@ -185,32 +192,62 @@ func newUniverse(snapshot *kpi.Snapshot, clusters []cluster) *universe {
 	return u
 }
 
+// prefix is one cluster's best candidate set within one cuboid: the
+// mixed-radix indexes of its groups and its GPS. An empty index means no
+// prefix scored.
+type prefix struct {
+	index []int32
+	gps   float64
+}
+
 // locateClusters searches every cuboid for the candidate set that best
-// explains each cluster. Cuboids run in ascending layer order, so that a
-// coarser set wins GPS ties; each cuboid's grouping is built once and
-// shared by all clusters.
+// explains each cluster. The cuboids are searched on up to GOMAXPROCS
+// goroutines, each owning its grouping and scratch and writing its
+// per-cluster prefixes into the cuboid's slot; each cuboid's grouping is
+// built once and shared by all clusters. The slots are then folded in
+// AllCuboids order — ascending layer, so a coarser set wins GPS ties —
+// with the same strictly-better-by-tieEps rule a sequential search
+// applies, so the result does not depend on the worker count. A panic on
+// a worker is rethrown on the calling goroutine as a *kpi.ScanPanic.
 func (l *Localizer) locateClusters(snapshot *kpi.Snapshot, clusters []cluster) []candidateSet {
 	u := newUniverse(snapshot, clusters)
-	best := make([]candidateSet, len(clusters))
-	for c := range best {
-		best[c].gps = math.Inf(-1)
-	}
 	attrs := make([]int, snapshot.Schema.NumAttributes())
 	for i := range attrs {
 		attrs[i] = i
 	}
-	var (
-		groups cuboidGroups
-		sc     prefixScratch
-	)
-	for _, cuboid := range kpi.AllCuboids(attrs) {
-		if !groups.build(snapshot, cuboid) {
-			continue
+	cuboids := kpi.AllCuboids(attrs)
+	slots := make([][]prefix, len(cuboids))
+	var next atomic.Int64
+	kpi.RunWorkers(min(runtime.GOMAXPROCS(0), len(cuboids)), func(int) {
+		var (
+			groups cuboidGroups
+			sc     prefixScratch
+		)
+		for {
+			q := int(next.Add(1)) - 1
+			if q >= len(cuboids) {
+				return
+			}
+			if !groups.build(snapshot, cuboids[q]) {
+				continue
+			}
+			slot := make([]prefix, len(clusters))
+			for c := range clusters {
+				n, gps := l.locateInCuboid(&groups, u, c, &sc)
+				slot[c] = prefix{index: groups.indexes(sc.order[:n]), gps: gps}
+			}
+			slots[q] = slot
 		}
-		for c := range clusters {
-			n, gps := l.locateInCuboid(snapshot, &groups, u, c, &sc)
-			if n > 0 && gps > best[c].gps+tieEps {
-				best[c] = candidateSet{combos: groups.combos(sc.order[:n]), gps: gps}
+	})
+
+	best := make([]candidateSet, len(clusters))
+	for c := range best {
+		best[c].gps = math.Inf(-1)
+	}
+	for q, slot := range slots {
+		for c, p := range slot {
+			if len(p.index) > 0 && p.gps > best[c].gps+tieEps {
+				best[c] = candidateSet{combos: combos(snapshot.Indexer(cuboids[q]), p.index), gps: p.gps}
 			}
 		}
 	}
@@ -250,11 +287,8 @@ func (g *cuboidGroups) build(snapshot *kpi.Snapshot, cuboid kpi.Cuboid) bool {
 		return false
 	}
 	g.ix = ix
-	n := snapshot.Len()
-	g.of = resize(g.of, n)
-	for i := range snapshot.Leaves {
-		g.of[i] = int32(ix.Index(snapshot.Leaves[i].Combo))
-	}
+	g.of = snapshot.Columns().GroupIndexes(ix, g.of)
+	n := len(g.of)
 	g.index = g.index[:0]
 	if size <= denseRankLimit(n) {
 		g.rank = resize(g.rank, size)
@@ -299,11 +333,25 @@ func (g *cuboidGroups) build(snapshot *kpi.Snapshot, cuboid kpi.Cuboid) bool {
 // size returns the number of leaves in group grp.
 func (g *cuboidGroups) size(grp int32) int32 { return g.start[grp+1] - g.start[grp] }
 
-// combos decodes the ranked groups' combinations.
-func (g *cuboidGroups) combos(order []ranked) []kpi.Combination {
-	set := make([]kpi.Combination, len(order))
+// indexes returns the ranked groups' mixed-radix indexes, or nil for an
+// empty ranking.
+func (g *cuboidGroups) indexes(order []ranked) []int32 {
+	if len(order) == 0 {
+		return nil
+	}
+	index := make([]int32, len(order))
 	for j, r := range order {
-		set[j] = g.ix.Combination(int(g.index[r.group]))
+		index[j] = g.index[r.group]
+	}
+	return index
+}
+
+// combos decodes the combinations of a cuboid's groups from their
+// mixed-radix indexes.
+func combos(ix *kpi.CuboidIndexer, index []int32) []kpi.Combination {
+	set := make([]kpi.Combination, len(index))
+	for j, x := range index {
+		set[j] = ix.Combination(int(x))
 	}
 	return set
 }
@@ -338,7 +386,7 @@ type prefixScratch struct {
 // which leaves the pass skips: the v/f sums walk each ranked group's
 // leaves, and each prefix's residual walks only the selected groups'
 // universe leaves, merged into ascending order.
-func (l *Localizer) locateInCuboid(snapshot *kpi.Snapshot, g *cuboidGroups, u *universe, c int, sc *prefixScratch) (int, float64) {
+func (l *Localizer) locateInCuboid(g *cuboidGroups, u *universe, c int, sc *prefixScratch) (int, float64) {
 	totalDev := u.totalDev[c]
 	if totalDev < l.cfg.Eps {
 		return 0, math.Inf(-1)
@@ -379,9 +427,8 @@ func (l *Localizer) locateInCuboid(snapshot *kpi.Snapshot, g *cuboidGroups, u *u
 			if role := u.role[i]; role != cid && role != normalLeaf {
 				continue
 			}
-			leaf := &snapshot.Leaves[i]
-			v += leaf.Actual
-			f += leaf.Forecast
+			v += u.actual[i]
+			f += u.forecast[i]
 			sc.univ = append(sc.univ, i)
 		}
 		sc.groupV = append(sc.groupV, v)
@@ -408,9 +455,8 @@ func (l *Localizer) locateInCuboid(snapshot *kpi.Snapshot, g *cuboidGroups, u *u
 		// unexplained deviation outside S, normalized by the total.
 		residual := totalDev
 		for _, i := range sc.sel {
-			leaf := &snapshot.Leaves[i]
 			residual -= u.dev[i]
-			residual += math.Abs(leaf.Actual - leaf.Forecast*ripple)
+			residual += math.Abs(u.actual[i] - u.forecast[i]*ripple)
 		}
 		gps := 1 - residual/totalDev
 		if gps > bestGPS {

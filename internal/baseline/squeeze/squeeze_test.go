@@ -1,12 +1,16 @@
 package squeeze
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/kpi"
+	"repro/internal/localize"
 )
 
 func testSchema() *kpi.Schema {
@@ -299,8 +303,8 @@ func TestLocateInCuboidPicksExactSet(t *testing.T) {
 		if !groups.build(snap, cuboid) {
 			t.Fatalf("cuboid %v not searchable", cuboid)
 		}
-		n, gps := l.locateInCuboid(snap, &groups, u, 0, &sc)
-		return groups.combos(sc.order[:n]), gps
+		n, gps := l.locateInCuboid(&groups, u, 0, &sc)
+		return combos(groups.ix, groups.indexes(sc.order[:n])), gps
 	}
 	set, gps := locate(kpi.Cuboid{0})
 	if len(set) != 1 || !set[0].Equal(rap) {
@@ -379,5 +383,74 @@ func TestLocalizeZeroDenominatorLeaf(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// localizeAt runs Localize with GOMAXPROCS set to procs and renders the
+// patterns with %.17g scores.
+func localizeAt(t *testing.T, procs int, snap *kpi.Snapshot) string {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	l, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.Localize(snap, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, p := range res.Patterns {
+		fmt.Fprintf(&b, "%s %.17g\n", p.Combo.Format(snap.Schema), p.Score)
+	}
+	return b.String()
+}
+
+// TestSqueezeParallelMatchesSequential checks the cuboid search returns
+// the same patterns and bit-identical scores on one core and on four: the
+// per-cuboid results fold in cuboid order whatever order the workers
+// finish in.
+func TestSqueezeParallelMatchesSequential(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		snap := fuzzSnapshot(t, seed, 1+int(seed%5), int(seed%9), seed%10 == 0)
+		want := localizeAt(t, 1, snap)
+		for run := 0; run < 3; run++ {
+			if got := localizeAt(t, 4, snap); got != want {
+				t.Fatalf("seed %d: GOMAXPROCS 4 returned\n%s\nGOMAXPROCS 1 returned\n%s", seed, got, want)
+			}
+		}
+	}
+}
+
+// TestSqueezeWorkerPanic checks a panic inside a cuboid worker goroutine
+// is rethrown on the calling goroutine, where SafeLocalize turns it into
+// the call's error instead of killing the process. The snapshot is
+// poisoned via a struct literal (bypassing NewSnapshot validation) with an
+// element code outside its attribute's cardinality, so grouping any cuboid
+// over that attribute indexes past the cuboid's domain.
+func TestSqueezeWorkerPanic(t *testing.T) {
+	s := testSchema()
+	snap := &kpi.Snapshot{Schema: s, Leaves: []kpi.Leaf{
+		{Combo: kpi.Combination{0, 0, 0}, Actual: 10, Forecast: 100, Anomalous: true},
+		{Combo: kpi.Combination{1, 9, 1}, Actual: 100, Forecast: 100}, // code 9 out of range
+	}}
+	l, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			res, err := localize.SafeLocalize(context.Background(), l, snap, 3)
+			if err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("GOMAXPROCS %d: error %v, want the worker's panic", procs, err)
+			}
+			if procs > 1 && !strings.Contains(err.Error(), "worker") {
+				t.Errorf("GOMAXPROCS %d: error %q does not come from a worker goroutine", procs, err)
+			}
+			if len(res.Patterns) != 0 {
+				t.Errorf("GOMAXPROCS %d: panicked run returned patterns", procs)
+			}
+		}()
 	}
 }

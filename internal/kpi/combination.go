@@ -1,7 +1,9 @@
 package kpi
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -139,6 +141,23 @@ func (c Combination) Key() string {
 		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
 	}
 	return string(b)
+}
+
+// CompareKey compares c.Key() with other.Key() — returning -1, 0 or +1 —
+// without building either string. Key encodes each code as four
+// little-endian bytes, so the order is bytewise on the byte-reversed codes,
+// not numeric: code 256 (bytes 00 01 00 00) sorts before code 1 (01 00 00
+// 00), and Wildcard (ff ff ff ff) after every valid code.
+func (c Combination) CompareKey(other Combination) int {
+	for i := range min(len(c), len(other)) {
+		if x, y := bits.ReverseBytes32(uint32(c[i])), bits.ReverseBytes32(uint32(other[i])); x != y {
+			if x < y {
+				return -1
+			}
+			return 1
+		}
+	}
+	return cmp.Compare(len(c), len(other))
 }
 
 // Format renders c in the paper's notation, e.g. "(L1, *, *, Site1)".

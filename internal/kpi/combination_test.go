@@ -3,6 +3,7 @@ package kpi
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -119,6 +120,38 @@ func TestKeyUniqueness(t *testing.T) {
 			t.Errorf("key collision between %v and %v", prev, c)
 		}
 		seen[k] = c
+	}
+}
+
+// TestCompareKeyMatchesKeyOrder pins CompareKey to the string comparison
+// of Key on random combinations — Wildcards, codes at and above 256 (whose
+// little-endian bytes sort them before smaller codes), and mixed lengths.
+func TestCompareKeyMatchesKeyOrder(t *testing.T) {
+	if (Combination{256}).CompareKey(Combination{1}) >= 0 {
+		t.Fatal("code 256 must sort before code 1, as its Key does")
+	}
+	r := rand.New(rand.NewSource(7))
+	codes := []int32{Wildcard, 0, 1, 2, 255, 256, 257, 511, 65535, 65536, 1 << 24, 1<<31 - 1}
+	random := func() Combination {
+		c := make(Combination, 1+r.Intn(3))
+		for i := range c {
+			if r.Intn(2) == 0 {
+				c[i] = codes[r.Intn(len(codes))]
+			} else {
+				c[i] = int32(r.Intn(1 << 17))
+			}
+		}
+		return c
+	}
+	for n := 0; n < 20000; n++ {
+		a, b := random(), random()
+		if n%4 == 0 {
+			b = append(a.Clone()[:len(a)-1], b[0])
+		}
+		want := strings.Compare(a.Key(), b.Key())
+		if got := a.CompareKey(b); got != want {
+			t.Fatalf("%v.CompareKey(%v) = %d, Key order says %d", a, b, got, want)
+		}
 	}
 }
 

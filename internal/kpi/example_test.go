@@ -51,9 +51,13 @@ func ExampleSnapshot_GroupBy() {
 		fmt.Println("error:", err)
 		return
 	}
-	for _, g := range snapshot.GroupBy(kpi.Cuboid{1}) {
+	cuboid := kpi.Cuboid{1}
+	combo := make(kpi.Combination, schema.NumAttributes())
+	for _, g := range snapshot.GroupBy(cuboid) {
+		// Groups carry their index; decode only the ones you report.
+		snapshot.DecodeGroup(snapshot.Indexer(cuboid), g.Group, combo)
 		fmt.Printf("%s: %d leaves, confidence %.1f\n",
-			g.Combo.Format(schema), g.Total, g.Confidence())
+			combo.Format(schema), g.Total, g.Confidence())
 	}
 	// Output:
 	// (*, Site1): 2 leaves, confidence 1.0

@@ -68,8 +68,8 @@ func TestOverflowGroupsDoNotCollide(t *testing.T) {
 
 	stats := snap.GroupBy(all)
 	want := []GroupStats{
-		{Combo: low, Total: 1, Anomalous: 1, Actual: 3, Forecast: 4},
-		{Combo: high, Total: 1, Actual: 1, Forecast: 2},
+		{Group: 1, Total: 1, Anomalous: 1, Actual: 3, Forecast: 4},
+		{Group: 0, Total: 1, Actual: 1, Forecast: 2},
 	}
 	if !reflect.DeepEqual(stats, want) {
 		t.Fatalf("GroupBy = %+v, want %+v", stats, want)

@@ -2,6 +2,7 @@ package kpi
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime/debug"
 	"sort"
@@ -150,25 +151,14 @@ func (s *Snapshot) scanDense(ix *CuboidIndexer, workers int, halt Halt) (*[]int3
 // every part into the first. Per-slot integer sums are order-independent,
 // so the merged counts do not depend on parts.
 func (c *Columns) scanParts(ix *CuboidIndexer, acc []int32, size, parts int, halt Halt) bool {
-	var (
-		wg      sync.WaitGroup
-		aborted atomic.Bool
-		trap    scanTrap
-	)
+	var aborted atomic.Bool
 	n := c.n
-	for p := 0; p < parts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			defer trap.capture()
-			part := acc[p*2*size : (p+1)*2*size]
-			if !c.scanRange(ix, p*n/parts, (p+1)*n/parts, part[:size], part[size:], halt) {
-				aborted.Store(true)
-			}
-		}(p)
-	}
-	wg.Wait()
-	trap.rethrow()
+	RunWorkers(parts, func(p int) {
+		part := acc[p*2*size : (p+1)*2*size]
+		if !c.scanRange(ix, p*n/parts, (p+1)*n/parts, part[:size], part[size:], halt) {
+			aborted.Store(true)
+		}
+	})
 	if aborted.Load() {
 		return false
 	}
@@ -196,49 +186,17 @@ func (c *Columns) scanRange(ix *CuboidIndexer, lo, hi int, tot, anm []int32, hal
 }
 
 // accumulate adds leaves [cs, ce) into the cuboid's count arrays in two
-// passes. Pass one computes every leaf's group key — specialized by arity,
-// since the mixed-radix key of a layer-ℓ cuboid has ℓ terms — bumping the
-// total counts and recording the keys into the chunk-sized keys scratch.
-// Pass two adds the anomalous counts by walking the anomaly bitset a word
-// at a time: full 64-leaf words iterate only their set bits (one
-// TrailingZeros per anomalous leaf) instead of testing a bit per leaf, so
-// the typical low anomaly rate makes the second pass nearly free.
+// passes. Pass one computes every leaf's group key into the chunk-sized
+// keys scratch (groupKeys) and bumps the total counts. Pass two adds the
+// anomalous counts by walking the anomaly bitset a word at a time: full
+// 64-leaf words iterate only their set bits (one TrailingZeros per
+// anomalous leaf) instead of testing a bit per leaf, so the typical low
+// anomaly rate makes the second pass nearly free.
 func (c *Columns) accumulate(ix *CuboidIndexer, cs, ce int, tot, anm, keys []int32) {
-	elem, attrs, strides := c.frame.elem, ix.cuboid, ix.strides
-	switch len(attrs) {
-	case 1:
-		col0 := elem[attrs[0]]
-		s0 := int32(strides[0])
-		for i := cs; i < ce; i++ {
-			k := int32(col0[i]) * s0
-			tot[k]++
-			keys[i-cs] = k
-		}
-	case 2:
-		col0, col1 := elem[attrs[0]], elem[attrs[1]]
-		s0, s1 := int32(strides[0]), int32(strides[1])
-		for i := cs; i < ce; i++ {
-			k := int32(col0[i])*s0 + int32(col1[i])*s1
-			tot[k]++
-			keys[i-cs] = k
-		}
-	case 3:
-		col0, col1, col2 := elem[attrs[0]], elem[attrs[1]], elem[attrs[2]]
-		s0, s1, s2 := int32(strides[0]), int32(strides[1]), int32(strides[2])
-		for i := cs; i < ce; i++ {
-			k := int32(col0[i])*s0 + int32(col1[i])*s1 + int32(col2[i])*s2
-			tot[k]++
-			keys[i-cs] = k
-		}
-	default:
-		for i := cs; i < ce; i++ {
-			var k int32
-			for t, a := range attrs {
-				k += int32(elem[a][i]) * int32(strides[t])
-			}
-			tot[k]++
-			keys[i-cs] = k
-		}
+	keys = keys[:ce-cs]
+	c.groupKeys(ix, cs, keys)
+	for _, k := range keys {
+		tot[k]++
 	}
 
 	// Anomalous counts: leading and trailing partial words test bit by bit,
@@ -263,19 +221,74 @@ func (c *Columns) accumulate(ix *CuboidIndexer, cs, ce int, tot, anm, keys []int
 	}
 }
 
-// ScanPanic wraps a panic captured on a scan worker goroutine so it can be
-// rethrown on the calling goroutine with the worker's stack intact (a
-// goroutine's panic cannot be recovered by its parent directly).
+// GroupIndexes returns each leaf's mixed-radix group index within ix's
+// cuboid — the value ix.Index gives the leaf's combination — in leaf
+// order, computed from the element columns rather than from the leaves'
+// Combinations. It writes into dst, resized to Len() (reusing its
+// capacity). ix's Size must lie in [0, math.MaxInt32]: wider cuboids are
+// grouped with Snapshot.GroupLeaves.
+func (c *Columns) GroupIndexes(ix *CuboidIndexer, dst []int32) []int32 {
+	if size := ix.Size(); size < 0 || size > math.MaxInt32 {
+		panic(fmt.Sprintf("kpi: GroupIndexes on a cuboid of size %d", size))
+	}
+	if cap(dst) < c.n {
+		dst = make([]int32, c.n)
+	}
+	dst = dst[:c.n]
+	c.groupKeys(ix, 0, dst)
+	return dst
+}
+
+// groupKeys writes the group index of leaves [lo, lo+len(keys)) into keys,
+// specialized by arity, since the mixed-radix key of a layer-ℓ cuboid has
+// ℓ terms. The cuboid's Size must fit an int32.
+func (c *Columns) groupKeys(ix *CuboidIndexer, lo int, keys []int32) {
+	elem, attrs, strides := c.frame.elem, ix.cuboid, ix.strides
+	hi := lo + len(keys)
+	switch len(attrs) {
+	case 1:
+		col0 := elem[attrs[0]][lo:hi]
+		s0 := int32(strides[0])
+		for i, e := range col0 {
+			keys[i] = int32(e) * s0
+		}
+	case 2:
+		col0, col1 := elem[attrs[0]][lo:hi], elem[attrs[1]][lo:hi]
+		s0, s1 := int32(strides[0]), int32(strides[1])
+		for i := range keys {
+			keys[i] = int32(col0[i])*s0 + int32(col1[i])*s1
+		}
+	case 3:
+		col0, col1, col2 := elem[attrs[0]][lo:hi], elem[attrs[1]][lo:hi], elem[attrs[2]][lo:hi]
+		s0, s1, s2 := int32(strides[0]), int32(strides[1]), int32(strides[2])
+		for i := range keys {
+			keys[i] = int32(col0[i])*s0 + int32(col1[i])*s1 + int32(col2[i])*s2
+		}
+	default:
+		for i := range keys {
+			var k int32
+			for t, a := range attrs {
+				k += int32(elem[a][lo+i]) * int32(strides[t])
+			}
+			keys[i] = k
+		}
+	}
+}
+
+// ScanPanic wraps a panic captured on a worker goroutine of RunWorkers (a
+// scan worker or a caller's) so it can be rethrown on the calling goroutine
+// with the worker's stack intact (a goroutine's panic cannot be recovered
+// by its parent directly).
 type ScanPanic struct {
 	Val   any
 	Stack []byte
 }
 
 func (p *ScanPanic) String() string {
-	return fmt.Sprintf("%v (from kpi scan worker)", p.Val)
+	return fmt.Sprintf("%v (from kpi worker)", p.Val)
 }
 
-// scanTrap captures the first worker panic of a scan pool.
+// scanTrap captures the first worker panic of a pool.
 type scanTrap struct {
 	once sync.Once
 	sp   *ScanPanic
@@ -295,9 +308,37 @@ func (t *scanTrap) rethrow() {
 	}
 }
 
+// RunWorkers runs work(0) … work(workers-1), each on its own goroutine,
+// and returns once all have returned. The first panic on a worker is
+// rethrown on the calling goroutine as a *ScanPanic carrying the worker's
+// stack, so a caller's recover sees it. With one worker (or fewer), work(0)
+// runs on the calling goroutine and a panic propagates as is.
+func RunWorkers(workers int, work func(worker int)) {
+	if workers <= 1 {
+		work(0)
+		return
+	}
+	var (
+		wg   sync.WaitGroup
+		trap scanTrap
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer trap.capture()
+			work(w)
+		}()
+	}
+	wg.Wait()
+	trap.rethrow()
+}
+
 // DecodeGroup writes into dst, which must have the schema's attribute
-// count, the projected combination of a group a scan of ix's cuboid
-// returned.
+// count, the projected combination of a group a scan or group-by of ix's
+// cuboid returned (GroupCount.Group, GroupStats.Group). It is the one way
+// callers turn a group into a combination, so they build combinations only
+// for the groups they keep.
 func (s *Snapshot) DecodeGroup(ix *CuboidIndexer, group int, dst Combination) {
 	if ix.Size() >= 0 {
 		ix.DecodeInto(dst, group)
@@ -343,12 +384,12 @@ func (s *Snapshot) scanSparse(ix *CuboidIndexer, dst []GroupCount, halt Halt) ([
 // scanOverflow is scanSparse for a cuboid whose group indexes overflow:
 // groups come from GroupLeaves, each reported by its first leaf.
 func (s *Snapshot) scanOverflow(ix *CuboidIndexer, dst []GroupCount, halt Halt) ([]GroupCount, bool) {
-	groupOf, first, ok := s.GroupLeaves(ix, halt)
+	groupOf, names, ok := s.GroupLeaves(ix, halt)
 	if !ok {
 		return dst[:0], false
 	}
-	for _, i := range first {
-		dst = append(dst, GroupCount{Group: i})
+	for _, name := range names {
+		dst = append(dst, GroupCount{Group: name})
 	}
 	for i, g := range groupOf {
 		dst[g].Total++
@@ -360,13 +401,15 @@ func (s *Snapshot) scanOverflow(ix *CuboidIndexer, dst []GroupCount, halt Halt) 
 }
 
 // GroupLeaves groups the leaves by their projection onto ix's cuboid, keyed
-// by the projected combination — the keying for
-// cuboids whose Size() < 0, where Index wraps and distinct groups collide.
-// Groups are numbered in ascending key order, the order their group indexes
-// would have: groupOf[i] is leaf i's group and first[g] the index of group
-// g's first leaf. halt, when non-nil, is polled every haltStride leaves; a
-// pass it aborts returns ok=false.
-func (s *Snapshot) GroupLeaves(ix *CuboidIndexer, halt Halt) (groupOf []int32, first []int, ok bool) {
+// by the projected combination — the keying for cuboids too wide for int32
+// group indexes, and for those whose Size() < 0, where Index wraps and
+// distinct groups collide. Groups are numbered in ascending key order, the
+// order their group indexes would have: groupOf[i] is leaf i's group, and
+// names[g] names group g as DecodeGroup expects — by its group index, or
+// by the index of its first leaf when Size() < 0. halt, when non-nil, is
+// polled every haltStride leaves; a pass it aborts returns ok=false.
+func (s *Snapshot) GroupLeaves(ix *CuboidIndexer, halt Halt) (groupOf []int32, names []int, ok bool) {
+	var first []int
 	pos := make(map[string]int32, 64)
 	var keys []string
 	var buf []byte
@@ -393,13 +436,16 @@ func (s *Snapshot) GroupLeaves(ix *CuboidIndexer, halt Halt) (groupOf []int32, f
 	}
 	sort.Slice(byKey, func(a, b int) bool { return keys[byKey[a]] < keys[byKey[b]] })
 	rank := make([]int32, len(keys))
-	sorted := make([]int, len(keys))
+	names = make([]int, len(keys))
 	for r, g := range byKey {
 		rank[g] = int32(r)
-		sorted[r] = first[g]
+		names[r] = first[g]
+		if ix.Size() >= 0 {
+			names[r] = ix.Index(s.Leaves[first[g]].Combo)
+		}
 	}
 	for i, g := range groupOf {
 		groupOf[i] = rank[g]
 	}
-	return groupOf, sorted, true
+	return groupOf, names, true
 }

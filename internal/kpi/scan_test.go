@@ -39,25 +39,13 @@ func scanTestSnapshot(t testing.TB, seed int64) *Snapshot {
 	return snap
 }
 
-// wantCounts is the count-only view of GroupBy, the row-wise reference
+// wantCounts is the count-only view of the row-wise reference group-by
 // every count path is pinned to. An overflowing cuboid's groups are named
 // by their first leaf, as ScanCuboid names them.
 func wantCounts(s *Snapshot, c Cuboid) []GroupCount {
-	ix := s.Indexer(c)
 	var out []GroupCount
-	for _, g := range s.GroupBy(c) {
-		group := -1
-		if ix.Size() >= 0 {
-			group = ix.Index(g.Combo)
-		} else {
-			for i := range s.Leaves {
-				if g.Combo.Matches(s.Leaves[i].Combo) {
-					group = i
-					break
-				}
-			}
-		}
-		out = append(out, GroupCount{Group: group, Total: g.Total, Anomalous: g.Anomalous})
+	for _, g := range referenceGroupBy(s, c) {
+		out = append(out, GroupCount{Group: g.Group, Total: g.Total, Anomalous: g.Anomalous})
 	}
 	return out
 }
@@ -193,9 +181,8 @@ func TestScanCuboidSparsePath(t *testing.T) {
 	if len(scan) != len(stats) {
 		t.Fatalf("%d scanned groups, %d group-by groups", len(scan), len(stats))
 	}
-	ix := snap.Indexer(cuboid)
 	for i := range scan {
-		if scan[i].Group != ix.Index(stats[i].Combo) ||
+		if scan[i].Group != stats[i].Group ||
 			scan[i].Total != stats[i].Total || scan[i].Anomalous != stats[i].Anomalous {
 			t.Errorf("group %d: scan %+v does not match stats %+v", i, scan[i], stats[i])
 		}
@@ -400,7 +387,7 @@ func TestGroupByAppendReusesBuffer(t *testing.T) {
 	}
 	want := snap.GroupBy(cuboid)
 	for i := range want {
-		if !reused[i].Combo.Equal(want[i].Combo) || reused[i].Total != want[i].Total {
+		if reused[i] != want[i] {
 			t.Errorf("group %d mismatch after reuse", i)
 		}
 	}

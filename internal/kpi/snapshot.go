@@ -2,6 +2,8 @@ package kpi
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -493,7 +495,13 @@ func (s *Snapshot) Sum(ac Combination) (actual, forecast float64) {
 
 // GroupStats holds the aggregate of one group of a cuboid group-by.
 type GroupStats struct {
-	Combo     Combination
+	// Group names the group as GroupCount.Group does: its mixed-radix
+	// group index, or — for a cuboid whose indexer overflows
+	// (Size() < 0) — the index into Leaves of the group's first leaf.
+	// Snapshot.DecodeGroup decodes either form into the group's
+	// combination, so callers build combinations only for the groups they
+	// keep.
+	Group     int
 	Total     int
 	Anomalous int
 	Actual    float64
@@ -508,9 +516,11 @@ func (g GroupStats) Confidence() float64 {
 	return float64(g.Anomalous) / float64(g.Total)
 }
 
-// statsScratch pools the dense accumulator arrays of GroupByAppend so
-// steady-state group-bys allocate nothing but their output.
+// statsScratch pools the per-leaf group indexes and the dense accumulator
+// arrays of GroupByAppend, so steady-state group-bys allocate nothing but
+// their output.
 type statsScratch struct {
+	keys      []int32
 	total     []int32
 	anomalous []int32
 	actual    []float64
@@ -539,53 +549,72 @@ func (sc *statsScratch) grow(n int) {
 }
 
 // GroupBy projects every leaf onto the cuboid's attributes and accumulates
-// per-combination statistics in a single pass over D. Only combinations that
-// actually occur in D are returned; the order is deterministic (ascending
-// mixed-radix group index, which equals lexicographic code order).
+// per-group statistics in a single pass over D. Only groups that actually
+// occur in D are returned; the order is deterministic (ascending
+// mixed-radix group index, which equals lexicographic code order). Each
+// group's Actual and Forecast add its leaves' values in ascending leaf
+// order.
 //
-// Dense cuboids are accumulated in flat arrays indexed by CuboidIndexer;
-// when the cuboid's Cartesian size dwarfs the observed leaf count (very
-// sparse data over a huge domain) a map-based path avoids allocating the
-// full domain.
+// The leaves are grouped from the columnar store (Columns.GroupIndexes).
+// Dense cuboids are accumulated in flat arrays indexed by group; when the
+// cuboid's Cartesian size dwarfs the observed leaf count (very sparse data
+// over a huge domain) a map-based path avoids allocating the full domain,
+// and a cuboid too wide for int32 group indexes is grouped by
+// GroupLeaves.
 func (s *Snapshot) GroupBy(c Cuboid) []GroupStats {
 	return s.GroupByAppend(c, nil)
 }
 
 // GroupByAppend is GroupBy appending into dst (reusing its capacity after
 // truncation to zero length), so callers scanning many cuboids can recycle
-// one result buffer. The accumulator arrays come from a sync.Pool, leaving
-// the per-group Combinations as the only steady-state allocations.
+// one result buffer. The group indexes and accumulator arrays come from a
+// sync.Pool, so steady-state group-bys allocate only when dst grows.
 func (s *Snapshot) GroupByAppend(c Cuboid, dst []GroupStats) []GroupStats {
 	dst = dst[:0]
 	ix := s.Indexer(c)
-	if size := ix.Size(); size < 0 || size > denseGroupByLimit(len(s.Leaves)) {
-		return s.groupBySparse(c, ix, dst)
+	size := ix.Size()
+	if size < 0 || size > math.MaxInt32 {
+		return s.groupByLeaves(ix, dst)
 	}
+	cols := s.Columns()
 	sc := statsScratchPool.Get().(*statsScratch)
-	sc.grow(ix.Size())
-	for i := range s.Leaves {
-		l := &s.Leaves[i]
-		g := ix.Index(l.Combo)
+	sc.keys = cols.GroupIndexes(ix, sc.keys)
+	if size > denseGroupByLimit(len(s.Leaves)) {
+		dst = groupBySparse(cols, sc.keys, dst)
+	} else {
+		dst = sc.groupByDense(cols, size, dst)
+	}
+	statsScratchPool.Put(sc)
+	return dst
+}
+
+// groupByDense accumulates the leaves, whose group indexes are in sc.keys,
+// in flat arrays over the cuboid's whole domain of size groups.
+func (sc *statsScratch) groupByDense(cols *Columns, size int, dst []GroupStats) []GroupStats {
+	sc.grow(size)
+	actual, forecast := cols.Actual(), cols.Forecast()
+	for i, g := range sc.keys {
 		sc.total[g]++
-		if l.Anomalous {
-			sc.anomalous[g]++
+		sc.actual[g] += actual[i]
+		sc.forecast[g] += forecast[i]
+	}
+	for w, word := range cols.AnomalousBits() {
+		for ; word != 0; word &= word - 1 {
+			sc.anomalous[sc.keys[w<<6|bits.TrailingZeros64(word)]]++
 		}
-		sc.actual[g] += l.Actual
-		sc.forecast[g] += l.Forecast
 	}
 	for g, n := range sc.total {
 		if n == 0 {
 			continue
 		}
 		dst = append(dst, GroupStats{
-			Combo:     ix.Combination(g),
+			Group:     g,
 			Total:     int(n),
 			Anomalous: int(sc.anomalous[g]),
 			Actual:    sc.actual[g],
 			Forecast:  sc.forecast[g],
 		})
 	}
-	statsScratchPool.Put(sc)
 	return dst
 }
 
@@ -600,66 +629,47 @@ func denseGroupByLimit(leaves int) int {
 	return floor
 }
 
-// groupBySparse is the map-based group-by used for huge sparse domains.
-// Groups are keyed by group index, or by projected combination when the
-// cuboid's indexes overflow (Size() < 0) and would collide.
-func (s *Snapshot) groupBySparse(c Cuboid, ix *CuboidIndexer, dst []GroupStats) []GroupStats {
-	if ix.Size() < 0 {
-		return s.groupByOverflow(c, ix, dst)
-	}
-	pos := make(map[int]int32, 64)
-	var order []int
-	for i := range s.Leaves {
-		l := &s.Leaves[i]
-		g := ix.Index(l.Combo)
+// groupBySparse is the map-based group-by used for huge sparse domains:
+// keys holds each leaf's group index.
+func groupBySparse(cols *Columns, keys []int32, dst []GroupStats) []GroupStats {
+	actual, forecast := cols.Actual(), cols.Forecast()
+	pos := make(map[int32]int32, 64)
+	for i, g := range keys {
 		p, ok := pos[g]
 		if !ok {
 			p = int32(len(dst))
 			pos[g] = p
-			dst = append(dst, GroupStats{Combo: l.Combo.Project(c)})
-			order = append(order, g)
+			dst = append(dst, GroupStats{Group: int(g)})
 		}
 		st := &dst[p]
 		st.Total++
-		if l.Anomalous {
+		if cols.Anomalous(i) {
 			st.Anomalous++
 		}
-		st.Actual += l.Actual
-		st.Forecast += l.Forecast
+		st.Actual += actual[i]
+		st.Forecast += forecast[i]
 	}
-	sort.Sort(&sparseStatsSort{groups: order, stats: dst})
+	sort.Slice(dst, func(i, j int) bool { return dst[i].Group < dst[j].Group })
 	return dst
 }
 
-// sparseStatsSort orders sparse group-by output by ascending group index,
-// swapping the stats in lockstep with their keys.
-type sparseStatsSort struct {
-	groups []int
-	stats  []GroupStats
-}
-
-func (s *sparseStatsSort) Len() int           { return len(s.groups) }
-func (s *sparseStatsSort) Less(i, j int) bool { return s.groups[i] < s.groups[j] }
-func (s *sparseStatsSort) Swap(i, j int) {
-	s.groups[i], s.groups[j] = s.groups[j], s.groups[i]
-	s.stats[i], s.stats[j] = s.stats[j], s.stats[i]
-}
-
-// groupByOverflow is groupBySparse over the groups of GroupLeaves.
-func (s *Snapshot) groupByOverflow(c Cuboid, ix *CuboidIndexer, dst []GroupStats) []GroupStats {
-	groupOf, first, _ := s.GroupLeaves(ix, nil)
-	for _, i := range first {
-		dst = append(dst, GroupStats{Combo: s.Leaves[i].Combo.Project(c)})
+// groupByLeaves is the group-by of a cuboid too wide for int32 group
+// indexes, over the groups of GroupLeaves.
+func (s *Snapshot) groupByLeaves(ix *CuboidIndexer, dst []GroupStats) []GroupStats {
+	groupOf, names, _ := s.GroupLeaves(ix, nil)
+	for _, name := range names {
+		dst = append(dst, GroupStats{Group: name})
 	}
+	cols := s.Columns()
+	actual, forecast := cols.Actual(), cols.Forecast()
 	for i, g := range groupOf {
-		l := &s.Leaves[i]
 		st := &dst[g]
 		st.Total++
-		if l.Anomalous {
+		if cols.Anomalous(i) {
 			st.Anomalous++
 		}
-		st.Actual += l.Actual
-		st.Forecast += l.Forecast
+		st.Actual += actual[i]
+		st.Forecast += forecast[i]
 	}
 	return dst
 }

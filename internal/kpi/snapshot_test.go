@@ -150,14 +150,15 @@ func TestGroupByMatchesSupportCount(t *testing.T) {
 	for _, cuboid := range AllCuboids([]int{0, 1, 2, 3}) {
 		groups := snap.GroupBy(cuboid)
 		for _, g := range groups {
-			total, anom := snap.SupportCount(g.Combo)
+			combo := groupCombo(snap, cuboid, g)
+			total, anom := snap.SupportCount(combo)
 			if g.Total != total || g.Anomalous != anom {
 				t.Fatalf("cuboid %v, combo %v: GroupBy = (%d, %d), SupportCount = (%d, %d)",
-					cuboid, g.Combo, g.Total, g.Anomalous, total, anom)
+					cuboid, combo, g.Total, g.Anomalous, total, anom)
 			}
-			v, f := snap.Sum(g.Combo)
+			v, f := snap.Sum(combo)
 			if math.Abs(g.Actual-v) > 1e-9 || math.Abs(g.Forecast-f) > 1e-9 {
-				t.Fatalf("cuboid %v, combo %v: aggregates disagree", cuboid, g.Combo)
+				t.Fatalf("cuboid %v, combo %v: aggregates disagree", cuboid, combo)
 			}
 		}
 	}
@@ -185,8 +186,8 @@ func TestGroupByDeterministicOrder(t *testing.T) {
 		t.Fatalf("group counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if !a[i].Combo.Equal(b[i].Combo) {
-			t.Fatalf("order differs at %d: %v vs %v", i, a[i].Combo, b[i].Combo)
+		if a[i] != b[i] {
+			t.Fatalf("order differs at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -329,10 +330,11 @@ func TestGroupBySparseHugeDomain(t *testing.T) {
 		totalLeaves := 0
 		for _, g := range groups {
 			totalLeaves += g.Total
-			total, anom := snap.SupportCount(g.Combo)
+			combo := groupCombo(snap, cuboid, g)
+			total, anom := snap.SupportCount(combo)
 			if g.Total != total || g.Anomalous != anom {
 				t.Fatalf("cuboid %v combo %v: (%d,%d) vs (%d,%d)",
-					cuboid, g.Combo, g.Total, g.Anomalous, total, anom)
+					cuboid, combo, g.Total, g.Anomalous, total, anom)
 			}
 		}
 		if totalLeaves != snap.Len() {
@@ -341,7 +343,7 @@ func TestGroupBySparseHugeDomain(t *testing.T) {
 		// Deterministic order.
 		again := snap.GroupBy(cuboid)
 		for i := range groups {
-			if !groups[i].Combo.Equal(again[i].Combo) {
+			if groups[i] != again[i] {
 				t.Fatalf("cuboid %v: sparse order not deterministic", cuboid)
 			}
 		}

@@ -63,6 +63,7 @@ func build(snap *kpi.Snapshot, attrs []int, maxLayer int, onlyAnomalous bool) (*
 	index := make(map[string]int)
 	for layer := 1; layer <= maxLayer; layer++ {
 		for _, cuboid := range kpi.CuboidsAtLayer(attrs, layer) {
+			ix := snap.Indexer(cuboid)
 			for _, stats := range snap.GroupBy(cuboid) {
 				if onlyAnomalous && stats.Anomalous == 0 {
 					continue
@@ -70,9 +71,11 @@ func build(snap *kpi.Snapshot, attrs []int, maxLayer int, onlyAnomalous bool) (*
 				if len(g.Nodes) >= MaxNodes {
 					return nil, fmt.Errorf("lattice: graph exceeds %d nodes; restrict attrs or maxLayer", MaxNodes)
 				}
-				index[stats.Combo.Key()] = len(g.Nodes)
+				combo := make(kpi.Combination, snap.Schema.NumAttributes())
+				snap.DecodeGroup(ix, stats.Group, combo)
+				index[combo.Key()] = len(g.Nodes)
 				g.Nodes = append(g.Nodes, Node{
-					Combo:     stats.Combo,
+					Combo:     combo,
 					Layer:     layer,
 					Total:     stats.Total,
 					Anomalous: stats.Anomalous,

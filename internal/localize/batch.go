@@ -79,17 +79,23 @@ func BatchLocalize(ctx context.Context, l Localizer, snapshots []*kpi.Snapshot, 
 }
 
 // SafeLocalize runs one localization with panic isolation: a panic inside
-// the localizer is recovered into an error (its stack logged through the
-// "localize" component logger) instead of unwinding the calling goroutine.
-// Localizers implementing ContextLocalizer run under ctx so cancellation
-// bounds the item's work; the rest run to completion as plain Localize.
+// the localizer — on the calling goroutine, or on a worker goroutine and
+// rethrown as a *kpi.ScanPanic — is recovered into an error (the panicking
+// goroutine's stack logged through the "localize" component logger)
+// instead of unwinding the calling goroutine. Localizers implementing
+// ContextLocalizer run under ctx so cancellation bounds the item's work;
+// the rest run to completion as plain Localize.
 func SafeLocalize(ctx context.Context, l Localizer, snapshot *kpi.Snapshot, k int) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			stack := debug.Stack()
+			if sp, ok := r.(*kpi.ScanPanic); ok {
+				stack = sp.Stack
+			}
 			obs.Logger("localize").Error("localizer panicked",
 				slog.String("localizer", l.Name()),
 				slog.Any("panic", r),
-				slog.String("stack", string(debug.Stack())))
+				slog.String("stack", string(stack)))
 			res = Result{}
 			err = fmt.Errorf("localize: %s panicked: %v", l.Name(), r)
 		}

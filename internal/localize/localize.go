@@ -79,8 +79,8 @@ type ContextLocalizer interface {
 }
 
 // SortPatterns sorts candidates by descending score, breaking ties first by
-// shallower layer (coarser pattern wins) and then by combination order so
-// results are deterministic.
+// shallower layer (coarser pattern wins) and then by combination key order
+// (Combination.CompareKey) so results are deterministic.
 func SortPatterns(ps []ScoredPattern) {
 	sort.SliceStable(ps, func(i, j int) bool {
 		if ps[i].Score != ps[j].Score {
@@ -90,6 +90,6 @@ func SortPatterns(ps []ScoredPattern) {
 		if li != lj {
 			return li < lj
 		}
-		return ps[i].Combo.Key() < ps[j].Combo.Key()
+		return ps[i].Combo.CompareKey(ps[j].Combo) < 0
 	})
 }
