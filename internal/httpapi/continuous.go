@@ -87,7 +87,7 @@ func (c *continuousAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
-	snap, err := kpi.ReadJSON(body)
+	snap, err := readSnapshotJSON(r.Context(), body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -142,7 +142,7 @@ func (c *continuousAPI) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
-	d, err := kpi.ReadDeltaJSON(body, c.schema)
+	d, err := readDeltaJSON(r.Context(), body, c.schema)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -294,6 +295,19 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		k = parsed
 	}
 
+	// The per-request deadline covers the whole handler: body read, decode
+	// and labeling included, so a slow or large body spends the budget the
+	// localization would otherwise get. Decode is not interruptible (the
+	// body read is bounded by MaxBytesReader and the server's ReadTimeout);
+	// a localizer that starts after the deadline returns its first
+	// cuboid's best-so-far result, answered below as 504 + partial result.
+	reqCtx := r.Context()
+	if a.timeout > 0 {
+		var cancel context.CancelFunc
+		reqCtx, cancel = context.WithTimeout(reqCtx, a.timeout)
+		defer cancel()
+	}
+
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
 	var (
@@ -304,7 +318,7 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	case "text/csv":
 		snap, err = kpi.ReadCSV(body, nil)
 	case "", "application/json":
-		snap, err = kpi.ReadJSON(body)
+		snap, err = readSnapshotJSON(reqCtx, body)
 	default:
 		writeError(w, http.StatusUnsupportedMediaType, "content type must be application/json or text/csv")
 		return
@@ -330,17 +344,6 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
-	}
-	reqCtx := r.Context()
-	if a.timeout > 0 {
-		// The per-request deadline bounds the localization work itself;
-		// decode is already bounded by MaxBytesReader and the server's
-		// ReadTimeout. Context-aware localizers stop at the deadline and
-		// return best-so-far candidates, answered below as 504 + partial
-		// result.
-		var cancel context.CancelFunc
-		reqCtx, cancel = context.WithTimeout(reqCtx, a.timeout)
-		defer cancel()
 	}
 	ctx, span := obs.StartSpan(reqCtx, "httpapi.localize")
 	defer span.End()
@@ -398,6 +401,37 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(DegradedHeader, degradedHeaderValue(res.DegradedReason))
 	}
 	writeJSON(w, status, resp)
+}
+
+// readSnapshotJSON decodes a JSON snapshot body under a kpi.read_json span
+// recording the body's bytes, the leaves decoded and the parts the leaves
+// array was decoded in.
+func readSnapshotJSON(ctx context.Context, body io.Reader) (*kpi.Snapshot, error) {
+	_, span := obs.StartSpan(ctx, "kpi.read_json")
+	defer span.End()
+	snap, st, err := kpi.ReadJSONStats(body)
+	leaves := 0
+	if snap != nil {
+		leaves = snap.Len()
+	}
+	setDecodeAttrs(span, st, leaves)
+	return snap, err
+}
+
+// readDeltaJSON decodes a JSON delta body under a kpi.read_delta_json
+// span; its leaves are the delta's removes, updates and adds.
+func readDeltaJSON(ctx context.Context, body io.Reader, schema *kpi.Schema) (kpi.Delta, error) {
+	_, span := obs.StartSpan(ctx, "kpi.read_delta_json")
+	defer span.End()
+	d, st, err := kpi.ReadDeltaJSONStats(body, schema)
+	setDecodeAttrs(span, st, len(d.Removes)+len(d.Updates)+len(d.Adds))
+	return d, err
+}
+
+func setDecodeAttrs(span *obs.Span, st kpi.WireStats, leaves int) {
+	span.SetAttr("bytes", st.Bytes)
+	span.SetAttr("leaves", leaves)
+	span.SetAttr("parts", st.Parts)
 }
 
 // degradedHeaderValue renders a degraded reason for the DegradedHeader;

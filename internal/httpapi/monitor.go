@@ -105,7 +105,7 @@ func (m *monitorAPI) handleObserve(w http.ResponseWriter, r *http.Request) {
 	case "text/csv":
 		snap, err = kpi.ReadCSV(body, nil)
 	case "", "application/json":
-		snap, err = kpi.ReadJSON(body)
+		snap, err = readSnapshotJSON(r.Context(), body)
 	default:
 		writeError(w, http.StatusUnsupportedMediaType, "content type must be application/json or text/csv")
 		return

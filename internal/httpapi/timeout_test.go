@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -175,5 +176,76 @@ func TestBatchRequestTimeoutAnswers504(t *testing.T) {
 	}
 	if !item.Degraded || len(item.Patterns) == 0 {
 		t.Fatalf("item = %+v, want degraded with best-so-far patterns", item)
+	}
+}
+
+// slowBody hands out a request body a few bytes at a time, pausing before
+// each read.
+type slowBody struct {
+	data  []byte
+	chunk int
+	pause time.Duration
+}
+
+func (b *slowBody) Read(p []byte) (int, error) {
+	if len(b.data) == 0 {
+		return 0, io.EOF
+	}
+	time.Sleep(b.pause)
+	n := copy(p[:min(len(p), b.chunk)], b.data)
+	b.data = b.data[n:]
+	return n, nil
+}
+
+// deadlineProbe is a context-aware localizer that reports the state of
+// its context when called, then answers like stallLocalizer on an expired
+// one and with the root pattern otherwise.
+type deadlineProbe struct{ seen chan error }
+
+func (p deadlineProbe) Name() string { return "probe" }
+
+func (p deadlineProbe) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+	return p.LocalizeContext(context.Background(), s, k)
+}
+
+func (p deadlineProbe) LocalizeContext(ctx context.Context, s *kpi.Snapshot, k int) (localize.Result, error) {
+	p.seen <- ctx.Err()
+	if ctx.Err() != nil {
+		return stallLocalizer{}.LocalizeContext(ctx, s, k)
+	}
+	return localize.Result{Patterns: []localize.ScoredPattern{{Combo: kpi.NewRoot(s.Schema.NumAttributes()), Score: 1}}}, nil
+}
+
+// TestRequestTimeoutCoversBodyRead pins where the per-request deadline
+// starts: when the handler starts, so a body that takes longer to arrive
+// than RequestTimeout leaves the localizer an expired context and the
+// request answers 504 with the best-so-far result, while the same body
+// arriving within the deadline answers 200.
+func TestRequestTimeoutCoversBodyRead(t *testing.T) {
+	probe := deadlineProbe{seen: make(chan error, 1)}
+	withTestMethod(t, "probe", probe)
+	doc := continuousSnapshotJSON(t, 0.5)
+	for _, tt := range []struct {
+		timeout, pause time.Duration
+		code           int
+		ctxErr         error
+	}{
+		{50 * time.Millisecond, 30 * time.Millisecond, http.StatusGatewayTimeout, context.DeadlineExceeded},
+		{10 * time.Second, time.Millisecond, http.StatusOK, nil},
+	} {
+		srv := httptest.NewServer(NewHandlerOpts(Options{RequestTimeout: tt.timeout}))
+		body := &slowBody{data: []byte(doc), chunk: len(doc)/4 + 1, pause: tt.pause}
+		resp, err := http.Post(srv.URL+"/v1/localize?method=probe", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != tt.code {
+			t.Errorf("timeout %v, body over %v: status %d, want %d", tt.timeout, 4*tt.pause, resp.StatusCode, tt.code)
+		}
+		if got := <-probe.seen; got != tt.ctxErr {
+			t.Errorf("timeout %v, body over %v: localizer saw %v, want %v", tt.timeout, 4*tt.pause, got, tt.ctxErr)
+		}
 	}
 }

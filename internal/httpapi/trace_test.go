@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -228,6 +229,65 @@ func TestExplainReportEndToEnd(t *testing.T) {
 	for i, p := range out.Patterns {
 		if strings.Join(p.Combination, ",") != strings.Join(report.Candidates[i].Combination, ",") {
 			t.Errorf("response pattern %d = %v, report says %v", i, p.Combination, report.Candidates[i].Combination)
+		}
+	}
+}
+
+// TestDecodeSpansAreChildrenOfRequest checks that every JSON decode the
+// server does — the localize, monitor and continuous snapshot routes, and
+// the continuous delta route — runs in a kpi.read_json or
+// kpi.read_delta_json span under the request's http.request span, carrying
+// the body's bytes, the leaves decoded and the decode parts.
+func TestDecodeSpansAreChildrenOfRequest(t *testing.T) {
+	plain := newServer(t)
+	continuous := newContinuousServer(t)
+	snapshot := continuousSnapshotJSON(t, 0.5)
+	for i, tt := range []struct {
+		srv          *httptest.Server
+		path, body   string
+		span         string
+		leaves, code int
+	}{
+		{plain, "/v1/localize", snapshot, "kpi.read_json", 6, http.StatusOK},
+		{plain, "/v1/observe?ts=2026-01-01T00:00:00Z", snapshot, "kpi.read_json", 6, http.StatusOK},
+		{continuous, "/v1/observe/snapshot", snapshot, "kpi.read_json", 6, http.StatusOK},
+		{continuous, "/v1/observe/delta", failDelta(0.5), "kpi.read_delta_json", 2, http.StatusOK},
+		{plain, "/v1/localize", `{"attributes":[`, "kpi.read_json", 0, http.StatusBadRequest},
+	} {
+		traceID := fmt.Sprintf("4bf92f3577b34da6a3ce929d0e0e47%02d", i)
+		req, err := http.NewRequest("POST", tt.srv.URL+tt.path, strings.NewReader(tt.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(TraceparentHeader, "00-"+traceID+"-00f067aa0ba902b7-01")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tt.code {
+			t.Fatalf("%s: status %d, want %d", tt.path, resp.StatusCode, tt.code)
+		}
+		spans := map[string]obs.SpanRecord{}
+		for _, sp := range obs.RecentSpans() {
+			if sp.TraceID == traceID {
+				spans[sp.Name] = sp
+			}
+		}
+		root, ok := spans["http.request"]
+		decode, found := spans[tt.span]
+		if !ok || !found {
+			t.Fatalf("%s: spans %v lack http.request or %s", tt.path, spans, tt.span)
+		}
+		if decode.ParentID != root.SpanID {
+			t.Errorf("%s: %s parent = %q, want http.request span %q", tt.path, tt.span, decode.ParentID, root.SpanID)
+		}
+		want := map[string]string{"bytes": fmt.Sprint(len(tt.body)), "leaves": fmt.Sprint(tt.leaves), "parts": "1"}
+		for k, v := range want {
+			if got := fmt.Sprint(decode.Attrs[k]); got != v {
+				t.Errorf("%s: %s attribute %s = %s, want %s", tt.path, tt.span, k, got, v)
+			}
 		}
 	}
 }

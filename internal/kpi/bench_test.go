@@ -7,8 +7,8 @@ import (
 )
 
 // benchSnapshot builds a CDN-sized dense snapshot (33*4*4*20 leaves).
-func benchSnapshot(b *testing.B) *Snapshot {
-	b.Helper()
+func benchSnapshot(tb testing.TB) *Snapshot {
+	tb.Helper()
 	attrs := []Attribute{
 		{Name: "Location", Values: elems("L", 33)},
 		{Name: "AccessType", Values: elems("A", 4)},
@@ -34,7 +34,7 @@ func benchSnapshot(b *testing.B) *Snapshot {
 	}
 	snap, err := NewSnapshot(s, leaves)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return snap
 }

@@ -53,11 +53,21 @@ func WriteDeltaJSON(w io.Writer, schema *Schema, d Delta) error {
 // names against the given schema. It shares ReadJSON's one-pass decoder and
 // accepts exactly the documents encoding/json would decode into deltaJSON.
 func ReadDeltaJSON(r io.Reader, schema *Schema) (Delta, error) {
+	d, _, err := ReadDeltaJSONStats(r, schema)
+	return d, err
+}
+
+// ReadDeltaJSONStats is ReadDeltaJSON, also reporting the document's
+// length. A delta is always decoded serially: its arrays are a tick's
+// worth of rows, far below two decode parts.
+func ReadDeltaJSONStats(r io.Reader, schema *Schema) (Delta, WireStats, error) {
 	body, err := readDocument(r)
+	st := WireStats{Bytes: len(body), Parts: 1}
 	if err != nil {
-		return Delta{}, fmt.Errorf("kpi: read delta json: %w", err)
+		return Delta{}, st, fmt.Errorf("kpi: read delta json: %w", err)
 	}
-	return decodeDelta(body, schema)
+	d, err := decodeDelta(body, schema)
+	return d, st, err
 }
 
 // comboNames maps a fully constrained combination back to element names.

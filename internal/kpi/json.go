@@ -56,13 +56,32 @@ func WriteJSON(w io.Writer, s *Snapshot) error {
 }
 
 // ReadJSON parses a snapshot written by WriteJSON, rebuilding the schema
-// from the document. It decodes in one pass over the bytes (wire.go) and
-// accepts exactly the documents encoding/json would decode into the wire
-// form above; bytes after the document's first JSON value are ignored.
+// from the document. It decodes in one pass over the bytes (wire.go), a
+// long leaves array on several goroutines, and accepts exactly the
+// documents encoding/json would decode into the wire form above; bytes
+// after the document's first JSON value are ignored.
 func ReadJSON(r io.Reader) (*Snapshot, error) {
+	snap, _, err := ReadJSONStats(r)
+	return snap, err
+}
+
+// WireStats describes one decoded document.
+type WireStats struct {
+	// Bytes is the length of the document as read.
+	Bytes int
+	// Parts is how many goroutines' parts of the leaves array were kept:
+	// 1 when it was decoded serially, as a delta always is.
+	Parts int
+}
+
+// ReadJSONStats is ReadJSON, also reporting how the document was decoded.
+func ReadJSONStats(r io.Reader) (*Snapshot, WireStats, error) {
 	body, err := readDocument(r)
+	st := WireStats{Bytes: len(body), Parts: 1}
 	if err != nil {
-		return nil, fmt.Errorf("kpi: read json: %w", err)
+		return nil, st, fmt.Errorf("kpi: read json: %w", err)
 	}
-	return decodeSnapshot(body)
+	snap, parts, err := decodeSnapshotSplit(body, splitOffsets)
+	st.Parts = parts
+	return snap, st, err
 }

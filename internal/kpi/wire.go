@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -22,6 +24,20 @@ import (
 // maxNestingDepth is encoding/json's scanner limit: a document nested
 // deeper than this is rejected.
 const maxNestingDepth = 10000
+
+// minPartBytes is the fewest bytes of a leaves array one decode part
+// covers: an array with fewer than two parts' worth from its first element
+// to the end of the document is decoded serially, and a longer one on at
+// most GOMAXPROCS and bytes/minPartBytes goroutines (splitLeaves).
+const minPartBytes = 128 << 10
+
+// sampleRows is how many rows a presized decode reads before it sizes its
+// row and code slices; rows under minSizedRowBytes on average are not
+// presized.
+const (
+	sampleRows       = 64
+	minSizedRowBytes = 32
+)
 
 // missingName is the placeholder code of a combination slot no string was
 // ever decoded into (a null element past the slot's history): the empty
@@ -650,23 +666,52 @@ func (as *wireAttrs) schemaAttributes() []Attribute {
 // removes, where a null element resets its combination); null resets the
 // array.
 func (d *wireDecoder) rows(rs *wireRows, combos bool) error {
+	more, err := d.openRows(rs)
+	if err != nil || !more {
+		return err
+	}
+	_, err = d.elements(rs, combos, len(d.buf)+1, 0)
+	return err
+}
+
+// openRows consumes the opening bracket of a rows array and reports
+// whether an element follows. null and the empty array reset rs.
+func (d *wireDecoder) openRows(rs *wireRows) (bool, error) {
 	switch d.peek() {
 	case 'n':
 		rs.rows, rs.n = rs.rows[:0], 0
-		return d.literal("null")
+		return false, d.literal("null")
 	case '[':
 	default:
-		return d.mismatch("an array")
+		return false, d.mismatch("an array")
 	}
 	if err := d.enter(); err != nil {
-		return err
+		return false, err
 	}
-	i := 0
-	for more := d.first(']'); more; i++ {
+	if !d.first(']') {
+		rs.rows, rs.n = rs.rows[:0], 0
+		return false, nil
+	}
+	rs.n = 0
+	return true, nil
+}
+
+// elements decodes the elements of an open rows array into rs.rows[rs.n:],
+// starting at an element start. It returns once the array has closed
+// (closed) or once the next element starts at or past limit, with d.pos at
+// that start. A positive sizeTo is where the bytes this call decodes are
+// taken to end: once sampleRows rows are in, rs and the code arena are
+// sized for the rest (presize).
+func (d *wireDecoder) elements(rs *wireRows, combos bool, limit, sizeTo int) (closed bool, err error) {
+	from, fromRow, fromCode := d.pos, rs.n, len(d.codes)
+	for {
+		i := rs.n
 		if i == len(rs.rows) {
+			if sizeTo > 0 && i-fromRow == sampleRows {
+				d.presize(rs, from, fromRow, fromCode, sizeTo)
+			}
 			rs.rows = append(rs.rows, wireRow{off: len(d.codes)})
 		}
-		var err error
 		switch c := d.peek(); {
 		case combos:
 			err = d.combo(&rs.rows[i])
@@ -678,17 +723,33 @@ func (d *wireDecoder) rows(rs *wireRows, combos bool) error {
 			err = d.mismatch("a leaf object")
 		}
 		if err != nil {
-			return err
+			return false, err
 		}
-		if more, err = d.next(']'); err != nil {
-			return err
+		rs.n = i + 1
+		more, err := d.next(']')
+		if err != nil || !more {
+			return err == nil, err
+		}
+		if d.peek(); d.pos >= limit {
+			return false, nil
 		}
 	}
-	if i == 0 {
-		rs.rows = rs.rows[:0]
+}
+
+// presize grows rs.rows and the code arena, once, to what the bytes up to
+// end are estimated to need: the bytes, rows and codes decoded since from,
+// fromRow and fromCode give the rates, and a sixteenth is added. Rows
+// averaging under minSizedRowBytes are left to append's growth, so a run
+// of tiny rows ahead of other bytes cannot make the estimate balloon.
+func (d *wireDecoder) presize(rs *wireRows, from, fromRow, fromCode, end int) {
+	n, used := rs.n-fromRow, d.pos-from
+	if used < n*minSizedRowBytes || end <= d.pos {
+		return
 	}
-	rs.n = i
-	return nil
+	rows := (end - d.pos) * n / used
+	rows += rows / 16
+	rs.rows = slices.Grow(rs.rows, rows)
+	d.codes = slices.Grow(d.codes, rows*(len(d.codes)-fromCode)/n)
 }
 
 // leaf decodes one leaf object into r.
@@ -834,15 +895,168 @@ func (d *wireDecoder) unresolved(code int32) string {
 	return s
 }
 
-// decodeSnapshot decodes a snapshot document. The schema comes from
-// "attributes", which may follow "leaves": each leaves value's offset is
-// recorded, and if it came before the final attribute list it is decoded
-// again once that list is known.
-func decodeSnapshot(buf []byte) (*Snapshot, error) {
+// wirePart is one stretch of a split leaves array: its own decoder (code
+// arena, bad list and name cache; the buffer and schema are shared) and the
+// rows it decoded, from element start start until the array closed, an
+// error, or an element start at or past limit.
+type wirePart struct {
+	d            *wireDecoder
+	rows         *wireRows
+	start, limit int
+	closed       bool
+	err          error
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// splitOffsets is where ReadJSON splits a leaves array whose first
+// element starts at first in a document of end bytes: evenly, into
+// min(GOMAXPROCS, bytes/minPartBytes) parts, or not at all below two.
+func splitOffsets(first, end int) []int {
+	w := min(runtime.GOMAXPROCS(0), (end-first)/minPartBytes)
+	if w < 2 {
+		return nil
+	}
+	offs := make([]int, w-1)
+	for k := range offs {
+		offs[k] = first + (k+1)*(end-first)/w
+	}
+	return offs
+}
+
+// candidates snaps each split offset to a candidate element start: the
+// first '{' at or after it whose previous non-whitespace byte is ','. A
+// candidate may be wrong — the bytes ",{" can sit inside a string or a
+// nested value — which splitLeaves detects. Candidates increase strictly
+// and lie past first, the array's first element; an offset with no
+// candidate left in buf ends the list. Each byte is looked at once.
+func candidates(buf []byte, first int, offs []int) []int {
+	var cuts []int
+	from := first + 1
+	for _, off := range offs {
+		i := max(off, from)
+		if i >= len(buf) {
+			break
+		}
+		// buf[from-1] is the previous candidate or the first element's
+		// first byte, so the look back stops there at the latest.
+		prev := byte(0)
+		for j := i - 1; j >= from-1; j-- {
+			if !isSpace(buf[j]) {
+				prev = buf[j]
+				break
+			}
+		}
+		for ; i < len(buf); i++ {
+			c := buf[i]
+			if c == '{' && prev == ',' {
+				break
+			}
+			if !isSpace(c) {
+				prev = c
+			}
+		}
+		if i >= len(buf) {
+			break
+		}
+		cuts = append(cuts, i)
+		from = i + 1
+	}
+	return cuts
+}
+
+// splitLeaves decodes the first leaves member, which is decoded in place,
+// into rs: a long array in parts, one per candidate from split, on their
+// own goroutines, any other serially. Part k is accepted only if part k-1
+// ended without an error, did not close the array and stopped exactly at
+// part k's start: then that start is a true element start, where the
+// decoder's state is fixed by the bytes before it (the nesting depth, the
+// schema, an empty row — the name cache never changes a result), so part
+// k decoded what the serial scan would have. From the first boundary that
+// fails, the last accepted part decodes on serially. It returns the
+// accepted parts after the first, whose rows follow rs's in document
+// order, leaving d where the serial scan would be: past the array, or at
+// its first error.
+func (d *wireDecoder) splitLeaves(rs *wireRows, split func(first, end int) []int) ([]wirePart, error) {
+	more, err := d.openRows(rs)
+	if err != nil || !more {
+		return nil, err
+	}
+	end := len(d.buf)
+	cuts := candidates(d.buf, d.pos, split(d.pos, end))
+	if len(cuts) == 0 {
+		_, err = d.elements(rs, false, end+1, end)
+		return nil, err
+	}
+	parts := make([]wirePart, len(cuts)+1)
+	for k := range parts {
+		p := &parts[k]
+		p.limit = end + 1
+		if k < len(cuts) {
+			p.limit = cuts[k]
+		}
+		if k == 0 {
+			p.d, p.rows, p.start = d, rs, d.pos
+			continue
+		}
+		p.start = cuts[k-1]
+		p.d = &wireDecoder{buf: d.buf, pos: p.start, depth: d.depth}
+		p.d.useSchema(d.schema)
+		p.rows = &wireRows{}
+	}
+	RunWorkers(len(parts), func(k int) {
+		p := &parts[k]
+		p.closed, p.err = p.d.elements(p.rows, false, p.limit, min(p.limit, end))
+	})
+	k := 0
+	for k+1 < len(parts) && parts[k].err == nil && !parts[k].closed && parts[k].d.pos == parts[k+1].start {
+		k++
+	}
+	last := &parts[k]
+	if last.err == nil && !last.closed {
+		_, last.err = last.d.elements(last.rows, false, end+1, 0)
+	}
+	d.pos, d.depth = last.d.pos, last.d.depth
+	return parts[1 : k+1], last.err
+}
+
+// fold appends the rows of parts to rs, moving their codes into d's arena
+// and the placeholders of their unresolved names onto d's bad list, so
+// that a repeated leaves member decodes into one history.
+func (d *wireDecoder) fold(rs *wireRows, parts []wirePart) {
+	for _, p := range parts {
+		base, bad := len(d.codes), int32(len(d.bad))
+		for _, c := range p.d.codes {
+			if c < missingName {
+				c -= bad
+			}
+			d.codes = append(d.codes, c)
+		}
+		d.bad = append(d.bad, p.d.bad...)
+		rs.rows = rs.rows[:rs.n]
+		for _, r := range p.rows.rows[:p.rows.n] {
+			r.off += base
+			rs.rows = append(rs.rows, r)
+		}
+		rs.n = len(rs.rows)
+	}
+}
+
+// decodeSnapshotSplit decodes a snapshot document, splitting the first
+// leaves array near the offsets split returns for it (given the offset of
+// its first element and the document's length), and reports how many
+// parts were kept. The schema comes from "attributes", which may follow
+// "leaves": each leaves value's offset is recorded, and if it came before
+// the final attribute list it is decoded again, serially, once that list
+// is known. Only the first leaves member decoded in place is split
+// (splitLeaves); a later one folds the parts into one history first.
+func decodeSnapshotSplit(buf []byte, split func(first, end int) []int) (*Snapshot, int, error) {
 	d := &wireDecoder{buf: buf}
 	var (
 		attrs  wireAttrs
 		leaves wireRows
+		// parts holds the rows of a split leaves array after leaves'.
+		parts  []wirePart
 		starts []int
 		// attrKeys counts the attributes members so far, firstKeys its
 		// value at the first leaves member.
@@ -858,7 +1072,8 @@ func decodeSnapshot(buf []byte) (*Snapshot, error) {
 		}
 		return schema, schemaErr
 	}
-	fail := func(err error) (*Snapshot, error) { return nil, fmt.Errorf("kpi: read json: %w", err) }
+	kept := 1
+	fail := func(err error) (*Snapshot, int, error) { return nil, kept, fmt.Errorf("kpi: read json: %w", err) }
 
 	switch d.peek() {
 	case '{':
@@ -895,7 +1110,14 @@ func decodeSnapshot(buf []byte) (*Snapshot, error) {
 				if d.schema != s {
 					d.useSchema(s)
 				}
-				err = d.rows(&leaves, false)
+				if len(starts) == 1 {
+					parts, err = d.splitLeaves(&leaves, split)
+					kept = 1 + len(parts)
+				} else {
+					d.fold(&leaves, parts)
+					parts = nil
+					err = d.rows(&leaves, false)
+				}
 			} else {
 				err = d.skip()
 			}
@@ -914,7 +1136,7 @@ func decodeSnapshot(buf []byte) (*Snapshot, error) {
 		return fail(err)
 	}
 	if len(starts) > 0 && firstKeys != attrKeys {
-		leaves, d.codes, d.bad = wireRows{}, d.codes[:0], d.bad[:0]
+		leaves, parts, kept, d.codes, d.bad = wireRows{}, nil, 1, d.codes[:0], d.bad[:0]
 		d.useSchema(s)
 		for _, at := range starts {
 			d.pos, d.depth = at, 1
@@ -923,16 +1145,32 @@ func decodeSnapshot(buf []byte) (*Snapshot, error) {
 			}
 		}
 	}
-	out := make([]Leaf, leaves.n)
-	for i := range out {
-		r := &leaves.rows[i]
-		c, err := d.comboOf(r)
-		if err != nil {
-			return fail(fmt.Errorf("leaf %d: %w", i, err))
-		}
-		out[i] = Leaf{Combo: c, Actual: r.actual, Forecast: r.forecast, Anomalous: r.anomalous}
+	n := leaves.n
+	for _, p := range parts {
+		n += p.rows.n
 	}
-	return NewSnapshot(s, out)
+	out := make([]Leaf, 0, n)
+	add := func(d *wireDecoder, rs *wireRows) error {
+		for i := range rs.rows[:rs.n] {
+			r := &rs.rows[i]
+			c, err := d.comboOf(r)
+			if err != nil {
+				return fmt.Errorf("leaf %d: %w", len(out), err)
+			}
+			out = append(out, Leaf{Combo: c, Actual: r.actual, Forecast: r.forecast, Anomalous: r.anomalous})
+		}
+		return nil
+	}
+	if err := add(d, &leaves); err != nil {
+		return fail(err)
+	}
+	for _, p := range parts {
+		if err := add(p.d, p.rows); err != nil {
+			return fail(err)
+		}
+	}
+	snap, err := NewSnapshot(s, out)
+	return snap, kept, err
 }
 
 // decodeDelta decodes a delta document against schema.

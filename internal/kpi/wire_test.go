@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +53,23 @@ func bulkyDocument(size int) []byte {
 	return b.Bytes()
 }
 
+// falseBoundaryDocument is a valid snapshot document of about size bytes
+// whose every split candidate is false: its first leaf carries an unknown
+// member holding ",{" objects all the way down the array, so a part
+// started at one decodes those objects as leaves until the member closes,
+// while the part before it overshoots the candidate inside that leaf.
+func falseBoundaryDocument(size int) []byte {
+	var b bytes.Buffer
+	b.Grow(size)
+	b.WriteString(`{"attributes":[{"name":"A","values":["x","y"]}],"leaves":[{"combination":["x"],"actual":1,"forecast":1,"pad":[0`)
+	chunk := `,{"q":[` + strings.Repeat("12345.678,", 400) + `0]}`
+	for b.Len()+len(chunk)+64 < size {
+		b.WriteString(chunk)
+	}
+	b.WriteString(`]},{"combination":["y"],"actual":2,"forecast":2}]}`)
+	return b.Bytes()
+}
+
 // fastest returns the quickest of three calls of fn.
 func fastest(fn func()) time.Duration {
 	best := time.Duration(1<<63 - 1)
@@ -64,31 +82,50 @@ func fastest(fn func()) time.Duration {
 }
 
 func TestReadJSONCostIsLinear(t *testing.T) {
-	// 64 MiB is the HTTP layer's body limit.
+	// 64 MiB is the HTTP layer's body limit. Both bodies decode with every
+	// split candidate false: bulky's candidates sit in an unknown member
+	// after the leaves array, falseBoundary's inside its first leaf.
 	const small, large = 8 << 20, 64 << 20
-	var times [2]time.Duration
-	for i, size := range []int{small, large} {
-		doc := bulkyDocument(size)
-		times[i] = fastest(func() {
-			snap, err := ReadJSON(bytes.NewReader(doc))
-			if err != nil || snap.Len() != 1 {
-				t.Fatalf("%d-byte document: %v", size, err)
-			}
-		})
-	}
-	// Linear scaling costs 8x; allow for noise but not for a superlinear
-	// scan (64x).
-	if limit := 24*times[0] + 50*time.Millisecond; times[1] > limit {
-		t.Errorf("decoding 64 MiB took %v, 8 MiB %v: not linear", times[1], times[0])
-	}
-	blank := bytes.Repeat([]byte(" "), large)
-	elapsed := fastest(func() {
-		if _, err := ReadJSON(bytes.NewReader(blank)); err == nil {
-			t.Fatal("64 MiB of whitespace decoded")
+	for _, procs := range []int{1, 2} {
+		for _, body := range []struct {
+			name   string
+			doc    func(int) []byte
+			leaves int
+			// blank compares rejecting as many bytes of whitespace
+			// with accepting the body.
+			blank bool
+		}{{"bulky", bulkyDocument, 1, true}, {"false boundaries", falseBoundaryDocument, 2, false}} {
+			t.Run(fmt.Sprintf("%s/procs%d", body.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				var times [2]time.Duration
+				for i, size := range []int{small, large} {
+					doc := body.doc(size)
+					times[i] = fastest(func() {
+						snap, st, err := ReadJSONStats(bytes.NewReader(doc))
+						if err != nil || snap.Len() != body.leaves || st.Parts != 1 {
+							t.Fatalf("%d-byte document: %v (%+v)", size, err, st)
+						}
+					})
+				}
+				// Linear scaling costs 8x; allow for noise but not for a
+				// superlinear scan (64x).
+				if limit := 24*times[0] + 50*time.Millisecond; times[1] > limit {
+					t.Errorf("decoding 64 MiB took %v, 8 MiB %v: not linear", times[1], times[0])
+				}
+				if !body.blank {
+					return
+				}
+				blank := bytes.Repeat([]byte(" "), large)
+				elapsed := fastest(func() {
+					if _, err := ReadJSON(bytes.NewReader(blank)); err == nil {
+						t.Fatal("64 MiB of whitespace decoded")
+					}
+				})
+				if elapsed > times[1]+time.Second {
+					t.Errorf("rejecting 64 MiB of whitespace took %v", elapsed)
+				}
+			})
 		}
-	})
-	if elapsed > times[1]+time.Second {
-		t.Errorf("rejecting 64 MiB of whitespace took %v", elapsed)
 	}
 }
 
@@ -221,8 +258,17 @@ func TestReadJSONReadErrors(t *testing.T) {
 }
 
 // BenchmarkReadJSON decodes a RAPMD-shaped body: the 33x4x4x20 CDN
-// schema, 10,560 leaves.
-func BenchmarkReadJSON(b *testing.B) {
+// schema, 10,560 leaves, split across GOMAXPROCS parts.
+func BenchmarkReadJSON(b *testing.B) { benchReadJSON(b) }
+
+// BenchmarkReadJSONSerial decodes the same body at GOMAXPROCS 1, so the
+// one-part path keeps a number of its own.
+func BenchmarkReadJSONSerial(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchReadJSON(b)
+}
+
+func benchReadJSON(b *testing.B) {
 	var body bytes.Buffer
 	if err := WriteJSON(&body, benchSnapshot(b)); err != nil {
 		b.Fatal(err)
