@@ -102,7 +102,8 @@ func (s *Simulator) DrawFailure(r *rand.Rand, kind FailureKind) (Failure, error)
 // ApplyFailures drops the actual values of every leaf under each failure's
 // scope by that failure's severity, in place. Overlapping scopes compound.
 // The forecasts are untouched, so a deviation-based detector sees exactly
-// the injected loss.
+// the injected loss. The snapshot's structure caches are dropped, so sums
+// and scans read the new values.
 func ApplyFailures(snap *kpi.Snapshot, failures []Failure) error {
 	for _, f := range failures {
 		if f.Severity < 0 || f.Severity > 1 {
@@ -120,6 +121,8 @@ func ApplyFailures(snap *kpi.Snapshot, failures []Failure) error {
 			}
 		}
 	}
+	// The values changed under any columnar frame built so far.
+	snap.InvalidateStructure()
 	return nil
 }
 

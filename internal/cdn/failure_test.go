@@ -65,8 +65,17 @@ func TestApplyFailuresDropsScopedTraffic(t *testing.T) {
 		Severity: 0.5,
 	}
 	before := snap.Clone()
+	// A built frame must not outlive the rewrite: the root sum reads it.
+	snap.Columns()
 	if err := ApplyFailures(snap, []Failure{f}); err != nil {
 		t.Fatalf("ApplyFailures: %v", err)
+	}
+	var wantV float64
+	for i := range snap.Leaves {
+		wantV += snap.Leaves[i].Actual
+	}
+	if v, _ := snap.Sum(kpi.NewRoot(snap.Schema.NumAttributes())); v != wantV {
+		t.Fatalf("root actual %v after the failure, want %v", v, wantV)
 	}
 	for i := range snap.Leaves {
 		in := f.Scope.Matches(snap.Leaves[i].Combo)

@@ -237,7 +237,9 @@ func TestExplainReportEndToEnd(t *testing.T) {
 // server does — the localize, monitor and continuous snapshot routes, and
 // the continuous delta route — runs in a kpi.read_json or
 // kpi.read_delta_json span under the request's http.request span, carrying
-// the body's bytes, the leaves decoded and the decode parts.
+// the body's bytes, the leaves decoded and the decode parts. The delta
+// route's pipeline.apply span (ApplyDelta plus LabelDelta) is a child of
+// http.request too.
 func TestDecodeSpansAreChildrenOfRequest(t *testing.T) {
 	plain := newServer(t)
 	continuous := newContinuousServer(t)
@@ -247,12 +249,14 @@ func TestDecodeSpansAreChildrenOfRequest(t *testing.T) {
 		path, body   string
 		span         string
 		leaves, code int
+		// stages are further spans that must be children of http.request.
+		stages []string
 	}{
-		{plain, "/v1/localize", snapshot, "kpi.read_json", 6, http.StatusOK},
-		{plain, "/v1/observe?ts=2026-01-01T00:00:00Z", snapshot, "kpi.read_json", 6, http.StatusOK},
-		{continuous, "/v1/observe/snapshot", snapshot, "kpi.read_json", 6, http.StatusOK},
-		{continuous, "/v1/observe/delta", failDelta(0.5), "kpi.read_delta_json", 2, http.StatusOK},
-		{plain, "/v1/localize", `{"attributes":[`, "kpi.read_json", 0, http.StatusBadRequest},
+		{plain, "/v1/localize", snapshot, "kpi.read_json", 6, http.StatusOK, nil},
+		{plain, "/v1/observe?ts=2026-01-01T00:00:00Z", snapshot, "kpi.read_json", 6, http.StatusOK, nil},
+		{continuous, "/v1/observe/snapshot", snapshot, "kpi.read_json", 6, http.StatusOK, nil},
+		{continuous, "/v1/observe/delta", failDelta(0.5), "kpi.read_delta_json", 2, http.StatusOK, []string{"pipeline.apply"}},
+		{plain, "/v1/localize", `{"attributes":[`, "kpi.read_json", 0, http.StatusBadRequest, nil},
 	} {
 		traceID := fmt.Sprintf("4bf92f3577b34da6a3ce929d0e0e47%02d", i)
 		req, err := http.NewRequest("POST", tt.srv.URL+tt.path, strings.NewReader(tt.body))
@@ -287,6 +291,15 @@ func TestDecodeSpansAreChildrenOfRequest(t *testing.T) {
 		for k, v := range want {
 			if got := fmt.Sprint(decode.Attrs[k]); got != v {
 				t.Errorf("%s: %s attribute %s = %s, want %s", tt.path, tt.span, k, got, v)
+			}
+		}
+		for _, name := range tt.stages {
+			sp, ok := spans[name]
+			if !ok {
+				t.Fatalf("%s: spans %v lack %s", tt.path, spans, name)
+			}
+			if sp.ParentID != root.SpanID {
+				t.Errorf("%s: %s parent = %q, want http.request span %q", tt.path, name, sp.ParentID, root.SpanID)
 			}
 		}
 	}

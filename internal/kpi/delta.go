@@ -93,20 +93,29 @@ func (s *Snapshot) ApplyDelta(d Delta) (ApplyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pos := s.leafPosLocked()
+	keyer := pos.keyer
 
 	// Validate everything against the pre-delta state plus the delta's own
-	// pending removes/adds, so application below cannot fail halfway.
-	removed := pos.keyer.newSet(len(d.Removes))
+	// pending removes/adds, so application below cannot fail halfway. Each
+	// record's key is computed once, for its position lookup and its
+	// duplicate checks.
+	removed := keyer.newSet(len(d.Removes))
+	var rmKeys []leafKey
+	if len(d.Removes) > 0 {
+		rmKeys = make([]leafKey, len(d.Removes))
+	}
 	for i, c := range d.Removes {
 		if err := s.checkDeltaCombo(c, "remove", i); err != nil {
 			return res, err
 		}
-		if _, ok := pos.get(c); !ok {
+		k := keyer.key(c)
+		if _, ok := pos.get(k); !ok {
 			return res, fmt.Errorf("kpi: delta remove %d: leaf %s not in snapshot", i, c.Format(s.Schema))
 		}
-		if removed.add(c) {
+		if removed.add(k) {
 			return res, fmt.Errorf("kpi: delta remove %d: duplicate leaf %s", i, c.Format(s.Schema))
 		}
+		rmKeys[i] = k
 	}
 	// touched collects the updated leaves' indexes as validation resolves
 	// them, then the added leaves' as they land.
@@ -114,48 +123,55 @@ func (s *Snapshot) ApplyDelta(d Delta) (ApplyResult, error) {
 	if n := len(d.Updates) + len(d.Adds); n > 0 {
 		touched = make([]int, 0, n)
 	}
-	updated := pos.keyer.newSet(len(d.Updates))
+	updated := keyer.newSet(len(d.Updates))
 	for i, u := range d.Updates {
 		if err := s.checkDeltaCombo(u.Combo, "update", i); err != nil {
 			return res, err
 		}
-		at, ok := pos.get(u.Combo)
+		k := keyer.key(u.Combo)
+		at, ok := pos.get(k)
 		if !ok {
 			return res, fmt.Errorf("kpi: delta update %d: leaf %s not in snapshot", i, u.Combo.Format(s.Schema))
 		}
 		touched = append(touched, int(at))
-		if len(d.Removes) > 0 && removed.has(u.Combo) {
+		if len(d.Removes) > 0 && removed.has(k) {
 			return res, fmt.Errorf("kpi: delta update %d: leaf %s is removed by the same delta", i, u.Combo.Format(s.Schema))
 		}
-		if updated.add(u.Combo) {
+		if updated.add(k) {
 			return res, fmt.Errorf("kpi: delta update %d: duplicate leaf %s", i, u.Combo.Format(s.Schema))
 		}
 	}
-	added := pos.keyer.newSet(len(d.Adds))
+	added := keyer.newSet(len(d.Adds))
+	var addKeys []leafKey
+	if len(d.Adds) > 0 {
+		addKeys = make([]leafKey, len(d.Adds))
+	}
 	for i, l := range d.Adds {
 		if err := s.checkDeltaCombo(l.Combo, "add", i); err != nil {
 			return res, err
 		}
-		if _, present := pos.get(l.Combo); present && !removed.has(l.Combo) {
+		k := keyer.key(l.Combo)
+		if _, present := pos.get(k); present && !removed.has(k) {
 			return res, fmt.Errorf("kpi: delta add %d: leaf %s already in snapshot", i, l.Combo.Format(s.Schema))
 		}
-		if added.add(l.Combo) {
+		if added.add(k) {
 			return res, fmt.Errorf("kpi: delta add %d: duplicate leaf %s", i, l.Combo.Format(s.Schema))
 		}
+		addKeys[i] = k
 	}
 
 	res.PatchedFrame = s.frame != nil
 	res.PatchedLabels = s.labeled != nil
 
-	for _, c := range d.Removes {
-		i, _ := pos.get(c)
-		s.removeLeafLocked(i)
+	for _, k := range rmKeys {
+		i, _ := pos.get(k)
+		s.removeLeafLocked(i, k)
 		res.Removed++
 	}
 	if len(d.Removes) > 0 {
 		// Swap-removes move leaves: re-resolve the updated ones.
 		for j, u := range d.Updates {
-			at, _ := pos.get(u.Combo)
+			at, _ := pos.get(keyer.key(u.Combo))
 			touched[j] = int(at)
 		}
 	}
@@ -169,8 +185,8 @@ func (s *Snapshot) ApplyDelta(d Delta) (ApplyResult, error) {
 		}
 		res.Updated++
 	}
-	for _, l := range d.Adds {
-		touched = append(touched, s.addLeafLocked(l))
+	for j, l := range d.Adds {
+		touched = append(touched, s.addLeafLocked(l, addKeys[j]))
 		res.Added++
 	}
 	res.Touched = touched
@@ -198,22 +214,23 @@ func (s *Snapshot) checkDeltaCombo(c Combination, op string, i int) error {
 	return nil
 }
 
-// leafPosLocked returns the leaf → index map, building it on first use;
+// leafPosLocked returns the leaf → index table, building it on first use;
 // s.mu must be held.
-func (s *Snapshot) leafPosLocked() *leafMap[int32] {
+func (s *Snapshot) leafPosLocked() *leafPositions {
 	if s.leafPos == nil {
-		pos := newLeafMap[int32](newLeafKeyer(s.Schema), len(s.Leaves))
+		keyer := newLeafKeyer(s.Schema)
+		pos := keyer.newPositions(len(s.Leaves))
 		for i := range s.Leaves {
-			pos.set(s.Leaves[i].Combo, int32(i))
+			pos.set(keyer.key(s.Leaves[i].Combo), int32(i))
 		}
-		s.leafPos = &pos
+		s.leafPos = pos
 	}
 	return s.leafPos
 }
 
-// removeLeafLocked swap-removes leaf i, patching every built cache; s.mu
-// must be held.
-func (s *Snapshot) removeLeafLocked(i32 int32) {
+// removeLeafLocked swap-removes leaf i, keyed k, patching every built
+// cache; s.mu must be held.
+func (s *Snapshot) removeLeafLocked(i32 int32, k leafKey) {
 	i := int(i32)
 	last := len(s.Leaves) - 1
 	removed := s.Leaves[i]
@@ -252,16 +269,16 @@ func (s *Snapshot) removeLeafLocked(i32 int32) {
 		f.forecast[i] = f.forecast[last]
 		f.forecast = f.forecast[:last]
 	}
-	s.leafPos.delete(removed.Combo)
+	s.leafPos.delete(k)
 	if i != last {
-		s.leafPos.set(moved.Combo, i32)
+		s.leafPos.set(s.leafPos.keyer.key(moved.Combo), i32)
 	}
 }
 
-// addLeafLocked appends the leaf, patching every built cache, and returns
-// its index; s.mu must be held. The combination is cloned so the snapshot
-// never aliases a caller's decode buffer.
-func (s *Snapshot) addLeafLocked(l Leaf) int {
+// addLeafLocked appends the leaf, keyed k, patching every built cache, and
+// returns its index; s.mu must be held. The combination is cloned so the
+// snapshot never aliases a caller's decode buffer.
+func (s *Snapshot) addLeafLocked(l Leaf, k leafKey) int {
 	n := len(s.Leaves)
 	l.Combo = l.Combo.Clone()
 	s.Leaves = append(s.Leaves, l)
@@ -288,7 +305,7 @@ func (s *Snapshot) addLeafLocked(l Leaf) int {
 			ld.insertLeaf(n, l.Combo)
 		}
 	}
-	s.leafPos.set(l.Combo, int32(n))
+	s.leafPos.set(k, int32(n))
 	return n
 }
 

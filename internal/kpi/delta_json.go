@@ -57,16 +57,17 @@ func ReadDeltaJSON(r io.Reader, schema *Schema) (Delta, error) {
 	return d, err
 }
 
-// ReadDeltaJSONStats is ReadDeltaJSON, also reporting the document's
-// length. A delta is always decoded serially: its arrays are a tick's
-// worth of rows, far below two decode parts.
+// ReadDeltaJSONStats is ReadDeltaJSON, also reporting how the document was
+// decoded. A long first updates array is decoded on several goroutines,
+// as a snapshot's leaves array is; removes and adds are decoded serially.
 func ReadDeltaJSONStats(r io.Reader, schema *Schema) (Delta, WireStats, error) {
 	body, err := readDocument(r)
 	st := WireStats{Bytes: len(body), Parts: 1}
 	if err != nil {
 		return Delta{}, st, fmt.Errorf("kpi: read delta json: %w", err)
 	}
-	d, err := decodeDelta(body, schema)
+	d, parts, err := decodeDeltaSplit(body, schema, splitOffsets)
+	st.Parts = parts
 	return d, st, err
 }
 

@@ -332,38 +332,79 @@ func TestInvalidateLabelsKeepsFrame(t *testing.T) {
 }
 
 // TestDeltaLeafPosMaintained checks the incremental leaf-position index
-// against a rebuilt one after a mixed delta burst.
+// against a rebuilt one after a mixed delta burst, on the dense slot table
+// and on the map a sparse schema gets.
 func TestDeltaLeafPosMaintained(t *testing.T) {
-	snap := deltaTestSnapshot(t)
-	_, err := snap.ApplyDelta(Delta{
-		Removes: []Combination{{0, 0, 0}, {2, 1, 1}},
-		Adds:    []Leaf{{Combo: Combination{2, 1, 1}, Actual: 1, Forecast: 2}},
-	})
+	sparse := MustSchema(
+		Attribute{Name: "region", Values: elems("r", 40)},
+		Attribute{Name: "isp", Values: elems("i", 30)},
+		Attribute{Name: "proto", Values: elems("p", 20)},
+	)
+	var sparseLeaves []Leaf
+	for i := int32(0); i < 12; i++ {
+		sparseLeaves = append(sparseLeaves, Leaf{Combo: Combination{3 * i, 2 * i, i}, Actual: float64(i), Forecast: 10})
+	}
+	for _, tt := range []struct {
+		name  string
+		snap  *Snapshot
+		dense bool
+		d     Delta
+	}{
+		{"dense", deltaTestSnapshot(t), true, Delta{
+			Removes: []Combination{{0, 0, 0}, {2, 1, 1}},
+			Updates: []LeafUpdate{{Combo: Combination{1, 1, 0}, Actual: 3, Forecast: 4}},
+			Adds:    []Leaf{{Combo: Combination{2, 1, 1}, Actual: 1, Forecast: 2}},
+		}},
+		{"sparse", mustSnapshot(t, sparse, sparseLeaves), false, Delta{
+			Removes: []Combination{{0, 0, 0}, {33, 22, 11}},
+			Updates: []LeafUpdate{{Combo: Combination{9, 6, 3}, Actual: 3, Forecast: 4}},
+			Adds:    []Leaf{{Combo: Combination{33, 22, 11}, Actual: 1, Forecast: 2}, {Combo: Combination{39, 29, 19}}},
+		}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			snap := tt.snap
+			if _, err := snap.ApplyDelta(tt.d); err != nil {
+				t.Fatal(err)
+			}
+			snap.mu.Lock()
+			defer snap.mu.Unlock()
+			pos := snap.leafPosLocked()
+			if dense := pos.slots != nil; dense != tt.dense || dense == (pos.packed != nil) {
+				t.Fatalf("slot table %v, packed map %v; want the slot table %v", dense, pos.packed != nil, tt.dense)
+			}
+			if pos.len() != len(snap.Leaves) {
+				t.Fatalf("leafPos has %d entries for %d leaves", pos.len(), len(snap.Leaves))
+			}
+			for i := range snap.Leaves {
+				if got, ok := pos.get(pos.keyer.key(snap.Leaves[i].Combo)); !ok || int(got) != i {
+					t.Fatalf("leafPos[%s] = %d, want %d", snap.Leaves[i].Combo.Format(snap.Schema), got, i)
+				}
+			}
+			for _, c := range tt.d.Removes[:1] {
+				if _, ok := pos.get(pos.keyer.key(c)); ok {
+					t.Fatalf("removed leaf %s still has a position", c.Format(snap.Schema))
+				}
+			}
+		})
+	}
+}
+
+func mustSnapshot(t testing.TB, schema *Schema, leaves []Leaf) *Snapshot {
+	t.Helper()
+	snap, err := NewSnapshot(schema, leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.mu.Lock()
-	pos := snap.leafPosLocked()
-	if pos.len() != len(snap.Leaves) {
-		snap.mu.Unlock()
-		t.Fatalf("leafPos has %d entries for %d leaves", pos.len(), len(snap.Leaves))
-	}
-	for i := range snap.Leaves {
-		if got, _ := pos.get(snap.Leaves[i].Combo); int(got) != i {
-			snap.mu.Unlock()
-			t.Fatalf("leafPos[%s] = %d, want %d", snap.Leaves[i].Combo.Format(snap.Schema), got, i)
-		}
-	}
-	snap.mu.Unlock()
+	return snap
 }
 
 // FuzzDeltaVsRebuild is the delta property test: random delta sequences
 // applied to a warm snapshot must keep every count path's output —
 // ScanCuboid and roll-up-served layers — identical to a from-scratch rebuild of the post-delta leaves, at several worker counts.
-// After every step the per-element counts, the anomalous count and the root
-// sums must match the rebuild too. wide swaps in a schema whose product
-// overflows, so leaf positions fall back to byte keys and the full cuboid's
-// scan to combination keys.
+// After every step the per-element counts and the anomalous count must match
+// the rebuild too, and the root sums its bit for bit. wide swaps in a schema
+// whose product overflows, so leaf positions fall back to byte keys and the
+// full cuboid's scan to combination keys.
 func FuzzDeltaVsRebuild(f *testing.F) {
 	f.Add(int64(1), byte(60), byte(30), uint8(3), false)
 	f.Add(int64(2), byte(95), byte(5), uint8(1), false)
@@ -541,7 +582,8 @@ func fuzzWideSnapshot(seed int64, density, anomRate byte) *Snapshot {
 // scanning — the per-element leaf counts, the anomalous postings behind the
 // per-element anomalous counts, the anomalous total and the root sums —
 // against a from-scratch rebuild of the post-delta leaves. The root sums
-// must equal, bit for bit, a Matches-filtered sum over the rebuild.
+// must equal, bit for bit, a Matches-filtered sum over the rebuild and the
+// rebuild's own Sum, before and after its frame is built.
 func assertCountsMatchFresh(t *testing.T, snap *Snapshot, step int) {
 	t.Helper()
 	fresh := freshOf(t, snap)
@@ -562,10 +604,21 @@ func assertCountsMatchFresh(t *testing.T, snap *Snapshot, step int) {
 			wantF += l.Forecast
 		}
 	}
-	v, f := snap.Sum(root)
-	if math.Float64bits(v) != math.Float64bits(wantV) || math.Float64bits(f) != math.Float64bits(wantF) {
-		t.Fatalf("step %d: root sum (%v, %v), want (%v, %v)", step, v, f, wantV, wantF)
+	// The patched snapshot's frame is warm, so its root sum reads the value
+	// columns; the rebuild's reads its leaves, then its own frame.
+	same := func(what string, v, f float64) {
+		t.Helper()
+		if math.Float64bits(v) != math.Float64bits(wantV) || math.Float64bits(f) != math.Float64bits(wantF) {
+			t.Fatalf("step %d: %s root sum (%v, %v), want (%v, %v)", step, what, v, f, wantV, wantF)
+		}
 	}
+	v, f := snap.Sum(root)
+	same("patched", v, f)
+	v, f = fresh.Sum(root)
+	same("rebuilt", v, f)
+	fresh.Columns()
+	v, f = fresh.Sum(root)
+	same("rebuilt columnar", v, f)
 }
 
 // TestDeltaJSONRoundTrip pins the delta wire format.
@@ -638,7 +691,7 @@ func BenchmarkFullRebuild(b *testing.B) {
 }
 
 // benchDeltaSnapshot is a ~115k-leaf dense snapshot (48*20*10*12).
-func benchDeltaSnapshot(b *testing.B) *Snapshot {
+func benchDeltaSnapshot(b testing.TB) *Snapshot {
 	b.Helper()
 	schema := MustSchema(
 		Attribute{Name: "region", Values: elems("R", 48)},

@@ -69,8 +69,8 @@ func ReadJSON(r io.Reader) (*Snapshot, error) {
 type WireStats struct {
 	// Bytes is the length of the document as read.
 	Bytes int
-	// Parts is how many goroutines' parts of the leaves array were kept:
-	// 1 when it was decoded serially, as a delta always is.
+	// Parts is how many goroutines' parts of the leaves array (a delta's
+	// updates array) were kept: 1 when it was decoded serially.
 	Parts int
 }
 

@@ -101,7 +101,7 @@ func TestOverflowLeafPos(t *testing.T) {
 	snap.mu.Lock()
 	pos := snap.leafPosLocked()
 	snap.mu.Unlock()
-	if pos.packed != nil || pos.len() != 1 {
-		t.Fatalf("leafPos: packed %v, %d entries", pos.packed != nil, pos.len())
+	if pos.packed != nil || pos.slots != nil || pos.len() != 1 {
+		t.Fatalf("leafPos: packed %v, slots %v, %d entries", pos.packed != nil, pos.slots != nil, pos.len())
 	}
 }

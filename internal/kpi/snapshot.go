@@ -61,7 +61,7 @@ type Snapshot struct {
 	frame *colFrame
 	// leafPos maps each leaf (under its leafKeyer key) to its index into
 	// Leaves; built lazily and maintained incrementally by ApplyDelta.
-	leafPos *leafMap[int32]
+	leafPos *leafPositions
 	// gen stamps the snapshot's mutation generation: every label or
 	// structure mutation (InvalidateLabels, PatchLabels, ApplyDelta,
 	// InvalidateStructure) bumps it. Lazy builders that assemble a cache
@@ -107,7 +107,7 @@ func NewSnapshot(schema *Schema, leaves []Leaf) (*Snapshot, error) {
 					i, code, schema.Attribute(a).Name)
 			}
 		}
-		if seen.add(l.Combo) {
+		if seen.add(seen.keyer.key(l.Combo)) {
 			return nil, fmt.Errorf("kpi: duplicate leaf %s", l.Combo.Format(schema))
 		}
 	}
@@ -135,6 +135,22 @@ func newLeafKeyer(schema *Schema) leafKeyer {
 	return leafKeyer{ix: NewCuboidIndexer(schema, all)}
 }
 
+// leafKey is a leaf's key under a leafKeyer: its packed index, or — when
+// the schema has none — its combination's byte key. Computing it once per
+// leaf lets one lookup and several set checks share it.
+type leafKey struct {
+	idx uint64
+	str string
+}
+
+// key returns the key of the leaf c, whose codes are valid for the schema.
+func (k leafKeyer) key(c Combination) leafKey {
+	if k.ix == nil {
+		return leafKey{str: c.Key()}
+	}
+	return leafKey{idx: uint64(k.ix.Index(c))}
+}
+
 // leafMap maps leaves to values under a leafKeyer's keys: packed is used
 // when the schema has packed indexes, keys otherwise.
 type leafMap[V any] struct {
@@ -150,37 +166,36 @@ func newLeafMap[V any](k leafKeyer, leaves int) leafMap[V] {
 	return leafMap[V]{keyer: k, packed: make(map[uint64]V, leaves)}
 }
 
-func (m *leafMap[V]) get(c Combination) (V, bool) {
+func (m *leafMap[V]) get(k leafKey) (V, bool) {
 	if m.packed != nil {
-		v, ok := m.packed[uint64(m.keyer.ix.Index(c))]
+		v, ok := m.packed[k.idx]
 		return v, ok
 	}
-	v, ok := m.keys[c.Key()]
+	v, ok := m.keys[k.str]
 	return v, ok
 }
 
-func (m *leafMap[V]) set(c Combination, v V) {
+func (m *leafMap[V]) set(k leafKey, v V) {
 	if m.packed != nil {
-		m.packed[uint64(m.keyer.ix.Index(c))] = v
+		m.packed[k.idx] = v
 		return
 	}
-	m.keys[c.Key()] = v
+	m.keys[k.str] = v
 }
 
-func (m *leafMap[V]) delete(c Combination) {
+func (m *leafMap[V]) delete(k leafKey) {
 	if m.packed != nil {
-		delete(m.packed, uint64(m.keyer.ix.Index(c)))
+		delete(m.packed, k.idx)
 		return
 	}
-	delete(m.keys, c.Key())
+	delete(m.keys, k.str)
 }
 
 func (m *leafMap[V]) len() int { return len(m.packed) + len(m.keys) }
 
 // leafSet is a set of leaves: a bitset over the packed indexes when the
-// schema's product is within a small multiple of the expected leaf count
-// (so the bitset never outweighs a map of the same leaves), a leafMap
-// otherwise.
+// schema's product is at most 128 bits per expected leaf (a map entry
+// costs about as much, and hashing more time), a leafMap otherwise.
 type leafSet struct {
 	leafMap[struct{}]
 	bits []uint64
@@ -193,38 +208,93 @@ func newLeafSet(schema *Schema, leaves int) leafSet {
 
 func (k leafKeyer) newSet(leaves int) leafSet {
 	if k.ix != nil {
-		if size := k.ix.Size(); size <= max(64*leaves, 1<<12) {
+		if size := k.ix.Size(); size <= max(128*leaves, 1<<12) {
 			return leafSet{leafMap: leafMap[struct{}]{keyer: k}, bits: make([]uint64, (size+63)/64)}
 		}
 	}
 	return leafSet{leafMap: newLeafMap[struct{}](k, leaves)}
 }
 
-// add records the leaf c, whose codes are valid for the schema, and reports
-// whether it was already there.
-func (s *leafSet) add(c Combination) bool {
+// add records the leaf keyed k and reports whether it was already there.
+func (s *leafSet) add(k leafKey) bool {
 	if s.bits != nil {
-		idx := s.keyer.ix.Index(c)
-		w, bit := idx/64, uint64(1)<<(idx%64)
+		w, bit := k.idx/64, uint64(1)<<(k.idx%64)
 		dup := s.bits[w]&bit != 0
 		s.bits[w] |= bit
 		return dup
 	}
-	_, dup := s.get(c)
+	_, dup := s.get(k)
 	if !dup {
-		s.set(c, struct{}{})
+		s.set(k, struct{}{})
 	}
 	return dup
 }
 
-// has reports whether the leaf c is in the set.
-func (s *leafSet) has(c Combination) bool {
+// has reports whether the leaf keyed k is in the set.
+func (s *leafSet) has(k leafKey) bool {
 	if s.bits != nil {
-		idx := s.keyer.ix.Index(c)
-		return s.bits[idx/64]&(uint64(1)<<(idx%64)) != 0
+		return s.bits[k.idx/64]&(uint64(1)<<(k.idx%64)) != 0
 	}
-	_, ok := s.get(c)
+	_, ok := s.get(k)
 	return ok
+}
+
+// leafPositions maps each leaf to its index into Leaves: a slot table over
+// the packed indexes when the schema's product is at most max(4·leaves,
+// 4096) — the same kind of rule as leafSet's bitset; a 115,200-leaf dense
+// world takes 460 KB — and a leafMap otherwise. A slot holds the position
+// plus one, so zero means absent.
+type leafPositions struct {
+	leafMap[int32]
+	slots []int32
+	// n counts the occupied slots.
+	n int
+}
+
+func (k leafKeyer) newPositions(leaves int) *leafPositions {
+	if k.ix != nil {
+		if size := k.ix.Size(); size <= max(4*leaves, 1<<12) {
+			return &leafPositions{leafMap: leafMap[int32]{keyer: k}, slots: make([]int32, size)}
+		}
+	}
+	return &leafPositions{leafMap: newLeafMap[int32](k, leaves)}
+}
+
+func (p *leafPositions) get(k leafKey) (int32, bool) {
+	if p.slots != nil {
+		v := p.slots[k.idx]
+		return v - 1, v != 0
+	}
+	return p.leafMap.get(k)
+}
+
+func (p *leafPositions) set(k leafKey, i int32) {
+	if p.slots != nil {
+		if p.slots[k.idx] == 0 {
+			p.n++
+		}
+		p.slots[k.idx] = i + 1
+		return
+	}
+	p.leafMap.set(k, i)
+}
+
+func (p *leafPositions) delete(k leafKey) {
+	if p.slots != nil {
+		if p.slots[k.idx] != 0 {
+			p.n--
+		}
+		p.slots[k.idx] = 0
+		return
+	}
+	p.leafMap.delete(k)
+}
+
+func (p *leafPositions) len() int {
+	if p.slots != nil {
+		return p.n
+	}
+	return p.leafMap.len()
 }
 
 // Len returns the number of observed leaves |D|.
@@ -474,10 +544,24 @@ func (s *Snapshot) Confidence(ac Combination) float64 {
 
 // Sum aggregates the fundamental KPI of ac from its leaf descendants
 // (Fig. 4): the summed actual and forecast values. The root — every leaf's
-// ancestor, summed on every monitor tick — skips the per-leaf Matches test;
-// the additions and their order are the same, so the sums are identical.
+// ancestor, summed on every monitor tick — skips the per-leaf Matches test
+// and, once the columnar frame is built, reads its value columns instead of
+// the leaves; the additions and their order are the same, so the sums are
+// identical. (One accumulator per sum: several, or a running total, would
+// round differently.)
 func (s *Snapshot) Sum(ac Combination) (actual, forecast float64) {
 	if len(ac) == s.Schema.NumAttributes() && ac.Layer() == 0 {
+		s.mu.Lock()
+		f := s.frame
+		s.mu.Unlock()
+		if f != nil {
+			fc := f.forecast[:len(f.actual)]
+			for i, v := range f.actual {
+				actual += v
+				forecast += fc[i]
+			}
+			return actual, forecast
+		}
 		for i := range s.Leaves {
 			actual += s.Leaves[i].Actual
 			forecast += s.Leaves[i].Forecast

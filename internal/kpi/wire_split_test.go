@@ -90,18 +90,22 @@ func trickyDocument(t testing.TB, indent bool) []byte {
 
 // elementStarts returns the offset of every leaf object of a document
 // that holds one leaves array, found by decoding it in one part.
-func elementStarts(t testing.TB, doc []byte) []int {
+func elementStarts(t testing.TB, doc []byte) []int { return memberStarts(t, doc, "leaves") }
+
+// memberStarts returns the offset of every element of the document's first
+// array member named key.
+func memberStarts(t testing.TB, doc []byte, key string) []int {
 	t.Helper()
 	d := &wireDecoder{buf: doc}
-	at := bytes.Index(doc, []byte(`"leaves"`))
-	d.pos = at + len(`"leaves"`)
+	at := bytes.Index(doc, []byte(`"`+key+`"`))
+	d.pos = at + len(key) + 2
 	d.peek()
 	d.pos++ // the colon
 	if d.peek() != '[' {
-		t.Fatal("no leaves array")
+		t.Fatalf("no %s array", key)
 	}
 	if err := d.enter(); err != nil || !d.first(']') {
-		t.Fatal("empty leaves array")
+		t.Fatalf("empty %s array", key)
 	}
 	var starts []int
 	for {
@@ -281,6 +285,8 @@ func TestParallelDecodeMatchesSerial(t *testing.T) {
 				checkSplitMatchesSerial(t, []byte(data), splits...)
 			}
 		})
+
+		t.Run("delta", deltaSplitCases)
 	})
 }
 

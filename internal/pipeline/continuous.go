@@ -158,13 +158,20 @@ func (r *ContinuousRunner) ObserveDelta(ctx context.Context, ts time.Time, d kpi
 	if r.snap == nil {
 		return Event{}, kpi.ApplyResult{}, errors.New("pipeline: delta before first snapshot")
 	}
+	// The pipeline.apply span covers the interval TickStats.Apply
+	// measures: delta application plus incremental relabeling.
+	_, span := obs.StartSpan(ctx, "pipeline.apply")
 	start := time.Now()
 	res, err := r.snap.ApplyDelta(d)
 	if err != nil {
+		span.End()
 		return Event{}, res, err
 	}
 	flipped := anomaly.LabelDelta(r.snap, r.det, res.Touched)
 	apply := time.Since(start)
+	span.SetAttr("touched", len(res.Touched))
+	span.SetAttr("flipped", len(flipped))
+	span.End()
 
 	r.mx.applySeconds.Observe(apply.Seconds())
 	r.mx.touched.Observe(float64(len(res.Touched)))

@@ -200,6 +200,80 @@ func checkMinerVsOracle(t *testing.T, name string, snap *kpi.Snapshot, cfg Confi
 	}
 }
 
+// checkMinerVsOracleBoth runs checkMinerVsOracle on snap and on the same
+// leaves reached through ApplyDelta (deltaIngested).
+func checkMinerVsOracleBoth(t *testing.T, name string, snap *kpi.Snapshot, cfg Config, k int, workers []int) {
+	t.Helper()
+	checkMinerVsOracle(t, name, snap, cfg, k, workers)
+	checkMinerVsOracle(t, name+" via delta", deltaIngested(t, snap), cfg, k, workers)
+}
+
+// deltaIngested returns a snapshot holding snap's leaves, reached through
+// ApplyDelta as a continuous tick reaches them: it starts warm (columns,
+// postings and element counts built) without every third leaf, with every
+// fifth holding other values and the opposite label, and with up to five
+// leaves snap lacks; one delta removes those, updates the changed leaves
+// back and adds the missing ones, and PatchLabels restores the updated
+// leaves' labels, as a detector relabeling the touched leaves would.
+func deltaIngested(t testing.TB, snap *kpi.Snapshot) *kpi.Snapshot {
+	t.Helper()
+	var (
+		start  []kpi.Leaf
+		d      kpi.Delta
+		labels []bool
+	)
+	present := make(map[string]bool, snap.Len())
+	for i, l := range snap.Leaves {
+		present[l.Combo.Key()] = true
+		switch {
+		case i%3 == 0:
+			d.Adds = append(d.Adds, kpi.Leaf{Combo: l.Combo.Clone(), Actual: l.Actual, Forecast: l.Forecast, Anomalous: l.Anomalous})
+		case i%5 == 0:
+			start = append(start, kpi.Leaf{Combo: l.Combo.Clone(), Actual: l.Actual + 7, Forecast: 2 * l.Forecast, Anomalous: !l.Anomalous})
+			d.Updates = append(d.Updates, kpi.LeafUpdate{Combo: l.Combo.Clone(), Actual: l.Actual, Forecast: l.Forecast})
+			labels = append(labels, l.Anomalous)
+		default:
+			start = append(start, kpi.Leaf{Combo: l.Combo.Clone(), Actual: l.Actual, Forecast: l.Forecast, Anomalous: l.Anomalous})
+		}
+	}
+	r := rand.New(rand.NewSource(int64(snap.Len())))
+	for try := 0; try < 50 && len(d.Removes) < 5; try++ {
+		c := make(kpi.Combination, snap.Schema.NumAttributes())
+		for a := range c {
+			c[a] = int32(r.Intn(snap.Schema.Cardinality(a)))
+		}
+		if !present[c.Key()] {
+			present[c.Key()] = true
+			start = append(start, kpi.Leaf{Combo: c, Actual: 3, Forecast: 9, Anomalous: try%2 == 0})
+			d.Removes = append(d.Removes, c)
+		}
+	}
+	ingested, err := kpi.NewSnapshot(snap.Schema, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingested.Columns()
+	ingested.AnomalousPostings()
+	ingested.ElemCounts()
+	res, err := ingested.ApplyDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var changed []int
+	for j, want := range labels {
+		if i := res.Touched[j]; ingested.Leaves[i].Anomalous != want {
+			ingested.Leaves[i].Anomalous = want
+			changed = append(changed, i)
+		}
+	}
+	ingested.PatchLabels(changed)
+	if ingested.Len() != snap.Len() || ingested.NumAnomalous() != snap.NumAnomalous() {
+		t.Fatalf("delta-ingested snapshot: %d leaves, %d anomalous; want %d, %d",
+			ingested.Len(), ingested.NumAnomalous(), snap.Len(), snap.NumAnomalous())
+	}
+	return ingested
+}
+
 // worldSnapshot builds a synthetic failure world: each leaf of the product
 // of cards is observed with probability density, and the leaves under nRAPs
 // random rapDim-dimensional patterns are labeled anomalous.
@@ -287,7 +361,8 @@ func overflowWorld(t testing.TB) *kpi.Snapshot {
 
 // TestMinerMatchesOracle pins the search to the definitional oracle:
 // identical ranked results and, up to the scan-strategy counters,
-// identical Diagnostics at every worker count. The inputs cover worlds
+// identical Diagnostics at every worker count, on each snapshot and on its
+// leaves reached through ApplyDelta. The inputs cover worlds
 // served entirely by the roll-up (RAPMD, benchCase, the deep world), one
 // whose roll-up base does not fit so part of its lattice is scanned (the
 // sparse world), and one with no materializable base whose deepest cuboid
@@ -300,9 +375,9 @@ func TestMinerMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range corpus.Cases {
-		checkMinerVsOracle(t, fmt.Sprintf("rapmd %d", i), c.Snapshot, cfg, 10, workers)
+		checkMinerVsOracleBoth(t, fmt.Sprintf("rapmd %d", i), c.Snapshot, cfg, 10, workers)
 	}
-	checkMinerVsOracle(t, "bench", benchCase(t), cfg, 10, workers)
+	checkMinerVsOracleBoth(t, "bench", benchCase(t), cfg, 10, workers)
 
 	sparse := worldSnapshot(t, 3, []int{20, 16, 12, 10, 8, 6}, 0.015, 2, 2)
 	_, diag, err := MustNew(cfg).LocalizeWithDiagnostics(sparse, 10)
@@ -316,8 +391,8 @@ func TestMinerMatchesOracle(t *testing.T) {
 	if scanned == 0 {
 		t.Fatal("premise: the sparse world scans no cuboid")
 	}
-	checkMinerVsOracle(t, "sparse", sparse, cfg, 10, workers)
-	checkMinerVsOracle(t, "deep", worldSnapshot(t, 4, []int{4, 4, 3, 3, 3, 3, 3, 2}, 1, 3, 3), cfg, 10, workers)
+	checkMinerVsOracleBoth(t, "sparse", sparse, cfg, 10, workers)
+	checkMinerVsOracleBoth(t, "deep", worldSnapshot(t, 4, []int{4, 4, 3, 3, 3, 3, 3, 2}, 1, 3, 3), cfg, 10, workers)
 
 	full := cfg
 	full.DisableAttributeDeletion = true
@@ -328,12 +403,13 @@ func TestMinerMatchesOracle(t *testing.T) {
 	if diag.CuboidsVisited != diag.CuboidsSearchable {
 		t.Fatalf("premise: the overflow world visits %d of %d cuboids", diag.CuboidsVisited, diag.CuboidsSearchable)
 	}
-	checkMinerVsOracle(t, "overflow", wide, full, 10, workers)
+	checkMinerVsOracleBoth(t, "overflow", wide, full, 10, workers)
 }
 
 // FuzzMinerVsOracle compares the miner with the oracle on small random
 // worlds: 2-5 attributes of 2-6 elements, random density, one to three
-// injected patterns, label noise, and Algorithm 1 on or off.
+// injected patterns, label noise, and Algorithm 1 on or off; each world
+// fresh and reached through ApplyDelta.
 func FuzzMinerVsOracle(f *testing.F) {
 	f.Add(int64(1), byte(80), byte(2), byte(3), false)
 	f.Add(int64(2), byte(30), byte(1), byte(0), true)
@@ -356,6 +432,6 @@ func FuzzMinerVsOracle(f *testing.F) {
 		snap.InvalidateLabels()
 		cfg := DefaultConfig()
 		cfg.DisableAttributeDeletion = keepAll
-		checkMinerVsOracle(t, "fuzz", snap, cfg, 5, []int{1, 2, 4, 8})
+		checkMinerVsOracleBoth(t, "fuzz", snap, cfg, 5, []int{1, 2, 4, 8})
 	})
 }
