@@ -4,9 +4,14 @@
 //
 // Usage:
 //
-//	rapminer -input snapshot.csv [-k 3] [-tcp 0.01] [-tconf 0.8]
-//	         [-method rapminer|adtributor|idice|fpgrowth|squeeze|hotspot|all]
+//	rapminer -input snapshot.csv [-k 3] [-tcp 0.0005] [-tconf 0.8]
+//	         [-method adtributor|idice|fpgrowth|squeeze|rapminer|hotspot|riskloc|ensemble|all]
 //	         [-detect-threshold 0.095]
+//
+// A method name builds the same localizer as the HTTP service's ?method=
+// value; -tcp and -tconf configure RAPMiner, alone or as the ensemble's
+// member. -method all runs every method, RAPMiner first (so -dot
+// highlights RAPMiner's patterns).
 //
 // When the CSV has no "anomalous" column (or -relabel is set) the leaves
 // are labeled with the relative-deviation detector first.
@@ -17,18 +22,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/anomaly"
-	"repro/internal/baseline/adtributor"
-	"repro/internal/baseline/fpgrowth"
-	"repro/internal/baseline/hotspot"
-	"repro/internal/baseline/idice"
-	"repro/internal/baseline/squeeze"
-	"repro/internal/ensemble"
 	"repro/internal/kpi"
 	"repro/internal/lattice"
 	"repro/internal/localize"
+	"repro/internal/methods"
 	"repro/internal/rapminer"
 )
 
@@ -46,7 +47,7 @@ func run(w io.Writer, args []string) error {
 		k         = fs.Int("k", 3, "number of root anomaly patterns to return")
 		tcp       = fs.Float64("tcp", 0.0005, "t_CP: classification power deletion threshold (fraction; the paper quotes percentages)")
 		tconf     = fs.Float64("tconf", 0.8, "t_conf: anomaly confidence threshold")
-		method    = fs.String("method", "rapminer", "localizer: rapminer, adtributor, idice, fpgrowth, squeeze, hotspot, ensemble, or all")
+		method    = fs.String("method", "rapminer", "localizer: "+strings.Join(methods.Keys(), ", ")+", or all")
 		relabel   = fs.Bool("relabel", false, "ignore the anomalous column and re-run the detector")
 		threshold = fs.Float64("detect-threshold", 0.095, "relative-deviation detection threshold")
 		dotPath   = fs.String("dot", "", "write the Fig. 7-style combination DAG (Graphviz DOT) to this file")
@@ -79,12 +80,14 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "detector %s labeled %d of %d leaves anomalous\n", det.Name(), n, snap.Len())
 	}
 
-	methods, err := selectMethods(*method, *tcp, *tconf)
+	cfg := rapminer.DefaultConfig()
+	cfg.TCP, cfg.TConf = *tcp, *tconf
+	localizers, err := selectMethods(*method, cfg)
 	if err != nil {
 		return err
 	}
 	var firstResult []kpi.Combination
-	for _, m := range methods {
+	for _, m := range localizers {
 		var (
 			res localize.Result
 			err error
@@ -174,50 +177,17 @@ func writeDOT(path string, snap *kpi.Snapshot, highlight []kpi.Combination, tcon
 	return f.Close()
 }
 
-func selectMethods(name string, tcp, tconf float64) ([]localize.Localizer, error) {
-	build := map[string]func() (localize.Localizer, error){
-		"rapminer": func() (localize.Localizer, error) {
-			return rapminer.New(rapminer.Config{TCP: tcp, TConf: tconf})
-		},
-		"adtributor": func() (localize.Localizer, error) { return adtributor.New(adtributor.DefaultConfig()) },
-		"idice":      func() (localize.Localizer, error) { return idice.New(idice.DefaultConfig()) },
-		"fpgrowth":   func() (localize.Localizer, error) { return fpgrowth.New(fpgrowth.DefaultConfig()) },
-		"squeeze":    func() (localize.Localizer, error) { return squeeze.New(squeeze.DefaultConfig()) },
-		"hotspot":    func() (localize.Localizer, error) { return hotspot.New(hotspot.DefaultConfig()) },
+// selectMethods builds the named method with cfg, or for "all" every
+// registered method with RAPMiner first.
+func selectMethods(name string, cfg rapminer.Config) ([]localize.Localizer, error) {
+	if strings.EqualFold(name, "all") {
+		rm, _ := methods.Lookup("rapminer")
+		all := slices.DeleteFunc(methods.All(), func(m methods.Method) bool { return m.Key == rm.Key })
+		return methods.Build(cfg, append([]methods.Method{rm}, all...)...)
 	}
-	build["ensemble"] = func() (localize.Localizer, error) {
-		rm, err := build["rapminer"]()
-		if err != nil {
-			return nil, err
-		}
-		fp, err := build["fpgrowth"]()
-		if err != nil {
-			return nil, err
-		}
-		sq, err := build["squeeze"]()
-		if err != nil {
-			return nil, err
-		}
-		return ensemble.New(rm, fp, sq)
-	}
-	if name == "all" {
-		var out []localize.Localizer
-		for _, key := range []string{"rapminer", "adtributor", "idice", "fpgrowth", "squeeze", "hotspot"} {
-			m, err := build[key]()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-		}
-		return out, nil
-	}
-	b, ok := build[strings.ToLower(name)]
+	m, ok := methods.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown method %q", name)
 	}
-	m, err := b()
-	if err != nil {
-		return nil, err
-	}
-	return []localize.Localizer{m}, nil
+	return methods.Build(cfg, m)
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/rapminer"
 )
 
 const sampleCSV = `Location,AccessType,Website,actual,forecast
@@ -48,7 +50,7 @@ func TestRunAllMethods(t *testing.T) {
 	if err := run(&out, []string{"-input", path, "-method", "all", "-k", "1"}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, name := range []string{"RAPMiner", "Adtributor", "iDice", "FP-growth", "Squeeze", "HotSpot"} {
+	for _, name := range []string{"RAPMiner", "Adtributor", "iDice", "FP-growth", "Squeeze", "HotSpot", "RiskLoc", "Ensemble"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("method %s missing from output", name)
 		}
@@ -89,14 +91,17 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestSelectMethodsRoster(t *testing.T) {
-	ms, err := selectMethods("all", 0.01, 0.8)
+	ms, err := selectMethods("all", rapminer.Config{TCP: 0.01, TConf: 0.8})
 	if err != nil {
 		t.Fatalf("selectMethods: %v", err)
 	}
-	if len(ms) != 6 {
-		t.Errorf("all roster = %d methods, want 6", len(ms))
+	if len(ms) != 8 {
+		t.Errorf("all roster = %d methods, want 8", len(ms))
 	}
-	one, err := selectMethods("Squeeze", 0.01, 0.8)
+	if ms[0].Name() != "RAPMiner" {
+		t.Errorf("all roster starts with %s, want RAPMiner", ms[0].Name())
+	}
+	one, err := selectMethods("Squeeze", rapminer.Config{TCP: 0.01, TConf: 0.8})
 	if err != nil || len(one) != 1 || one[0].Name() != "Squeeze" {
 		t.Errorf("case-insensitive single method failed: %v %v", one, err)
 	}

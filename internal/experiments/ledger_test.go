@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/gendata"
 	"repro/internal/inject"
+	"repro/internal/methods"
+	"repro/internal/rapminer"
 )
 
 var updateLedger = flag.Bool("update", false, "rewrite testdata/ledger.txt from the current code")
@@ -69,15 +71,10 @@ func ledgerCorpus(t *testing.T) []ledgerCase {
 // every ranked pattern with its score at full float64 precision.
 func buildLedger(t *testing.T) []byte {
 	t.Helper()
-	methods, err := AllMethods()
+	localizers, err := methods.Build(rapminer.DefaultConfig(), methods.All()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := NewEnsemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	methods = append(methods, ens)
 
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "# Results ledger: seed %d, k = %d. Regenerate with go test ./internal/experiments -run TestResultsLedger -update\n", ledgerSeed, ledgerK)
@@ -89,7 +86,7 @@ func buildLedger(t *testing.T) []byte {
 		}
 		fmt.Fprintf(&b, "case %s leaves=%d anomalous=%d raps=%s\n",
 			lc.name, lc.c.Snapshot.Len(), lc.c.Snapshot.NumAnomalous(), strings.Join(raps, " "))
-		for _, m := range methods {
+		for _, m := range localizers {
 			if m.Name() == "HotSpot" && !lc.hotspot {
 				continue
 			}

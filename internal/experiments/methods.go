@@ -6,63 +6,39 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/baseline/adtributor"
-	"repro/internal/baseline/fpgrowth"
-	"repro/internal/baseline/hotspot"
-	"repro/internal/baseline/idice"
-	"repro/internal/baseline/riskloc"
-	"repro/internal/baseline/squeeze"
-	"repro/internal/ensemble"
 	"repro/internal/localize"
+	"repro/internal/methods"
 	"repro/internal/rapminer"
 )
 
 // MethodNames lists the five methods of the paper's figures, in the
 // paper's plotting order.
-var MethodNames = []string{"Adtributor", "iDice", "FP-growth", "Squeeze", "RAPMiner"}
+var MethodNames = labels(paperMethods())
 
 // PaperMethods constructs the five localizers compared in Fig. 8 and
 // Fig. 9 with their default configurations.
 func PaperMethods() ([]localize.Localizer, error) {
-	adt, err := adtributor.New(adtributor.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: adtributor: %w", err)
-	}
-	id, err := idice.New(idice.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: idice: %w", err)
-	}
-	fp, err := fpgrowth.New(fpgrowth.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fpgrowth: %w", err)
-	}
-	sq, err := squeeze.New(squeeze.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: squeeze: %w", err)
-	}
-	rm, err := rapminer.New(rapminer.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: rapminer: %w", err)
-	}
-	return []localize.Localizer{adt, id, fp, sq, rm}, nil
+	return methods.Build(rapminer.DefaultConfig(), paperMethods()...)
 }
 
 // AllMethods is PaperMethods plus the HotSpot and RiskLoc extensions.
 func AllMethods() ([]localize.Localizer, error) {
-	methods, err := PaperMethods()
-	if err != nil {
-		return nil, err
+	return methods.Build(rapminer.DefaultConfig(), slices.DeleteFunc(methods.All(),
+		func(m methods.Method) bool { return m.Key == "ensemble" })...)
+}
+
+func paperMethods() []methods.Method {
+	return slices.DeleteFunc(methods.All(), func(m methods.Method) bool { return !m.Paper })
+}
+
+func labels(ms []methods.Method) []string {
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = m.Label
 	}
-	hs, err := hotspot.New(hotspot.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: hotspot: %w", err)
-	}
-	rl, err := riskloc.New(riskloc.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: riskloc: %w", err)
-	}
-	return append(methods, hs, rl), nil
+	return out
 }
 
 // Options controls corpus sizes and determinism for every driver.
@@ -117,55 +93,10 @@ func (o Options) validate() error {
 	return nil
 }
 
+// methods builds the paper's methods plus the extensions the Include*
+// options switch on, in registry order.
 func (o Options) methods() ([]localize.Localizer, error) {
-	methods, err := PaperMethods()
-	if err != nil {
-		return nil, err
-	}
-	if o.IncludeHotSpot {
-		hs, err := hotspot.New(hotspot.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("experiments: hotspot: %w", err)
-		}
-		methods = append(methods, hs)
-	}
-	if o.IncludeRiskLoc {
-		rl, err := riskloc.New(riskloc.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("experiments: riskloc: %w", err)
-		}
-		methods = append(methods, rl)
-	}
-	if o.IncludeEnsemble {
-		ens, err := NewEnsemble()
-		if err != nil {
-			return nil, err
-		}
-		methods = append(methods, ens)
-	}
-	return methods, nil
-}
-
-// NewEnsemble builds the extension ensemble: rank fusion over RAPMiner,
-// FP-growth, Squeeze (the three strongest individual methods) and RiskLoc
-// (whose weighted-risk partition degrades differently under noise, adding
-// an independent vote).
-func NewEnsemble() (localize.Localizer, error) {
-	rm, err := rapminer.New(rapminer.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ensemble rapminer: %w", err)
-	}
-	fp, err := fpgrowth.New(fpgrowth.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ensemble fpgrowth: %w", err)
-	}
-	sq, err := squeeze.New(squeeze.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ensemble squeeze: %w", err)
-	}
-	rl, err := riskloc.New(riskloc.DefaultConfig())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ensemble riskloc: %w", err)
-	}
-	return ensemble.New(rm, fp, sq, rl)
+	include := map[string]bool{"hotspot": o.IncludeHotSpot, "riskloc": o.IncludeRiskLoc, "ensemble": o.IncludeEnsemble}
+	return methods.Build(rapminer.DefaultConfig(), slices.DeleteFunc(methods.All(),
+		func(m methods.Method) bool { return !m.Paper && !include[m.Key] })...)
 }

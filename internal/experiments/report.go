@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/methods"
 )
 
 // textTable renders rows as an aligned plain-text table.
@@ -42,12 +44,12 @@ func textTable(header []string, rows [][]string) string {
 }
 
 // methodColumns derives the report columns from the measured per-method
-// keys: the paper's five methods first (in plotting order), then any
-// extension methods alphabetically.
+// keys: the registered methods in table order (the paper's five in
+// plotting order, then the extensions), then any others alphabetically.
 func methodColumns(measured map[string]float64) []string {
-	known := make(map[string]bool, len(MethodNames))
+	known := make(map[string]bool)
 	var cols []string
-	for _, m := range MethodNames {
+	for _, m := range labels(methods.All()) {
 		known[m] = true
 		if _, ok := measured[m]; ok {
 			cols = append(cols, m)

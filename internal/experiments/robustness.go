@@ -7,6 +7,8 @@ import (
 	"repro/internal/gendata"
 	"repro/internal/inject"
 	"repro/internal/localize"
+	"repro/internal/methods"
+	"repro/internal/rapminer"
 )
 
 // RobustnessScenario is one degradation setting of the PSqueeze-style
@@ -55,15 +57,10 @@ func RunRobustnessMatrix(opt Options, scenarios []RobustnessScenario) ([]Robustn
 	if len(scenarios) == 0 {
 		scenarios = DefaultRobustnessScenarios()
 	}
-	methods, err := AllMethods()
+	localizers, err := methods.Build(rapminer.DefaultConfig(), methods.All()...)
 	if err != nil {
 		return nil, err
 	}
-	ens, err := NewEnsemble()
-	if err != nil {
-		return nil, err
-	}
-	methods = append(methods, ens)
 
 	group := gendata.SqueezeGroup{Dim: 2, NumRAPs: 2}
 	var rows []RobustnessRow
@@ -72,8 +69,8 @@ func RunRobustnessMatrix(opt Options, scenarios []RobustnessScenario) ([]Robustn
 		if err != nil {
 			return nil, fmt.Errorf("experiments: robustness corpus %q: %w", sc.Name, err)
 		}
-		row := RobustnessRow{Scenario: sc.Name, F1: make(map[string]float64, len(methods))}
-		for _, m := range methods {
+		row := RobustnessRow{Scenario: sc.Name, F1: make(map[string]float64, len(localizers))}
+		for _, m := range localizers {
 			f1, err := robustnessF1(m, corpus)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s under %q: %w", m.Name(), sc.Name, err)

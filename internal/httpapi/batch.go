@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/anomaly"
@@ -56,23 +54,22 @@ type batchItemResponse struct {
 // every in-flight batch; when the queue is full the whole request is
 // rejected with 503 and a Retry-After header instead of being buffered.
 func (a *api) handleLocalizeBatch(w http.ResponseWriter, r *http.Request) {
-	methodName := strings.ToLower(r.URL.Query().Get("method"))
-	if methodName == "" {
-		methodName = "rapminer"
-	}
-	build, ok := methodBuilders[methodName]
+	method, k, ok := methodAndK(w, r)
 	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown method %q; see /v1/methods", methodName))
 		return
 	}
-	k := 3
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid k %q", raw))
-			return
-		}
-		k = parsed
+
+	// One deadline bounds the whole batch from the handler's start, body
+	// read and decode included, as on /v1/localize: items already running
+	// when it expires stop at their next cancellation point with
+	// best-so-far results, unstarted items fail with the context error, and
+	// the reply is a 504 carrying everything the deadline's worth of work
+	// produced.
+	reqCtx := r.Context()
+	if a.timeout > 0 {
+		var cancel context.CancelFunc
+		reqCtx, cancel = context.WithTimeout(reqCtx, a.timeout)
+		defer cancel()
 	}
 
 	decodeStart := time.Now()
@@ -113,31 +110,19 @@ func (a *api) handleLocalizeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	a.batch.ObserveDecode(time.Since(decodeStart))
 
-	m, err := build()
+	// The executor already parallelizes across items; cap each item's own
+	// RAPMiner fan-out at one worker so a batch does not oversubscribe the
+	// CPU with nested parallelism.
+	cfg := rapminer.DefaultConfig()
+	cfg.Workers = 1
+	m, err := method.New(cfg)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// The executor already parallelizes across items; cap each item's own
-	// fan-out at one worker so a batch does not oversubscribe the CPU with
-	// nested parallelism.
-	if rm, ok := m.(*rapminer.Miner); ok {
-		m = rm.WithWorkers(1)
-	}
-
-	reqCtx := r.Context()
-	if a.timeout > 0 {
-		// One deadline bounds the whole batch: items already running stop
-		// at their next cancellation point with best-so-far results,
-		// unstarted items fail with the context error, and the reply is a
-		// 504 carrying everything the deadline's worth of work produced.
-		var cancel context.CancelFunc
-		reqCtx, cancel = context.WithTimeout(reqCtx, a.timeout)
-		defer cancel()
-	}
 	ctx, span := obs.StartSpan(reqCtx, "httpapi.localize_batch")
 	defer span.End()
-	span.SetAttr("method", methodName)
+	span.SetAttr("method", method.Key)
 	span.SetAttr("items", len(snaps))
 	start := time.Now()
 	results, err := a.batch.Execute(ctx, m, snaps, k)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/kpi"
+	"repro/internal/methods"
 	"repro/internal/obs"
 )
 
@@ -76,7 +77,7 @@ func TestLocalizeBatchEndpoint(t *testing.T) {
 func TestLocalizeBatchEveryMethod(t *testing.T) {
 	srv := newServer(t)
 	body := sampleBatchBody(t, 2)
-	for _, m := range MethodNames() {
+	for _, m := range methods.Keys() {
 		t.Run(m, func(t *testing.T) {
 			resp, out := postBatch(t, srv, "/v1/localize/batch?method="+m, body)
 			if resp.StatusCode != http.StatusOK {

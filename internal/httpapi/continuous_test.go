@@ -20,7 +20,7 @@ func newContinuousServer(t *testing.T) *httptest.Server {
 
 // continuousSnapshotJSON renders a dense 3x2 snapshot where the leaves under
 // (r2, *) lose frac of their forecast.
-func continuousSnapshotJSON(t *testing.T, frac float64) string {
+func continuousSnapshotJSON(t testing.TB, frac float64) string {
 	t.Helper()
 	schema := kpi.MustSchema(
 		kpi.Attribute{Name: "region", Values: []string{"r1", "r2", "r3"}},

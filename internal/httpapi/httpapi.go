@@ -19,16 +19,10 @@ import (
 	"time"
 
 	"repro/internal/anomaly"
-	"repro/internal/baseline/adtributor"
-	"repro/internal/baseline/fpgrowth"
-	"repro/internal/baseline/hotspot"
-	"repro/internal/baseline/idice"
-	"repro/internal/baseline/riskloc"
-	"repro/internal/baseline/squeeze"
-	"repro/internal/ensemble"
 	"repro/internal/flight"
 	"repro/internal/kpi"
 	"repro/internal/localize"
+	"repro/internal/methods"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/rapminer"
@@ -39,42 +33,32 @@ import (
 // JSON is ~2 MB).
 const maxBodyBytes = 64 << 20
 
-// methodBuilders constructs a fresh localizer per request; all methods are
-// cheap to build and the resulting values are safe to discard.
-var methodBuilders = map[string]func() (localize.Localizer, error){
-	"rapminer": func() (localize.Localizer, error) { return rapminer.New(rapminer.DefaultConfig()) },
-	"adtributor": func() (localize.Localizer, error) {
-		return adtributor.New(adtributor.DefaultConfig())
-	},
-	"idice":    func() (localize.Localizer, error) { return idice.New(idice.DefaultConfig()) },
-	"fpgrowth": func() (localize.Localizer, error) { return fpgrowth.New(fpgrowth.DefaultConfig()) },
-	"squeeze":  func() (localize.Localizer, error) { return squeeze.New(squeeze.DefaultConfig()) },
-	"hotspot":  func() (localize.Localizer, error) { return hotspot.New(hotspot.DefaultConfig()) },
-	"riskloc":  func() (localize.Localizer, error) { return riskloc.New(riskloc.DefaultConfig()) },
-	"ensemble": func() (localize.Localizer, error) {
-		rm, err := rapminer.New(rapminer.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		fp, err := fpgrowth.New(fpgrowth.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		sq, err := squeeze.New(squeeze.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		rl, err := riskloc.New(riskloc.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		return ensemble.New(rm, fp, sq, rl)
-	},
-}
+// lookupMethod resolves a ?method= value against the method table; it is a
+// variable so tests can put a stub method in front of the table.
+var lookupMethod = methods.Lookup
 
-// MethodNames lists the accepted ?method= values in sorted order.
-func MethodNames() []string {
-	return []string{"adtributor", "ensemble", "fpgrowth", "hotspot", "idice", "rapminer", "riskloc", "squeeze"}
+// methodAndK reads the ?method= (default rapminer) and ?k= (default 3)
+// query parameters, answering 400 itself when either is invalid.
+func methodAndK(w http.ResponseWriter, r *http.Request) (methods.Method, int, bool) {
+	name := r.URL.Query().Get("method")
+	if name == "" {
+		name = "rapminer"
+	}
+	m, ok := lookupMethod(name)
+	if !ok {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown method %q; see /v1/methods", name))
+		return m, 0, false
+	}
+	k := 3
+	if raw := r.URL.Query().Get("k"); raw != "" {
+		parsed, err := strconv.Atoi(raw)
+		if err != nil || parsed < 1 {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid k %q", raw))
+			return m, 0, false
+		}
+		k = parsed
+	}
+	return m, k, true
 }
 
 // api carries the service's observability plumbing into the handlers.
@@ -250,7 +234,7 @@ func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func handleMethods(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"methods": MethodNames()})
+	writeJSON(w, http.StatusOK, map[string][]string{"methods": methods.Keys()})
 }
 
 // localizeResponse is the POST /v1/localize reply.
@@ -276,23 +260,9 @@ type patternResponse struct {
 }
 
 func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
-	methodName := strings.ToLower(r.URL.Query().Get("method"))
-	if methodName == "" {
-		methodName = "rapminer"
-	}
-	build, ok := methodBuilders[methodName]
+	method, k, ok := methodAndK(w, r)
 	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown method %q; see /v1/methods", methodName))
 		return
-	}
-	k := 3
-	if raw := r.URL.Query().Get("k"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed < 1 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid k %q", raw))
-			return
-		}
-		k = parsed
 	}
 
 	// The per-request deadline covers the whole handler: body read, decode
@@ -340,14 +310,14 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		anomaly.Label(snap, anomaly.DefaultRelativeDeviation())
 	}
 
-	m, err := build()
+	m, err := method.New(rapminer.DefaultConfig())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	ctx, span := obs.StartSpan(reqCtx, "httpapi.localize")
 	defer span.End()
-	span.SetAttr("method", methodName)
+	span.SetAttr("method", method.Key)
 	span.SetAttr("leaves", snap.Len())
 	start := time.Now()
 	var res localize.Result

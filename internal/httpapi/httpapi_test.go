@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/kpi"
+	"repro/internal/methods"
 )
 
 const sampleCSV = `Location,Website,actual,forecast
@@ -61,9 +62,9 @@ func TestMethodsEndpoint(t *testing.T) {
 	if len(body["methods"]) != 8 {
 		t.Errorf("methods = %v", body["methods"])
 	}
-	// Every advertised method must actually build.
+	// Every advertised method must resolve.
 	for _, m := range body["methods"] {
-		if _, ok := methodBuilders[m]; !ok {
+		if _, ok := lookupMethod(m); !ok {
 			t.Errorf("advertised method %q has no builder", m)
 		}
 	}
@@ -125,7 +126,7 @@ func TestLocalizeJSON(t *testing.T) {
 
 func TestLocalizeEveryMethod(t *testing.T) {
 	srv := newServer(t)
-	for _, m := range MethodNames() {
+	for _, m := range methods.Keys() {
 		t.Run(m, func(t *testing.T) {
 			resp, out := postLocalize(t, srv, "/v1/localize?method="+m, "text/csv", sampleCSV)
 			if resp.StatusCode != http.StatusOK {

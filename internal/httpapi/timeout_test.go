@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/kpi"
 	"repro/internal/localize"
+	"repro/internal/methods"
 	"repro/internal/rapminer"
 )
 
@@ -52,14 +53,21 @@ func (panickyLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error
 }
 
 // withTestMethod registers a temporary localization method for the duration
-// of the test.
+// of the test, in front of the method table.
 func withTestMethod(t *testing.T, name string, l localize.Localizer) {
 	t.Helper()
-	if _, exists := methodBuilders[name]; exists {
+	if _, exists := lookupMethod(name); exists {
 		t.Fatalf("method %q already registered", name)
 	}
-	methodBuilders[name] = func() (localize.Localizer, error) { return l, nil }
-	t.Cleanup(func() { delete(methodBuilders, name) })
+	prev := lookupMethod
+	lookupMethod = func(key string) (methods.Method, bool) {
+		if key == name {
+			return methods.Method{Key: name, Label: l.Name(),
+				New: func(rapminer.Config) (localize.Localizer, error) { return l, nil }}, true
+		}
+		return prev(key)
+	}
+	t.Cleanup(func() { lookupMethod = prev })
 }
 
 // TestRequestTimeoutAnswers504WithPartialResult pins the deadline contract
@@ -246,6 +254,47 @@ func TestRequestTimeoutCoversBodyRead(t *testing.T) {
 		}
 		if got := <-probe.seen; got != tt.ctxErr {
 			t.Errorf("timeout %v, body over %v: localizer saw %v, want %v", tt.timeout, 4*tt.pause, got, tt.ctxErr)
+		}
+	}
+}
+
+// TestBatchRequestTimeoutCoversBodyRead pins the batch route to the deadline
+// start of /v1/localize: the timeout runs from the handler's start, so a
+// batch body that trickles in slower than it answers 504 and one that
+// arrives within it answers 200.
+func TestBatchRequestTimeoutCoversBodyRead(t *testing.T) {
+	probe := deadlineProbe{seen: make(chan error, 1)}
+	withTestMethod(t, "probe", probe)
+	doc := `{"snapshots":[` + continuousSnapshotJSON(t, 0.5) + `]}`
+	for _, tt := range []struct {
+		timeout, pause time.Duration
+		code           int
+	}{
+		{50 * time.Millisecond, 30 * time.Millisecond, http.StatusGatewayTimeout},
+		{10 * time.Second, time.Millisecond, http.StatusOK},
+	} {
+		srv := httptest.NewServer(NewHandlerOpts(Options{RequestTimeout: tt.timeout}))
+		body := &slowBody{data: []byte(doc), chunk: len(doc)/4 + 1, pause: tt.pause}
+		resp, err := http.Post(srv.URL+"/v1/localize/batch?method=probe", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != tt.code {
+			t.Errorf("timeout %v, body over %v: status %d, want %d", tt.timeout, 4*tt.pause, resp.StatusCode, tt.code)
+		}
+		// An item whose deadline expired before it ran may fail without
+		// calling the localizer; one that ran must have seen the deadline.
+		select {
+		case got := <-probe.seen:
+			if want := tt.code == http.StatusGatewayTimeout; (got == context.DeadlineExceeded) != want {
+				t.Errorf("timeout %v, body over %v: localizer saw %v", tt.timeout, 4*tt.pause, got)
+			}
+		default:
+			if tt.code == http.StatusOK {
+				t.Errorf("timeout %v: localizer never ran", tt.timeout)
+			}
 		}
 	}
 }

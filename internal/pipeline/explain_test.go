@@ -62,3 +62,40 @@ func TestPipelineCapturesExplainReports(t *testing.T) {
 		t.Errorf("caller-traced report source = %q", got.Source)
 	}
 }
+
+// TestLocalizingTickStageSpans pins the span tree of a localizing tick:
+// pipeline.detect and pipeline.localize are siblings under the tick's
+// span, so localize is never parented to a detect span that has already
+// ended.
+func TestLocalizingTickStageSpans(t *testing.T) {
+	m, err := New(DefaultConfig(anomaly.DefaultRelativeDeviation(), rapminer.MustNew(rapminer.DefaultConfig())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, tick := obs.StartSpan(context.Background(), "test.tick")
+	scope := kpi.MustParseCombination(testSchema(), "(a2, *)")
+	for i := 0; i < 2; i++ { // arming, then open (localizes)
+		if _, err := m.ProcessContext(ctx, t0.Add(time.Duration(i)*time.Minute), snapshotWithDrop(t, scope, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick.End()
+
+	stages := map[string]obs.SpanRecord{}
+	for _, sp := range obs.RecentSpans() {
+		if sp.TraceID == tick.TraceID() && (sp.Name == "pipeline.detect" || sp.Name == "pipeline.localize") {
+			stages[sp.Name] = sp
+		}
+	}
+	detect, ok1 := stages["pipeline.detect"]
+	loc, ok2 := stages["pipeline.localize"]
+	if !ok1 || !ok2 {
+		t.Fatalf("stage spans under the tick's trace = %v", stages)
+	}
+	if detect.ParentID != loc.ParentID || loc.ParentID != tick.SpanID() {
+		t.Errorf("parents: detect %q, localize %q; want both the tick span %q", detect.ParentID, loc.ParentID, tick.SpanID())
+	}
+	if loc.ParentID == detect.SpanID {
+		t.Errorf("pipeline.localize is a child of pipeline.detect")
+	}
+}

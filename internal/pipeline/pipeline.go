@@ -290,7 +290,9 @@ func (m *Monitor) localize(ctx context.Context, snap *kpi.Snapshot) ([]localize.
 	}
 	runStart := time.Now()
 
-	ctx, span := obs.StartSpan(ctx, "pipeline.detect")
+	// Both stage spans are children of the tick's context, not of each
+	// other: detect has ended by the time localize starts.
+	_, span := obs.StartSpan(ctx, "pipeline.detect")
 	start := time.Now()
 	var n int
 	if m.cfg.PreLabeled {

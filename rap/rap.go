@@ -20,15 +20,13 @@
 package rap
 
 import (
+	"slices"
+
 	"repro/internal/anomaly"
-	"repro/internal/baseline/adtributor"
-	"repro/internal/baseline/fpgrowth"
-	"repro/internal/baseline/hotspot"
-	"repro/internal/baseline/idice"
-	"repro/internal/baseline/squeeze"
 	"repro/internal/ensemble"
 	"repro/internal/kpi"
 	"repro/internal/localize"
+	"repro/internal/methods"
 	"repro/internal/rapminer"
 )
 
@@ -107,30 +105,12 @@ var (
 	DefaultMinerConfig = rapminer.DefaultConfig
 )
 
-// Baselines returns fresh instances of the paper's four baselines plus the
-// HotSpot extension, in the paper's plotting order.
+// Baselines returns fresh instances of every registered method except
+// RAPMiner and the ensemble: the paper's four baselines in its plotting
+// order, then the HotSpot and RiskLoc extensions.
 func Baselines() ([]Localizer, error) {
-	adt, err := adtributor.New(adtributor.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	id, err := idice.New(idice.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	fp, err := fpgrowth.New(fpgrowth.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	sq, err := squeeze.New(squeeze.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	hs, err := hotspot.New(hotspot.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return []Localizer{adt, id, fp, sq, hs}, nil
+	return methods.Build(rapminer.DefaultConfig(), slices.DeleteFunc(methods.All(),
+		func(m methods.Method) bool { return m.Key == "rapminer" || m.Key == "ensemble" })...)
 }
 
 // NewEnsemble fuses the given members with reciprocal rank fusion.

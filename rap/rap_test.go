@@ -62,7 +62,7 @@ func TestFacadeBaselinesRoster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"Adtributor", "iDice", "FP-growth", "Squeeze", "HotSpot"}
+	want := []string{"Adtributor", "iDice", "FP-growth", "Squeeze", "HotSpot", "RiskLoc"}
 	if len(baselines) != len(want) {
 		t.Fatalf("got %d baselines", len(baselines))
 	}
