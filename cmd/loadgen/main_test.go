@@ -22,7 +22,7 @@ import (
 // testServer serves the real API handler on a loopback listener.
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(httpapi.NewHandlerOpts(httpapi.Options{
+	srv := httptest.NewServer(httpapi.New(httpapi.Options{
 		Registry: obs.NewRegistry(),
 	}))
 	t.Cleanup(srv.Close)
@@ -217,7 +217,7 @@ func TestCaptureOnFailStaysQuietOnPass(t *testing.T) {
 // TestTicksReplayContinuous drives the -ticks discipline end to end against
 // a real handler mounted with the continuous endpoints.
 func TestTicksReplayContinuous(t *testing.T) {
-	srv := httptest.NewServer(httpapi.NewHandlerOpts(httpapi.Options{
+	srv := httptest.NewServer(httpapi.New(httpapi.Options{
 		Registry:   obs.NewRegistry(),
 		Continuous: true,
 	}))

@@ -13,7 +13,7 @@
 //
 // With -metrics-addr set (e.g. :9090), the run exposes its live pipeline
 // and miner metrics over HTTP — GET /metrics (Prometheus text format),
-// GET /debug/vars (JSON), GET /debug/spans (recent trace spans),
+// GET /debug/spans (recent trace spans),
 // GET /debug/runs[/{id}] (per-run explain reports), GET /debug/slo
 // (uptime/saturation; endpoint windows stay empty since the monitor serves
 // no API traffic), the flight recorder under /debug/flight, and — with
@@ -30,16 +30,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"time"
 
@@ -93,7 +90,7 @@ func run(w io.Writer, args []string) error {
 		severity    = fs.Float64("severity", 0.6, "fraction of traffic lost inside the failure scope")
 		kindName    = fs.String("kind", "site-outage", "failure kind: node-outage, site-outage, regional-site-failure, access-degradation, client-bug")
 		interval    = fs.Duration("interval", 0, "real time per simulated minute (0 = as fast as possible)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/spans, /debug/slo and /debug/flight on this address (empty = off)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/spans, /debug/runs, /debug/slo and /debug/flight on this address (empty = off)")
 		pprofOn     = fs.Bool("pprof", false, "also mount the Go profiler under /debug/pprof/ on -metrics-addr")
 		logLevel    = fs.String("log-level", "warn", "log level: debug, info, warn, error")
 		flightRules = fs.String("flight-rules", "", "flight-recorder triggers as kind=threshold,... (without API traffic only gc-pause fires); empty = manual captures only")
@@ -162,30 +159,22 @@ func run(w io.Writer, args []string) error {
 		defer cancel()
 		obs.StartRuntimeCollector(ctx, nil, 0)
 		obs.RegisterBuildInfo(nil)
+		// The monitor has no request exemplars to chase, so its bundles
+		// carry the recent explain reports directly.
 		recorder := flight.New(flight.Config{
 			Rules:    rules,
 			Cooldown: *flightCool,
 			SpillDir: *flightSpill,
-			Sources:  monitorFlightSources(),
+			Sources: append(flight.TelemetrySources(obs.Default()), flight.Source{
+				Name: "runs.json",
+				Fetch: func(context.Context) ([]flight.Artifact, error) {
+					return flight.JSONArtifact("runs.json", explain.Default().Recent())
+				},
+			}),
 		})
 		go recorder.Run(ctx)
 		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", obs.WithUptime(nil, obs.Default().Handler()))
-		mux.Handle("GET /debug/vars", obs.WithUptime(nil, obs.Default().VarsHandler()))
-		mux.Handle("GET /debug/spans", obs.SpansHandler())
-		mux.Handle("GET /debug/runs", explain.Default().RunsHandler())
-		mux.Handle("GET /debug/runs/{id}", explain.Default().RunHandler())
-		mux.Handle("GET /debug/slo", httpapi.NewSLOHandler(nil))
-		mux.Handle("GET /debug/flight", recorder.IndexHandler())
-		mux.Handle("GET /debug/flight/{id}", recorder.ArchiveHandler())
-		mux.Handle("POST /debug/flight/capture", recorder.CaptureHandler())
-		if *pprofOn {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		}
+		httpapi.Debug{Registry: obs.Default(), Runs: explain.Default(), Flight: recorder, Pprof: *pprofOn}.Mount(mux)
 		go func() { _ = http.Serve(ln, mux) }()
 		fmt.Fprintf(w, "metrics on http://%s/metrics\n", ln.Addr())
 	}
@@ -219,37 +208,6 @@ func run(w io.Writer, args []string) error {
 		}
 	}
 	return runner.Err()
-}
-
-// monitorFlightSources are the monitor's bundle artifacts: a metrics
-// snapshot, recent spans grouped by trace, and the recent explain reports
-// (the monitor has no request exemplars to chase, so it bundles the runs
-// directly).
-func monitorFlightSources() []flight.Source {
-	marshal := func(name string, v any) ([]flight.Artifact, error) {
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return []flight.Artifact{{Name: name, Data: data}}, nil
-	}
-	return []flight.Source{
-		{Name: "metrics.prom", Fetch: func(context.Context) ([]flight.Artifact, error) {
-			var buf bytes.Buffer
-			if err := obs.Default().WritePrometheus(&buf); err != nil {
-				return nil, err
-			}
-			return []flight.Artifact{{Name: "metrics.prom", Data: buf.Bytes()}}, nil
-		}},
-		{Name: "spans.json", Fetch: func(context.Context) ([]flight.Artifact, error) {
-			return marshal("spans.json", struct {
-				Traces []obs.TraceSpans `json:"traces"`
-			}{Traces: obs.GroupSpans(obs.RecentSpans())})
-		}},
-		{Name: "runs.json", Fetch: func(context.Context) ([]flight.Artifact, error) {
-			return marshal("runs.json", explain.Default().Recent())
-		}},
-	}
 }
 
 func printScopes(w io.Writer, schema *kpi.Schema, ev pipeline.Event) {

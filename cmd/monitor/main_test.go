@@ -187,6 +187,9 @@ func TestRunObservabilityParity(t *testing.T) {
 	if code, _ := get("/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/cmdline = %d with -pprof", code)
 	}
+	if code, _ := get("/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars = %d, want 404", code)
+	}
 	// The monitor run keeps ticking in the background; the process exits
 	// with the test binary.
 }

@@ -15,7 +15,7 @@ import (
 // through it so /debug/runs has a report to serve.
 func newService(t *testing.T) (*httptest.Server, string) {
 	t.Helper()
-	srv := httptest.NewServer(httpapi.NewHandler())
+	srv := httptest.NewServer(httpapi.New(httpapi.Options{}))
 	t.Cleanup(srv.Close)
 
 	const csv = `Location,Website,actual,forecast

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -94,7 +95,7 @@ func run(w io.Writer, args []string) error {
 		)
 		if miner, ok := m.(*rapminer.Miner); ok && *verbose {
 			var diag rapminer.Diagnostics
-			res, diag, err = miner.LocalizeWithDiagnostics(snap, *k)
+			res, diag, err = miner.LocalizeWithDiagnosticsContext(context.Background(), snap, *k)
 			if err == nil {
 				printDiagnostics(w, snap.Schema, diag)
 			}

@@ -48,7 +48,7 @@ func TestServerAndCLIAgreeOnEveryMethod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(httpapi.NewHandler())
+	srv := httptest.NewServer(httpapi.New(httpapi.Options{}))
 	t.Cleanup(srv.Close)
 
 	for _, key := range methods.Keys() {

@@ -21,7 +21,6 @@
 //	POST /v1/observe/delta       patch the baseline with one tick's delta (-continuous)
 //	GET  /v1/observe/continuous  sliding-window tick statistics (-continuous)
 //	GET  /metrics          Prometheus text-format metrics
-//	GET  /debug/vars       metrics as JSON
 //	GET  /debug/spans      recent trace spans (?trace=<id>, ?group=trace)
 //	GET  /debug/runs       recent localization runs (explain reports)
 //	GET  /debug/runs/{id}  one run's explain report by trace ID
@@ -64,7 +63,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"time"
@@ -146,16 +144,10 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 	go apiSrv.Flight().Run(ctx)
 	mux := http.NewServeMux()
 	mux.Handle("/", apiSrv)
-	if *pprofOn {
-		// Mounted on the outer mux so profiler traffic skips the API
-		// middleware (profiles can stream for seconds and would skew the
-		// latency histogram).
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	// The profiler is mounted on the outer mux so profiler traffic skips
+	// the API middleware (profiles can stream for seconds and would skew
+	// the latency histogram); the API mounts the rest of the debug surface.
+	httpapi.Debug{Pprof: *pprofOn}.Mount(mux)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -104,6 +104,15 @@ func TestRunServesAndShutsDownGracefully(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// The registry is served at /metrics only.
+	resp, err = http.Get(base + "/debug/vars")
+	if err != nil {
+		t.Fatalf("vars: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars = %d, want 404", resp.StatusCode)
+	}
 
 	// Interrupt → graceful exit with nil error.
 	cancel()

@@ -5,9 +5,13 @@
 // forecast and actual probability distributions) and keeps the elements
 // whose Explanatory Power (share of the total KPI change they account for)
 // accumulates past a threshold.
+//
+// Its safe point is the attribute: a run whose context ends stops before
+// the next attribute's scan and ranks the attributes scanned so far.
 package adtributor
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -69,10 +73,16 @@ type scoredElement struct {
 	ep       float64
 }
 
-// Localize implements localize.Localizer. The result flattens the selected
-// elements of the most surprising attributes into 1-D patterns, ordered by
-// attribute surprise and then element surprise.
+// Localize implements localize.Localizer.
 func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, error) {
+	return l.LocalizeContext(context.Background(), snapshot, k)
+}
+
+// LocalizeContext implements localize.Localizer. The result flattens the
+// selected elements of the most surprising attributes into 1-D patterns,
+// ordered by attribute surprise and then element surprise. Once ctx ends,
+// the attributes not yet scanned are skipped.
+func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, error) {
 	if snapshot == nil {
 		return localize.Result{}, fmt.Errorf("adtributor: nil snapshot")
 	}
@@ -86,7 +96,8 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 	}
 
 	var cands []candidate
-	for attr := 0; attr < snapshot.Schema.NumAttributes(); attr++ {
+	poll := localize.NewPoll(ctx)
+	for attr := 0; attr < snapshot.Schema.NumAttributes() && !poll.Stop(); attr++ {
 		if c, ok := l.explainAttribute(snapshot, attr, totalV, totalF, change); ok {
 			cands = append(cands, c)
 		}
@@ -99,11 +110,11 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 		for _, e := range c.elements {
 			patterns = append(patterns, localize.ScoredPattern{Combo: e.combo, Score: e.surprise})
 			if len(patterns) == k {
-				return localize.Result{Patterns: patterns}, nil
+				return poll.Result(patterns), nil
 			}
 		}
 	}
-	return localize.Result{Patterns: patterns}, nil
+	return poll.Result(patterns), nil
 }
 
 // explainAttribute runs the per-dimension element scan of the Adtributor

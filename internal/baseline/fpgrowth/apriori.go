@@ -3,6 +3,8 @@ package fpgrowth
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/localize"
 )
 
 // MineApriori mines the same frequent itemsets as Mine using the classic
@@ -13,6 +15,12 @@ import (
 // implementation methods varies greatly" — this implementation exists to
 // demonstrate exactly that (see BenchmarkMineVsApriori).
 func MineApriori(transactions [][]Item, minSupport int) ([]Itemset, error) {
+	return mineApriori(transactions, minSupport, localize.NewPoll(nil))
+}
+
+// mineApriori is MineApriori that polls before each level's candidate
+// generation and, once poll stops, returns the itemsets found so far.
+func mineApriori(transactions [][]Item, minSupport int, poll *localize.Poll) ([]Itemset, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("fpgrowth: minSupport %d, want >= 1", minSupport)
 	}
@@ -44,6 +52,9 @@ func MineApriori(transactions [][]Item, minSupport int) ([]Itemset, error) {
 	var out []Itemset
 	for len(level) > 0 {
 		out = append(out, level...)
+		if poll.Stop() {
+			break
+		}
 		candidates := aprioriGen(level)
 		if len(candidates) == 0 {
 			break

@@ -2,11 +2,17 @@
 // Pei, Yin — SIGMOD 2000) and, on top of it, the association-rule root
 // anomaly pattern localizer the RAPMiner paper evaluates as a baseline
 // (its reference [15] searches root causes with association rule mining).
+//
+// The localizer's safe point is the conditional pattern base (the level,
+// with UseApriori): a run whose context ends stops before building the
+// next one and ranks the itemsets mined so far.
 package fpgrowth
 
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/localize"
 )
 
 // Item is an opaque integer item identifier. The localizer encodes an
@@ -26,6 +32,12 @@ type Itemset struct {
 // Items within a transaction must be unique; duplicate items in one
 // transaction count once.
 func Mine(transactions [][]Item, minSupport int) ([]Itemset, error) {
+	return mine(transactions, minSupport, localize.NewPoll(nil))
+}
+
+// mine is Mine that polls before each conditional pattern base and, once
+// poll stops, returns the itemsets found so far.
+func mine(transactions [][]Item, minSupport int, poll *localize.Poll) ([]Itemset, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("fpgrowth: minSupport %d, want >= 1", minSupport)
 	}
@@ -49,7 +61,7 @@ func Mine(transactions [][]Item, minSupport int) ([]Itemset, error) {
 	}
 
 	var out []Itemset
-	tree.growth(nil, minSupport, &out)
+	tree.growth(nil, minSupport, &out, poll)
 	// Deterministic output order: by length then lexicographic items.
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Items, out[j].Items
@@ -139,7 +151,7 @@ func (t *fpTree) insert(items []Item, count int) {
 
 // growth recursively mines the tree. suffix is the itemset conditioned on
 // so far (in reverse construction order).
-func (t *fpTree) growth(suffix []Item, minSup int, out *[]Itemset) {
+func (t *fpTree) growth(suffix []Item, minSup int, out *[]Itemset, poll *localize.Poll) {
 	// Visit header items in ascending frequency (classic FP-growth
 	// order); deterministic via sorting.
 	items := make([]Item, 0, len(t.headers))
@@ -168,6 +180,9 @@ func (t *fpTree) growth(suffix []Item, minSup int, out *[]Itemset) {
 		*out = append(*out, Itemset{Items: sorted, Support: support})
 
 		// Build the conditional pattern base for it.
+		if poll.Stop() {
+			return
+		}
 		condFreq := make(map[Item]int)
 		type path struct {
 			items []Item
@@ -207,6 +222,6 @@ func (t *fpTree) growth(suffix []Item, minSup int, out *[]Itemset) {
 			})
 			cond.insert(kept, p.count)
 		}
-		cond.growth(itemset, minSup, out)
+		cond.growth(itemset, minSup, out, poll)
 	}
 }

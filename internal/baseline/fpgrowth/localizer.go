@@ -1,6 +1,7 @@
 package fpgrowth
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -67,6 +68,12 @@ func decodeItem(it Item) (attr int, code int32) {
 
 // Localize implements localize.Localizer.
 func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, error) {
+	return l.LocalizeContext(context.Background(), snapshot, k)
+}
+
+// LocalizeContext implements localize.Localizer. Once ctx ends, the
+// conditional pattern bases not yet mined are skipped.
+func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, error) {
 	if snapshot == nil {
 		return localize.Result{}, fmt.Errorf("fpgrowth: nil snapshot")
 	}
@@ -94,11 +101,12 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 	if minSupport < 1 {
 		minSupport = 1
 	}
-	mine := Mine
+	mineItemsets := mine
 	if l.cfg.UseApriori {
-		mine = MineApriori
+		mineItemsets = mineApriori
 	}
-	itemsets, err := mine(transactions, minSupport)
+	poll := localize.NewPoll(ctx)
+	itemsets, err := mineItemsets(transactions, minSupport, poll)
 	if err != nil {
 		return localize.Result{}, err
 	}
@@ -130,5 +138,5 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 	if k < len(patterns) {
 		patterns = patterns[:k]
 	}
-	return localize.Result{Patterns: patterns}, nil
+	return poll.Result(patterns), nil
 }

@@ -14,9 +14,13 @@
 //
 // where a_i is the ripple-deduced value (a_i = f_i * v(S)/f(S) for leaves
 // under S, a_i = f_i otherwise).
+//
+// Its safe point is the MCTS iteration: a run whose context ends stops
+// before the next iteration and answers with the best set found so far.
 package hotspot
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -90,6 +94,12 @@ func (l *Localizer) Name() string { return "HotSpot" }
 
 // Localize implements localize.Localizer.
 func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, error) {
+	return l.LocalizeContext(context.Background(), snapshot, k)
+}
+
+// LocalizeContext implements localize.Localizer. Once ctx ends, the search
+// stops before its next MCTS iteration.
+func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, error) {
 	if snapshot == nil {
 		return localize.Result{}, fmt.Errorf("hotspot: nil snapshot")
 	}
@@ -113,11 +123,16 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 	rng := rand.New(rand.NewSource(l.cfg.Seed))
 
 	best := searchOutcome{ps: math.Inf(-1)}
+	poll := localize.NewPoll(ctx)
+search:
 	for layer := 1; layer <= len(attrs); layer++ {
 		for _, cuboid := range kpi.CuboidsAtLayer(attrs, layer) {
-			outcome := l.searchCuboid(snapshot, cuboid, totalDev, rng)
+			outcome := l.searchCuboid(snapshot, cuboid, totalDev, rng, poll)
 			if outcome.ps > best.ps {
 				best = outcome
+			}
+			if poll.Reason != "" {
+				break search
 			}
 		}
 		// HotSpot searches coarse layers first and stops as soon as a
@@ -127,7 +142,7 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 		}
 	}
 	if len(best.set) == 0 {
-		return localize.Result{}, nil
+		return poll.Result(nil), nil
 	}
 	patterns := make([]localize.ScoredPattern, 0, len(best.set))
 	for _, combo := range best.set {
@@ -137,7 +152,7 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 	if k < len(patterns) {
 		patterns = patterns[:k]
 	}
-	return localize.Result{Patterns: patterns}, nil
+	return poll.Result(patterns), nil
 }
 
 type searchOutcome struct {
@@ -154,8 +169,8 @@ type element struct {
 }
 
 // searchCuboid runs MCTS over subsets of the cuboid's most deviating
-// combinations.
-func (l *Localizer) searchCuboid(snapshot *kpi.Snapshot, cuboid kpi.Cuboid, totalDev float64, rng *rand.Rand) searchOutcome {
+// combinations, polling before each iteration.
+func (l *Localizer) searchCuboid(snapshot *kpi.Snapshot, cuboid kpi.Cuboid, totalDev float64, rng *rand.Rand, poll *localize.Poll) searchOutcome {
 	elements := l.cuboidElements(snapshot, cuboid)
 	if len(elements) == 0 {
 		return searchOutcome{ps: math.Inf(-1)}
@@ -167,7 +182,7 @@ func (l *Localizer) searchCuboid(snapshot *kpi.Snapshot, cuboid kpi.Cuboid, tota
 
 	tree := newMCTS(len(elements), l.cfg.MaxSetSize, l.cfg.UCBConstant, rng)
 	best := searchOutcome{ps: math.Inf(-1)}
-	for it := 0; it < l.cfg.Iterations; it++ {
+	for it := 0; it < l.cfg.Iterations && !poll.Stop(); it++ {
 		setBits := tree.selectAndExpand()
 		ps := eval(setBits)
 		tree.backpropagate(ps)

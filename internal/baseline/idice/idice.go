@@ -16,9 +16,13 @@
 // combination is scored from the group counts of its cuboid's group-by
 // rather than from a pass over the leaf set, and only the combinations
 // that survive pruning are decoded from their group indexes.
+//
+// Its safe point is the cuboid: a run whose context ends stops before the
+// next cuboid's group-by and ranks the combinations scored so far.
 package idice
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -66,6 +70,12 @@ func (l *Localizer) Name() string { return "iDice" }
 
 // Localize implements localize.Localizer.
 func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, error) {
+	return l.LocalizeContext(context.Background(), snapshot, k)
+}
+
+// LocalizeContext implements localize.Localizer. Once ctx ends, the
+// cuboids not yet traversed are skipped.
+func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, error) {
 	if snapshot == nil {
 		return localize.Result{}, fmt.Errorf("idice: nil snapshot")
 	}
@@ -88,8 +98,12 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 	var (
 		patterns []localize.ScoredPattern
 		groups   []kpi.GroupStats
+		poll     = localize.NewPoll(ctx)
 	)
 	for _, cuboid := range kpi.AllCuboids(attrs) {
+		if poll.Stop() {
+			break
+		}
 		ix := snapshot.Indexer(cuboid)
 		groups = snapshot.GroupByAppend(cuboid, groups)
 		for _, g := range groups {
@@ -115,7 +129,7 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 	if k < len(patterns) {
 		patterns = patterns[:k]
 	}
-	return localize.Result{Patterns: patterns}, nil
+	return poll.Result(patterns), nil
 }
 
 // changed reports whether the aggregate deviates from its forecast by at

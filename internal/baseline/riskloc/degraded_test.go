@@ -36,9 +36,9 @@ func TestRiskLocPreCanceledContextReturnsDeterministicPartial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canceled run errored: %v", err)
 	}
-	if !want.Degraded || want.DegradedReason != degradedCanceled {
+	if !want.Degraded || want.DegradedReason != localize.DegradedCanceled {
 		t.Fatalf("Degraded=%v reason=%q, want true/%q",
-			want.Degraded, want.DegradedReason, degradedCanceled)
+			want.Degraded, want.DegradedReason, localize.DegradedCanceled)
 	}
 	// The first cuboid is always scanned, so the degraded answer still
 	// carries its best-so-far candidates on this anomalous fixture.
@@ -65,9 +65,9 @@ func TestRiskLocExpiredDeadlineReportsDeadlineExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("expired run errored: %v", err)
 	}
-	if !res.Degraded || res.DegradedReason != degradedDeadline {
+	if !res.Degraded || res.DegradedReason != localize.DegradedDeadline {
 		t.Fatalf("Degraded=%v reason=%q, want true/%q",
-			res.Degraded, res.DegradedReason, degradedDeadline)
+			res.Degraded, res.DegradedReason, localize.DegradedDeadline)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestRiskLocMidRunCancellationStopsAtCuboidBoundary(t *testing.T) {
 			t.Fatalf("budget %v: %v", budget, err)
 		}
 		if res.Degraded {
-			if res.DegradedReason != degradedDeadline && res.DegradedReason != degradedCanceled {
+			if res.DegradedReason != localize.DegradedDeadline && res.DegradedReason != localize.DegradedCanceled {
 				t.Fatalf("budget %v: unexpected reason %q", budget, res.DegradedReason)
 			}
 		} else if res.DegradedReason != "" {
@@ -136,7 +136,7 @@ func TestRiskLocCancellationLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestSafeLocalizeIntegration runs RiskLoc through the shared SafeLocalize
-// plumbing, which is how the serving layers invoke every ContextLocalizer.
+// plumbing, which is how the serving layers invoke every localizer.
 func TestRiskLocSafeLocalizeIntegration(t *testing.T) {
 	snap := degradedFixture(t)
 	res, err := localize.SafeLocalize(context.Background(), mustNew(t), snap, 5)

@@ -34,24 +34,19 @@
 //     residual so co-occurring root causes of different dimensionality are
 //     still found. See DESIGN.md ("RiskLoc") for where this adaptation
 //     diverges from the published method.
+//
+// Its safe point is the cuboid: a run whose context ends stops before the
+// next cuboid's search and ranks the selections found so far.
 package riskloc
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/kpi"
 	"repro/internal/localize"
-)
-
-// Degraded-reason strings mirror the rapminer budget contract so serving
-// layers treat every ContextLocalizer uniformly.
-const (
-	degradedCanceled = "canceled"
-	degradedDeadline = "deadline exceeded"
 )
 
 // Config holds RiskLoc's knobs.
@@ -96,10 +91,7 @@ type Localizer struct {
 	cfg Config
 }
 
-var (
-	_ localize.Localizer        = (*Localizer)(nil)
-	_ localize.ContextLocalizer = (*Localizer)(nil)
-)
+var _ localize.Localizer = (*Localizer)(nil)
 
 // New validates the configuration.
 func New(cfg Config) (*Localizer, error) {
@@ -225,10 +217,10 @@ type selection struct {
 	order int
 }
 
-// LocalizeContext implements localize.ContextLocalizer: the run stops at
-// the next cuboid boundary once ctx is canceled and returns the best-so-far
-// candidates as a degraded (possibly empty) partial result. RiskLoc runs on
-// the calling goroutine only, so cancellation can never leak workers.
+// LocalizeContext implements localize.Localizer: the run stops at the next
+// cuboid boundary once ctx ends and returns the best-so-far candidates as a
+// degraded (possibly empty) partial result. RiskLoc runs on the calling
+// goroutine only, so cancellation can never leak workers.
 func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, error) {
 	if snapshot == nil {
 		return localize.Result{}, fmt.Errorf("riskloc: nil snapshot")
@@ -236,10 +228,6 @@ func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot,
 	if k <= 0 {
 		return localize.Result{}, fmt.Errorf("riskloc: k = %d, want > 0", k)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
 	p, ok := l.buildPartition(snapshot)
 	if !ok {
 		return localize.Result{}, nil
@@ -256,28 +244,20 @@ func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot,
 		covered     = make([]bool, snapshot.Len())
 		remainingAW = p.AW
 		order       int
-		scanned     int
-		degraded    bool
-		reason      string
+		poll        = localize.NewPoll(ctx)
 	)
 search:
 	for layer := 1; layer <= len(attrs); layer++ {
 		var layerHits []selection
 		for _, cuboid := range kpi.CuboidsAtLayer(attrs, layer) {
-			// Mirror the rapminer contract: the first cuboid is always
-			// scanned, so even a pre-canceled run answers with that
-			// cuboid's best-so-far candidates when any exist.
-			if err := ctx.Err(); err != nil && scanned > 0 {
-				degraded = true
-				reason = degradedCanceled
-				if errors.Is(err, context.DeadlineExceeded) {
-					reason = degradedDeadline
-				}
+			// The first cuboid is always scanned, so even a pre-canceled
+			// run answers with that cuboid's best-so-far candidates when
+			// any exist.
+			if poll.Stop() {
 				// Keep this layer's already-qualified selections.
 				accepted = append(accepted, layerHits...)
 				break search
 			}
-			scanned++
 			sel, found := l.searchCuboid(snapshot, cuboid, &p, covered, remainingAW)
 			if !found {
 				continue
@@ -328,7 +308,7 @@ search:
 	if k < len(patterns) {
 		patterns = patterns[:k]
 	}
-	return localize.Result{Patterns: patterns, Degraded: degraded, DegradedReason: reason}, nil
+	return poll.Result(patterns), nil
 }
 
 // flatten turns selections into per-combination scored patterns, deduping

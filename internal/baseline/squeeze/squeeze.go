@@ -13,9 +13,14 @@
 //	             / (sum_i |v_i - f_i|)
 //
 // evaluated over the cluster's leaves plus all normal leaves.
+//
+// Its safe point is the cuboid: once a run's context ends, each worker
+// stops before claiming its next cuboid, and the run answers from the
+// cuboids searched so far.
 package squeeze
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -63,11 +68,16 @@ func New(cfg Config) (*Localizer, error) {
 // Name implements localize.Localizer.
 func (l *Localizer) Name() string { return "Squeeze" }
 
-// Localize implements localize.Localizer. Note that Squeeze derives its
-// result count from the clusters it finds; k only truncates (the paper
+// Localize implements localize.Localizer.
+func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, error) {
+	return l.LocalizeContext(context.Background(), snapshot, k)
+}
+
+// LocalizeContext implements localize.Localizer. Note that Squeeze derives
+// its result count from the clusters it finds; k only truncates (the paper
 // observes that "the Squeeze algorithm can not return a specified number of
 // results").
-func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, error) {
+func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, error) {
 	if snapshot == nil {
 		return localize.Result{}, fmt.Errorf("squeeze: nil snapshot")
 	}
@@ -97,7 +107,8 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 		patterns []localize.ScoredPattern
 		seen     = make(map[string]struct{})
 	)
-	for _, best := range l.locateClusters(snapshot, clusters) {
+	located, reason := l.locateClusters(ctx, snapshot, clusters)
+	for _, best := range located {
 		for _, combo := range best.combos {
 			key := combo.Key()
 			if _, dup := seen[key]; dup {
@@ -111,7 +122,7 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 	if k < len(patterns) {
 		patterns = patterns[:k]
 	}
-	return localize.Result{Patterns: patterns}, nil
+	return localize.Result{Patterns: patterns, Degraded: reason != "", DegradedReason: reason}, nil
 }
 
 // deviationScore is Squeeze's leaf deviation: 2(f - v) / (f + v).
@@ -209,7 +220,10 @@ type prefix struct {
 // with the same strictly-better-by-tieEps rule a sequential search
 // applies, so the result does not depend on the worker count. A panic on
 // a worker is rethrown on the calling goroutine as a *kpi.ScanPanic.
-func (l *Localizer) locateClusters(snapshot *kpi.Snapshot, clusters []cluster) []candidateSet {
+//
+// Once ctx ends, workers claim no cuboid past the first; the fold then
+// skips the unsearched ones and the returned reason is ctx's StopReason.
+func (l *Localizer) locateClusters(ctx context.Context, snapshot *kpi.Snapshot, clusters []cluster) ([]candidateSet, string) {
 	u := newUniverse(snapshot, clusters)
 	attrs := make([]int, snapshot.Schema.NumAttributes())
 	for i := range attrs {
@@ -217,7 +231,10 @@ func (l *Localizer) locateClusters(snapshot *kpi.Snapshot, clusters []cluster) [
 	}
 	cuboids := kpi.AllCuboids(attrs)
 	slots := make([][]prefix, len(cuboids))
-	var next atomic.Int64
+	var (
+		next    atomic.Int64
+		stopped atomic.Bool
+	)
 	kpi.RunWorkers(min(runtime.GOMAXPROCS(0), len(cuboids)), func(int) {
 		var (
 			groups cuboidGroups
@@ -226,6 +243,10 @@ func (l *Localizer) locateClusters(snapshot *kpi.Snapshot, clusters []cluster) [
 		for {
 			q := int(next.Add(1)) - 1
 			if q >= len(cuboids) {
+				return
+			}
+			if q > 0 && localize.StopReason(ctx) != "" {
+				stopped.Store(true)
 				return
 			}
 			if !groups.build(snapshot, cuboids[q]) {
@@ -251,7 +272,10 @@ func (l *Localizer) locateClusters(snapshot *kpi.Snapshot, clusters []cluster) [
 			}
 		}
 	}
-	return best
+	if stopped.Load() {
+		return best, localize.StopReason(ctx)
+	}
+	return best, ""
 }
 
 // cuboidGroups partitions the leaves by their projection onto one cuboid.

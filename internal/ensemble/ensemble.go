@@ -9,6 +9,7 @@ package ensemble
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,13 +59,12 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 	return l.LocalizeContext(context.Background(), snapshot, k)
 }
 
-var _ localize.ContextLocalizer = (*Localizer)(nil)
-
-// LocalizeContext implements localize.ContextLocalizer. Members run
-// sequentially through localize.SafeLocalize, so a ContextLocalizer member
-// honors ctx and a panicking member becomes an error instead of unwinding
-// the vote. If any member returns a degraded partial, the fused result is
-// marked degraded too (the vote was taken over partial rankings).
+// LocalizeContext implements localize.Localizer. Members run sequentially
+// under ctx through localize.SafeLocalize, so each stops at its own safe
+// point and a panicking member becomes an error instead of unwinding the
+// vote. If any member returns a degraded partial, the fused result is
+// marked degraded too (the vote was taken over partial rankings); its
+// reason lists the members' distinct reasons in member order.
 func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, error) {
 	if snapshot == nil {
 		return localize.Result{}, fmt.Errorf("ensemble: nil snapshot")
@@ -88,7 +88,9 @@ func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot,
 		}
 		if res.Degraded {
 			degraded = true
-			reasons = append(reasons, fmt.Sprintf("%s: %s", m.Name(), res.DegradedReason))
+			if !slices.Contains(reasons, res.DegradedReason) {
+				reasons = append(reasons, res.DegradedReason)
+			}
 		}
 		for rank, p := range res.Patterns {
 			key := p.Combo.Key()

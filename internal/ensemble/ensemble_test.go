@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -130,7 +131,11 @@ func TestEnsembleValidation(t *testing.T) {
 type failingLocalizer struct{}
 
 func (failingLocalizer) Name() string { return "boom" }
-func (failingLocalizer) Localize(*kpi.Snapshot, int) (localize.Result, error) {
+func (r failingLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+	return r.LocalizeContext(context.Background(), s, k)
+}
+
+func (failingLocalizer) LocalizeContext(context.Context, *kpi.Snapshot, int) (localize.Result, error) {
 	return localize.Result{}, errors.New("boom")
 }
 

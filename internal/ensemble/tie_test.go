@@ -19,7 +19,11 @@ type fixedMember struct {
 
 func (f fixedMember) Name() string { return f.name }
 
-func (f fixedMember) Localize(_ *kpi.Snapshot, k int) (localize.Result, error) {
+func (f fixedMember) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+	return f.LocalizeContext(context.Background(), s, k)
+}
+
+func (f fixedMember) LocalizeContext(_ context.Context, _ *kpi.Snapshot, k int) (localize.Result, error) {
 	ps := f.patterns
 	if k < len(ps) {
 		ps = ps[:k]
@@ -99,10 +103,10 @@ func TestTiedRRFScoresRankDeterministically(t *testing.T) {
 	}
 }
 
-// TestEnsembleContextPropagatesDegraded checks the ContextLocalizer path:
-// a canceled ctx reaching a context-aware member (RiskLoc here, which is
-// also how the method joins the voting pool) marks the fused result
-// degraded rather than erroring out.
+// TestEnsembleContextPropagatesDegraded checks the context path: a
+// canceled ctx reaching a member (RiskLoc here, which is also how the
+// method joins the voting pool) marks the fused result degraded rather
+// than erroring out.
 func TestEnsembleContextPropagatesDegraded(t *testing.T) {
 	snap := injected(t, kpi.MustParseCombination(testSchema(), "(a1, *, *)"))
 	rl, err := riskloc.New(riskloc.DefaultConfig())

@@ -11,6 +11,8 @@ import (
 	"runtime/debug"
 	"sort"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Artifact is one named file inside a diagnostic bundle.
@@ -28,6 +30,35 @@ type Artifact struct {
 type Source struct {
 	Name  string
 	Fetch func(ctx context.Context) ([]Artifact, error)
+}
+
+// JSONArtifact renders v as one indented JSON artifact.
+func JSONArtifact(name string, v any) ([]Artifact, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return []Artifact{{Name: name, Data: data}}, nil
+}
+
+// TelemetrySources are the artifacts every process bundles: a metrics
+// snapshot of reg (metrics.prom) and the recent spans grouped by trace
+// (spans.json).
+func TelemetrySources(reg *obs.Registry) []Source {
+	return []Source{
+		{Name: "metrics.prom", Fetch: func(context.Context) ([]Artifact, error) {
+			var buf bytes.Buffer
+			if err := reg.WritePrometheus(&buf); err != nil {
+				return nil, err
+			}
+			return []Artifact{{Name: "metrics.prom", Data: buf.Bytes()}}, nil
+		}},
+		{Name: "spans.json", Fetch: func(context.Context) ([]Artifact, error) {
+			return JSONArtifact("spans.json", struct {
+				Traces []obs.TraceSpans `json:"traces"`
+			}{Traces: obs.GroupSpans(obs.RecentSpans())})
+		}},
+	}
 }
 
 // BundleInfo is one bundle's metadata row, served by the /debug/flight

@@ -49,11 +49,11 @@ type batchItemResponse struct {
 	DegradedReason string `json:"degraded_reason,omitempty"`
 }
 
-// handleLocalizeBatch localizes many snapshots in one request. Items fan
+// handleBatch localizes many snapshots in one request. Items fan
 // out across the handler's BatchExecutor, whose worker slots are shared by
 // every in-flight batch; when the queue is full the whole request is
 // rejected with 503 and a Retry-After header instead of being buffered.
-func (a *api) handleLocalizeBatch(w http.ResponseWriter, r *http.Request) {
+func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 	method, k, ok := methodAndK(w, r)
 	if !ok {
 		return
@@ -162,7 +162,7 @@ func (a *api) handleLocalizeBatch(w http.ResponseWriter, r *http.Request) {
 			item.DegradedReason = br.Result.DegradedReason
 			if br.Result.Degraded {
 				degraded++
-				if a.timeout > 0 && br.Result.DegradedReason == rapminer.DegradedDeadline {
+				if a.timeout > 0 && br.Result.DegradedReason == localize.DegradedDeadline {
 					deadlined++
 				}
 			}
@@ -187,6 +187,3 @@ func (a *api) handleLocalizeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, status, resp)
 }
-
-// ensure the interface stays satisfied as the miner evolves.
-var _ localize.BatchLocalizer = (*rapminer.Miner)(nil)

@@ -35,7 +35,7 @@ func FuzzLocalizeBatch(f *testing.F) {
 	f.Add([]byte(`["not", "an", "object"]`))
 
 	a := &api{batch: pipeline.NewBatchExecutor(obs.NewRegistry(), 1, maxBatchItems), timeout: time.Second}
-	h := http.HandlerFunc(a.handleLocalizeBatch)
+	h := http.HandlerFunc(a.handleBatch)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodPost, "/v1/localize/batch", bytes.NewReader(body))

@@ -135,7 +135,7 @@ func TestLocalizeBatchTooManyItems(t *testing.T) {
 // TestLocalizeBatchBackpressure exercises the 503 path: with capacity for a
 // single item, a two-item batch cannot be admitted.
 func TestLocalizeBatchBackpressure(t *testing.T) {
-	srv := httptest.NewServer(NewHandlerOpts(Options{
+	srv := httptest.NewServer(New(Options{
 		Registry:     obs.NewRegistry(),
 		BatchWorkers: 1,
 		BatchQueue:   -1, // no queue: capacity is the single worker slot

@@ -13,7 +13,7 @@ import (
 
 func newContinuousServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewHandlerOpts(Options{Continuous: true, ContinuousWindow: 4}))
+	srv := httptest.NewServer(New(Options{Continuous: true, ContinuousWindow: 4}))
 	t.Cleanup(srv.Close)
 	return srv
 }

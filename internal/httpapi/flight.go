@@ -1,9 +1,7 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"sort"
 	"sync/atomic"
@@ -25,8 +23,8 @@ const maxExemplarRuns = 16
 
 // Server is the service handler plus its operational controls: the flight
 // recorder (start its trigger loop with Flight().Run) and the drain switch
-// that flips /readyz before shutdown. It is itself the http.Handler built
-// by NewHandlerOpts.
+// that flips /readyz before shutdown. It is itself the service's
+// http.Handler.
 type Server struct {
 	handler  http.Handler
 	flight   *flight.Recorder
@@ -110,30 +108,11 @@ func (s *sloState) flightStatus() flight.Status {
 // reports of the runs the latency histogram's exemplars point at — i.e.
 // the slowest/degraded localizations still resolvable at capture time.
 func flightSources(reg *obs.Registry, slo *sloState, runs *explain.Store) []flight.Source {
-	marshal := func(name string, v any) ([]flight.Artifact, error) {
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		return []flight.Artifact{{Name: name, Data: data}}, nil
-	}
-	return []flight.Source{
-		{Name: "slo.json", Fetch: func(context.Context) ([]flight.Artifact, error) {
-			return marshal("slo.json", slo.report())
-		}},
-		{Name: "metrics.prom", Fetch: func(context.Context) ([]flight.Artifact, error) {
-			var buf bytes.Buffer
-			if err := reg.WritePrometheus(&buf); err != nil {
-				return nil, err
-			}
-			return []flight.Artifact{{Name: "metrics.prom", Data: buf.Bytes()}}, nil
-		}},
-		{Name: "spans.json", Fetch: func(context.Context) ([]flight.Artifact, error) {
-			return marshal("spans.json", struct {
-				Traces []obs.TraceSpans `json:"traces"`
-			}{Traces: obs.GroupSpans(obs.RecentSpans())})
-		}},
-		{Name: "runs", Fetch: func(context.Context) ([]flight.Artifact, error) {
+	sources := append([]flight.Source{{Name: "slo.json", Fetch: func(context.Context) ([]flight.Artifact, error) {
+		return flight.JSONArtifact("slo.json", slo.report())
+	}}}, flight.TelemetrySources(reg)...)
+	return append(sources,
+		flight.Source{Name: "runs", Fetch: func(context.Context) ([]flight.Artifact, error) {
 			var out []flight.Artifact
 			seen := make(map[string]bool)
 			exemplars := reg.FamilyExemplars("http_request_duration_seconds")
@@ -150,7 +129,7 @@ func flightSources(reg *obs.Registry, slo *sloState, runs *explain.Store) []flig
 				if !ok {
 					continue // exemplar outlived the bounded run store
 				}
-				files, err := marshal("runs/"+ex.TraceID+".json", rep)
+				files, err := flight.JSONArtifact("runs/"+ex.TraceID+".json", rep)
 				if err != nil {
 					return nil, err
 				}
@@ -161,16 +140,5 @@ func flightSources(reg *obs.Registry, slo *sloState, runs *explain.Store) []flig
 			}
 			return out, nil
 		}},
-	}
-}
-
-// NewSLOHandler serves a bare GET /debug/slo (uptime and empty endpoint
-// windows) for processes that run the metrics listener without the API
-// middleware — cmd/monitor mounts it for parity with serve. A nil
-// registry means obs.Default().
-func NewSLOHandler(reg *obs.Registry) http.Handler {
-	if reg == nil {
-		reg = obs.Default()
-	}
-	return newSLOState(reg, nil).handler()
+	)
 }

@@ -61,17 +61,14 @@ func methodAndK(w http.ResponseWriter, r *http.Request) (methods.Method, int, bo
 	return m, k, true
 }
 
-// api carries the service's observability plumbing into the handlers.
+// api carries the service's localization plumbing into the handlers.
 type api struct {
-	reg     *obs.Registry
-	log     *slog.Logger
-	runs    *explain.Store
+	serving pipeline.Serving
 	batch   *pipeline.BatchExecutor
-	slo     *sloState
 	timeout time.Duration
 }
 
-// Options configures NewHandlerOpts. The zero value is valid: default
+// Options configures New. The zero value is valid: default
 // registry, shared component logger, GOMAXPROCS batch workers and a queue
 // of four items per worker.
 type Options struct {
@@ -129,32 +126,10 @@ type Options struct {
 	FlightInterval   time.Duration
 }
 
-// NewHandler builds the service's HTTP routes against the default metrics
-// registry and the shared "httpapi" component logger. The localization
-// endpoint is stateless; the observe/incidents pair shares one tracked
-// monitor per handler instance (its schema is fixed by the first
-// observation — stream the JSON snapshot document, whose attribute domains
-// are explicit, so every tick declares the same schema).
-func NewHandler() http.Handler {
-	return NewHandlerOpts(Options{})
-}
-
-// NewHandlerObs is NewHandler with an explicit registry and logger, for
-// embedders and tests that need isolation. A nil registry means
-// obs.Default(); a nil logger means the shared component logger.
-func NewHandlerObs(reg *obs.Registry, log *slog.Logger) http.Handler {
-	return NewHandlerOpts(Options{Registry: reg, Logger: log})
-}
-
-// NewHandlerOpts is NewHandler with full configuration. The returned
-// handler is a *Server; callers that need the flight recorder or the
-// drain switch use New instead.
-func NewHandlerOpts(o Options) http.Handler {
-	return New(o)
-}
-
 // New builds the service as a *Server, exposing the flight recorder and
-// the /readyz drain switch alongside the routes.
+// the /readyz drain switch alongside the routes. The localization
+// endpoint is stateless; the observe/incidents pair shares one tracked
+// monitor per server (its schema is fixed by the first observation).
 func New(o Options) *Server {
 	reg, log := o.Registry, o.Logger
 	if reg == nil {
@@ -174,10 +149,9 @@ func New(o Options) *Server {
 	case queue < 0:
 		queue = 0 // no waiting beyond the running items
 	}
+	runs := explain.Default()
 	a := &api{
-		reg:     reg,
-		log:     log,
-		runs:    explain.Default(),
+		serving: pipeline.Serving{Source: "httpapi", Registry: reg, Runs: runs},
 		batch:   pipeline.NewBatchExecutor(reg, workers, queue),
 		timeout: o.RequestTimeout,
 	}
@@ -188,7 +162,6 @@ func New(o Options) *Server {
 	pipeline.RegisterMetrics(reg)
 	obs.RegisterBuildInfo(reg)
 	slo := newSLOState(reg, a.batch)
-	a.slo = slo
 	srv := &Server{slo: slo, batch: a.batch}
 	srv.flight = flight.New(flight.Config{
 		Registry:   reg,
@@ -199,32 +172,24 @@ func New(o Options) *Server {
 		CPUProfile: o.FlightCPUProfile,
 		Interval:   o.FlightInterval,
 		Status:     slo.flightStatus,
-		Sources:    flightSources(reg, slo, a.runs),
+		Sources:    flightSources(reg, slo, runs),
 	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", handleHealthz)
 	mux.HandleFunc("GET /readyz", srv.handleReadyz)
 	mux.HandleFunc("GET /v1/methods", handleMethods)
 	mux.HandleFunc("POST /v1/localize", a.handleLocalize)
-	mux.HandleFunc("POST /v1/localize/batch", a.handleLocalizeBatch)
-	monitor := newMonitorAPI(reg, a.runs)
+	mux.HandleFunc("POST /v1/localize/batch", a.handleBatch)
+	monitor := newMonitorAPI(reg, runs)
 	mux.HandleFunc("POST /v1/observe", monitor.handleObserve)
 	mux.HandleFunc("GET /v1/incidents", monitor.handleIncidents)
 	if o.Continuous {
-		cont := newContinuousAPI(reg, a.runs, o.ContinuousWindow)
+		cont := newContinuousAPI(reg, runs, o.ContinuousWindow)
 		mux.HandleFunc("POST /v1/observe/snapshot", cont.handleSnapshot)
 		mux.HandleFunc("POST /v1/observe/delta", cont.handleDelta)
 		mux.HandleFunc("GET /v1/observe/continuous", cont.handleStatus)
 	}
-	mux.Handle("GET /metrics", obs.WithUptime(reg, reg.Handler()))
-	mux.Handle("GET /debug/vars", obs.WithUptime(reg, reg.VarsHandler()))
-	mux.Handle("GET /debug/spans", obs.SpansHandler())
-	mux.Handle("GET /debug/runs", a.runs.RunsHandler())
-	mux.Handle("GET /debug/runs/{id}", a.runs.RunHandler())
-	mux.Handle("GET /debug/slo", slo.handler())
-	mux.Handle("GET /debug/flight", srv.flight.IndexHandler())
-	mux.Handle("GET /debug/flight/{id}", srv.flight.ArchiveHandler())
-	mux.Handle("POST /debug/flight/capture", srv.flight.CaptureHandler())
+	Debug{Registry: reg, Runs: runs, SLO: slo.handler(), Flight: srv.flight}.Mount(mux)
 	srv.handler = instrument(reg, log, slo, newLogSampler(reg, o.LogMaxPerSec), o.ExemplarThreshold, mux)
 	return srv
 }
@@ -269,8 +234,8 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	// and labeling included, so a slow or large body spends the budget the
 	// localization would otherwise get. Decode is not interruptible (the
 	// body read is bounded by MaxBytesReader and the server's ReadTimeout);
-	// a localizer that starts after the deadline returns its first
-	// cuboid's best-so-far result, answered below as 504 + partial result.
+	// a localizer that starts after the deadline returns its first unit's
+	// best-so-far result, answered below as 504 + partial result.
 	reqCtx := r.Context()
 	if a.timeout > 0 {
 		var cancel context.CancelFunc
@@ -315,37 +280,15 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	ctx, span := obs.StartSpan(reqCtx, "httpapi.localize")
-	defer span.End()
-	span.SetAttr("method", method.Key)
-	span.SetAttr("leaves", snap.Len())
 	start := time.Now()
-	var res localize.Result
-	// Diagnostic-capable localizers additionally publish the run's search
-	// statistics (the paper's pruning telemetry) to the registry, and
-	// journal the run as an explain report keyed by the request's trace
-	// ID (fetch it at /debug/runs/{trace-id} or with `rapmctl explain`).
-	if dl, ok := m.(rapminer.TracedLocalizer); ok {
-		var diag rapminer.Diagnostics
-		res, diag, err = dl.LocalizeWithDiagnosticsContext(ctx, snap, k)
-		if err == nil {
-			rapminer.PublishDiagnostics(a.reg, diag)
-			span.SetAttr("cuboids_visited", diag.CuboidsVisited)
-			a.runs.Put(explain.New(span.TraceID(), "httpapi", m.Name(),
-				snap, k, diag, time.Since(start)))
-		}
-	} else {
-		// SafeLocalize adds panic isolation and, for context-aware
-		// methods, deadline enforcement to the plain path.
-		res, err = localize.SafeLocalize(ctx, m, snap, k)
-	}
+	res, err := a.serving.Localize(reqCtx, "httpapi.localize", m, snap, k)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 
 	resp := localizeResponse{
-		TraceID:        span.TraceID(),
+		TraceID:        obs.TraceIDFromContext(reqCtx),
 		Method:         m.Name(),
 		K:              k,
 		Anomalous:      snap.NumAnomalous(),
@@ -363,7 +306,7 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	// context timer fires, so the degraded reason — not reqCtx.Err()
 	// alone — decides the status.
 	status := http.StatusOK
-	if res.Degraded && (a.timeout > 0 && res.DegradedReason == rapminer.DegradedDeadline ||
+	if res.Degraded && (a.timeout > 0 && res.DegradedReason == localize.DegradedDeadline ||
 		errors.Is(reqCtx.Err(), context.DeadlineExceeded)) {
 		status = http.StatusGatewayTimeout
 	}

@@ -24,7 +24,7 @@ L3,Site2,98,100
 
 func newServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewHandler())
+	srv := httptest.NewServer(New(Options{}))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -24,7 +23,7 @@ func TestMain(m *testing.M) {
 func newObsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer(NewHandlerObs(reg, nil))
+	srv := httptest.NewServer(New(Options{Registry: reg}))
 	t.Cleanup(srv.Close)
 	return srv, reg
 }
@@ -156,18 +155,15 @@ L2,100,0
 	}
 }
 
-func TestDebugVarsEndpoint(t *testing.T) {
+// TestDebugVarsNotMounted checks the registry is served only at /metrics:
+// /debug/vars answers 404.
+func TestDebugVarsNotMounted(t *testing.T) {
 	srv, _ := newObsServer(t)
-	status, body := get(t, srv.URL+"/debug/vars")
-	if status != http.StatusOK {
-		t.Fatalf("status = %d", status)
+	if status, _ := get(t, srv.URL+"/debug/vars"); status != http.StatusNotFound {
+		t.Fatalf("/debug/vars status = %d, want 404", status)
 	}
-	var out map[string]any
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("vars not JSON: %v", err)
-	}
-	if _, ok := out["pipeline_incidents_opened_total"]; !ok {
-		t.Errorf("vars missing pipeline metric: %v", out)
+	if _, body := get(t, srv.URL+"/metrics"); !strings.Contains(body, "pipeline_incidents_opened_total") {
+		t.Errorf("/metrics missing pipeline metric:\n%s", body)
 	}
 }
 

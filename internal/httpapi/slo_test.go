@@ -171,26 +171,22 @@ func TestLogSamplerWindow(t *testing.T) {
 	}
 }
 
-// TestUptimeAndBuildInfoExposed: /debug/vars carries the process identity
+// TestUptimeAndBuildInfoExposed: /metrics carries the process identity
 // block registered by the handler.
 func TestUptimeAndBuildInfoExposed(t *testing.T) {
 	srv, _ := newObsServer(t)
-	_, body := get(t, srv.URL+"/debug/vars")
-	for _, want := range []string{"rapminer_build_info", "process_start_time_seconds", "process_uptime_seconds"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/debug/vars lacks %s:\n%s", want, body)
-		}
-	}
 	_, metrics := get(t, srv.URL+"/metrics")
-	if !strings.Contains(metrics, `rapminer_build_info{`) {
-		t.Fatalf("/metrics lacks rapminer_build_info:\n%s", metrics)
+	for _, want := range []string{"rapminer_build_info{", "process_start_time_seconds", "process_uptime_seconds"} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("/metrics lacks %s:\n%s", want, metrics)
+		}
 	}
 }
 
 // newOptServer builds a server with explicit options.
 func newOptServer(t *testing.T, o Options) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewHandlerOpts(o))
+	srv := httptest.NewServer(New(o))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -228,7 +224,7 @@ func TestObservabilityUnderConcurrentLoad(t *testing.T) {
 			}
 		}()
 	}
-	pages := []string{"/metrics", "/debug/vars", "/debug/spans", "/debug/slo", "/debug/runs"}
+	pages := []string{"/metrics", "/debug/spans", "/debug/slo", "/debug/runs"}
 	for i := 0; i < scrapers; i++ {
 		page := pages[i%len(pages)]
 		wg.Add(1)

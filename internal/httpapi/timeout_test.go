@@ -16,7 +16,7 @@ import (
 	"repro/internal/rapminer"
 )
 
-// stallLocalizer is a context-aware localizer that parks until the request
+// stallLocalizer is a localizer that parks until the request
 // deadline expires, then returns a degraded best-so-far result — the
 // behavior the miner exhibits on a too-tight deadline, without depending on
 // machine speed.
@@ -37,18 +37,20 @@ func (stallLocalizer) LocalizeContext(ctx context.Context, s *kpi.Snapshot, k in
 	return localize.Result{
 		Patterns:       []localize.ScoredPattern{{Combo: kpi.NewRoot(s.Schema.NumAttributes()), Score: 1}},
 		Degraded:       true,
-		DegradedReason: rapminer.DegradedDeadline,
+		DegradedReason: localize.DegradedDeadline,
 	}, nil
 }
-
-var _ localize.ContextLocalizer = stallLocalizer{}
 
 // panickyLocalizer panics unconditionally.
 type panickyLocalizer struct{}
 
 func (panickyLocalizer) Name() string { return "panicky" }
 
-func (panickyLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+func (r panickyLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+	return r.LocalizeContext(context.Background(), s, k)
+}
+
+func (panickyLocalizer) LocalizeContext(_ context.Context, s *kpi.Snapshot, k int) (localize.Result, error) {
 	panic("poisoned method")
 }
 
@@ -77,7 +79,7 @@ func withTestMethod(t *testing.T, name string, l localize.Localizer) {
 // same deadline would degrade the same way.
 func TestRequestTimeoutAnswers504WithPartialResult(t *testing.T) {
 	withTestMethod(t, "stall", stallLocalizer{})
-	srv := httptest.NewServer(NewHandlerOpts(Options{RequestTimeout: 30 * time.Millisecond}))
+	srv := httptest.NewServer(New(Options{RequestTimeout: 30 * time.Millisecond}))
 	t.Cleanup(srv.Close)
 
 	resp, err := http.Post(srv.URL+"/v1/localize?method=stall", "text/csv", strings.NewReader(sampleCSV))
@@ -106,7 +108,7 @@ func TestRequestTimeoutAnswers504WithPartialResult(t *testing.T) {
 // TestRequestTimeoutLeavesFastRunsAlone checks a run finishing inside the
 // deadline still answers 200 with no degraded marker.
 func TestRequestTimeoutLeavesFastRunsAlone(t *testing.T) {
-	srv := httptest.NewServer(NewHandlerOpts(Options{RequestTimeout: 10 * time.Second}))
+	srv := httptest.NewServer(New(Options{RequestTimeout: 10 * time.Second}))
 	t.Cleanup(srv.Close)
 	resp, out := postLocalize(t, srv, "/v1/localize?k=2", "text/csv", sampleCSV)
 	if resp.StatusCode != http.StatusOK {
@@ -147,7 +149,7 @@ func TestPanickingMethodAnswers500(t *testing.T) {
 // Retry-After) whose items carry their degraded partial results.
 func TestBatchRequestTimeoutAnswers504(t *testing.T) {
 	withTestMethod(t, "stall", stallLocalizer{})
-	srv := httptest.NewServer(NewHandlerOpts(Options{RequestTimeout: 30 * time.Millisecond}))
+	srv := httptest.NewServer(New(Options{RequestTimeout: 30 * time.Millisecond}))
 	t.Cleanup(srv.Close)
 
 	snap, err := kpi.ReadCSV(strings.NewReader(sampleCSV), nil)
@@ -205,7 +207,7 @@ func (b *slowBody) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// deadlineProbe is a context-aware localizer that reports the state of
+// deadlineProbe is a localizer that reports the state of
 // its context when called, then answers like stallLocalizer on an expired
 // one and with the root pattern otherwise.
 type deadlineProbe struct{ seen chan error }
@@ -241,7 +243,7 @@ func TestRequestTimeoutCoversBodyRead(t *testing.T) {
 		{50 * time.Millisecond, 30 * time.Millisecond, http.StatusGatewayTimeout, context.DeadlineExceeded},
 		{10 * time.Second, time.Millisecond, http.StatusOK, nil},
 	} {
-		srv := httptest.NewServer(NewHandlerOpts(Options{RequestTimeout: tt.timeout}))
+		srv := httptest.NewServer(New(Options{RequestTimeout: tt.timeout}))
 		body := &slowBody{data: []byte(doc), chunk: len(doc)/4 + 1, pause: tt.pause}
 		resp, err := http.Post(srv.URL+"/v1/localize?method=probe", "application/json", body)
 		if err != nil {
@@ -273,7 +275,7 @@ func TestBatchRequestTimeoutCoversBodyRead(t *testing.T) {
 		{50 * time.Millisecond, 30 * time.Millisecond, http.StatusGatewayTimeout},
 		{10 * time.Second, time.Millisecond, http.StatusOK},
 	} {
-		srv := httptest.NewServer(NewHandlerOpts(Options{RequestTimeout: tt.timeout}))
+		srv := httptest.NewServer(New(Options{RequestTimeout: tt.timeout}))
 		body := &slowBody{data: []byte(doc), chunk: len(doc)/4 + 1, pause: tt.pause}
 		resp, err := http.Post(srv.URL+"/v1/localize/batch?method=probe", "application/json", body)
 		if err != nil {

@@ -1,16 +1,19 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/anomaly"
 	"repro/internal/kpi"
+	"repro/internal/methods"
 	"repro/internal/obs"
 	"repro/internal/rapminer"
 	"repro/internal/rapminer/explain"
@@ -132,7 +135,7 @@ func TestTraceparentUniquePerRequest(t *testing.T) {
 
 // TestExplainReportEndToEnd is the acceptance path: localize with a
 // traceparent, fetch /debug/runs/{trace-id}, and check the report against
-// LocalizeWithDiagnostics on the same snapshot.
+// LocalizeWithDiagnosticsContext on the same snapshot.
 func TestExplainReportEndToEnd(t *testing.T) {
 	srv := newServer(t)
 
@@ -162,7 +165,7 @@ func TestExplainReportEndToEnd(t *testing.T) {
 	}
 	anomaly.Label(snap, anomaly.DefaultRelativeDeviation())
 	m := rapminer.MustNew(rapminer.DefaultConfig())
-	res, diag, err := m.LocalizeWithDiagnostics(snap, 3)
+	res, diag, err := m.LocalizeWithDiagnosticsContext(context.Background(), snap, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +232,50 @@ func TestExplainReportEndToEnd(t *testing.T) {
 	for i, p := range out.Patterns {
 		if strings.Join(p.Combination, ",") != strings.Join(report.Candidates[i].Combination, ",") {
 			t.Errorf("response pattern %d = %v, report says %v", i, p.Combination, report.Candidates[i].Combination)
+		}
+	}
+}
+
+// TestEveryMethodLeavesExplainReport checks every method's POST
+// /v1/localize run is fetchable at /debug/runs/{trace_id}: RAPMiner's with
+// its search journal, every other method's with the patterns it returned.
+func TestEveryMethodLeavesExplainReport(t *testing.T) {
+	srv := newServer(t)
+	for _, key := range methods.Keys() {
+		resp, err := http.Post(srv.URL+"/v1/localize?method="+key, "text/csv", strings.NewReader(sampleCSV))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out localizeResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, decode %v", key, resp.StatusCode, err)
+		}
+		status, body := get(t, srv.URL+"/debug/runs/"+out.TraceID)
+		if status != http.StatusOK {
+			t.Fatalf("%s: GET /debug/runs/%s = %d", key, out.TraceID, status)
+		}
+		var report explain.Report
+		if err := json.Unmarshal([]byte(body), &report); err != nil {
+			t.Fatal(err)
+		}
+		if report.Method != out.Method || report.Source != "httpapi" || report.K != 3 || report.Leaves != out.Leaves {
+			t.Errorf("%s: report header %+v", key, report)
+		}
+		if report.PatternsOnly != (key != "rapminer") {
+			t.Errorf("%s: report patterns only = %v", key, report.PatternsOnly)
+		}
+		if key == "rapminer" {
+			continue
+		}
+		if len(report.Patterns) != len(out.Patterns) {
+			t.Fatalf("%s: report has %d patterns, response %d", key, len(report.Patterns), len(out.Patterns))
+		}
+		for i, p := range out.Patterns {
+			if got := report.Patterns[i]; !reflect.DeepEqual(got.Combination, p.Combination) || got.Score != p.Score {
+				t.Errorf("%s: report pattern %d = %+v, response %+v", key, i, got, p)
+			}
 		}
 	}
 }

@@ -1,16 +1,21 @@
-// Package localize defines the interface shared by every anomaly
-// localization method in this repository (RAPMiner and the four baselines),
-// so that the experiment harness, benchmarks and examples can drive them
-// uniformly.
+// Package localize defines the one contract every anomaly localization
+// method in this repository implements (RAPMiner, the baselines and the
+// ensemble): a labeled snapshot in, ranked patterns out, under a context.
+// The experiment harness, the serving layers, benchmarks and examples drive
+// every method through it.
 package localize
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log/slog"
+	"runtime/debug"
 	"sort"
 	"strings"
 
 	"repro/internal/kpi"
+	"repro/internal/obs"
 )
 
 // ScoredPattern is one root-anomaly-pattern candidate with the method's
@@ -58,24 +63,96 @@ func (r Result) Format(s *kpi.Schema) string {
 // number of patterns the caller wants returned; methods that cannot honor k
 // (e.g. Squeeze, see Section V-E2 of the paper) may return a different
 // count.
+//
+// Every method honors ctx: once ctx is canceled or its deadline passes, the
+// run stops at its next safe point and returns its best-so-far candidates
+// with Result.Degraded set and the reason from StopReason. The first unit
+// of work (an attribute, a cuboid, a pattern base, a search iteration —
+// each method's package doc names its safe point) always completes, so a
+// run under an already-expired ctx still answers. A nil ctx behaves like
+// context.Background().
 type Localizer interface {
-	// Localize returns up to k ranked root-anomaly-pattern candidates.
+	// LocalizeContext returns up to k ranked root-anomaly-pattern
+	// candidates, stopping early once ctx ends.
+	LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (Result, error)
+	// Localize is LocalizeContext(context.Background(), snapshot, k).
 	Localize(snapshot *kpi.Snapshot, k int) (Result, error)
 	// Name identifies the method in reports ("RAPMiner", "Squeeze", ...).
 	Name() string
 }
 
-// ContextLocalizer is a Localizer whose runs honor context cancellation: a
-// canceled or deadline-expired ctx stops the run at its next safe point and
-// returns the best-so-far candidates as a degraded partial result
-// (Result.Degraded) instead of running to completion. Serving layers
-// type-assert to it so per-request deadlines actually bound localization
-// work rather than only gating whether it starts.
-type ContextLocalizer interface {
-	Localizer
-	// LocalizeContext is Localize under ctx. A nil ctx behaves like
-	// context.Background().
-	LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (Result, error)
+// Degradation reasons for Result.DegradedReason when a run stops because
+// its context ended.
+const (
+	// DegradedCanceled: the caller's context was canceled.
+	DegradedCanceled = "canceled"
+	// DegradedDeadline: the context's deadline passed.
+	DegradedDeadline = "deadline exceeded"
+)
+
+// StopReason maps ctx's state to a degradation reason: "" while ctx is
+// live (or nil), DegradedDeadline once its deadline passed, and
+// DegradedCanceled once it was canceled.
+func StopReason(ctx context.Context) string {
+	switch {
+	case ctx == nil || ctx.Err() == nil:
+		return ""
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
+		return DegradedDeadline
+	}
+	return DegradedCanceled
+}
+
+// Poll checks a run's context at the run's safe points. Its first Stop
+// never stops the run, so the run completes its first unit of work; every
+// later Stop stops it once ctx has ended, and Reason then says why. A Poll
+// belongs to one goroutine.
+type Poll struct {
+	ctx    context.Context
+	polled bool
+	// Reason is the StopReason that stopped the run, or "".
+	Reason string
+}
+
+// NewPoll polls ctx; a nil ctx never stops the run.
+func NewPoll(ctx context.Context) *Poll { return &Poll{ctx: ctx} }
+
+// Stop reports whether the run must stop before its next unit of work.
+func (p *Poll) Stop() bool {
+	if p.Reason == "" && p.polled {
+		p.Reason = StopReason(p.ctx)
+	}
+	p.polled = true
+	return p.Reason != ""
+}
+
+// Result wraps the run's ranked patterns, marked degraded when the run
+// stopped early.
+func (p *Poll) Result(patterns []ScoredPattern) Result {
+	return Result{Patterns: patterns, Degraded: p.Reason != "", DegradedReason: p.Reason}
+}
+
+// SafeLocalize runs l under ctx with panic isolation: a panic inside the
+// localizer — on the calling goroutine, or on a worker goroutine and
+// rethrown as a *kpi.ScanPanic — is recovered into an error (the panicking
+// goroutine's stack logged through the "localize" component logger)
+// instead of unwinding the calling goroutine.
+func SafeLocalize(ctx context.Context, l Localizer, snapshot *kpi.Snapshot, k int) (res Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			stack := debug.Stack()
+			if sp, ok := r.(*kpi.ScanPanic); ok {
+				stack = sp.Stack
+			}
+			obs.Logger("localize").Error("localizer panicked",
+				slog.String("localizer", l.Name()),
+				slog.Any("panic", r),
+				slog.String("stack", string(stack)))
+			res = Result{}
+			err = fmt.Errorf("localize: %s panicked: %v", l.Name(), r)
+		}
+	}()
+	return l.LocalizeContext(ctx, snapshot, k)
 }
 
 // SortPatterns sorts candidates by descending score, breaking ties first by

@@ -1,10 +1,14 @@
 package methods
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/gendata"
+	"repro/internal/localize"
 	"repro/internal/rapminer"
 )
 
@@ -63,5 +67,55 @@ func TestConfigReachesRAPMinerAndEnsemble(t *testing.T) {
 	m, _ := Lookup("squeeze")
 	if _, err := m.New(bad); err != nil {
 		t.Errorf("squeeze rejected a RAPMiner config: %v", err)
+	}
+}
+
+// TestEveryMethodHonorsCanceledAndDeadlineContext holds every method to the
+// localize contract on a RAPMD case: a canceled or expired ctx stops the
+// run after its first unit of work with a degraded best-so-far result
+// naming the reason, and a nil ctx runs exactly like Localize.
+func TestEveryMethodHonorsCanceledAndDeadlineContext(t *testing.T) {
+	corpus, err := gendata.RAPMD(2022, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := corpus.Cases[0].Snapshot
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, m := range All() {
+		t.Run(m.Key, func(t *testing.T) {
+			l, err := m.New(rapminer.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				ctx    context.Context
+				reason string
+			}{{canceled, localize.DegradedCanceled}, {expired, localize.DegradedDeadline}} {
+				res, err := l.LocalizeContext(tc.ctx, snap.Clone(), 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Degraded || res.DegradedReason != tc.reason {
+					t.Errorf("degraded %v reason %q, want reason %q", res.Degraded, res.DegradedReason, tc.reason)
+				}
+			}
+			want, err := l.Localize(snap.Clone(), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := l.LocalizeContext(nil, snap.Clone(), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("nil ctx result %+v, want Localize's %+v", got, want)
+			}
+			if want.Degraded {
+				t.Errorf("uncancelled run degraded: %q", want.DegradedReason)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,7 +27,7 @@ type famView struct {
 // grammar only allows comments at the start of a line and has no exemplar
 // syntax, so a trailing `# {...}` would make the official parser reject
 // the whole scrape. Scrapers that want exemplars negotiate the OpenMetrics
-// format (see WriteOpenMetrics); /debug/vars JSON carries them too.
+// format (see WriteOpenMetrics).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	return r.writeExposition(w, false)
 }
@@ -188,59 +187,6 @@ func formatExemplar(e *Exemplar) string {
 		e.TraceID, formatValue(e.Value), float64(e.Time.UnixMilli())/1000)
 }
 
-// varsSeries is the /debug/vars JSON shape of one series.
-type varsSeries struct {
-	Labels    map[string]string `json:"labels,omitempty"`
-	Value     *float64          `json:"value,omitempty"`
-	Count     *uint64           `json:"count,omitempty"`
-	Sum       *float64          `json:"sum,omitempty"`
-	Exemplars []Exemplar        `json:"exemplars,omitempty"`
-}
-
-// WriteJSON renders the registry as a {name: {type, help, series: [...]}}
-// document — an expvar-style debugging view of the same data /metrics
-// exposes.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	type varsFamily struct {
-		Type   string       `json:"type"`
-		Help   string       `json:"help,omitempty"`
-		Series []varsSeries `json:"series"`
-	}
-	out := make(map[string]varsFamily)
-	for _, fam := range r.snapshot() {
-		vf := varsFamily{Type: fam.kind.String(), Help: fam.help, Series: []varsSeries{}}
-		for _, s := range fam.ordered {
-			vs := varsSeries{}
-			if len(s.labels) > 0 {
-				vs.Labels = make(map[string]string, len(s.labels)/2)
-				for i := 0; i < len(s.labels); i += 2 {
-					vs.Labels[s.labels[i]] = s.labels[i+1]
-				}
-			}
-			switch fam.kind {
-			case counterKind:
-				v := s.counter.Value()
-				vs.Value = &v
-			case gaugeKind:
-				v := s.gauge.Value()
-				vs.Value = &v
-			case histogramKind:
-				c, sum := s.hist.Count(), s.hist.Sum()
-				vs.Count = &c
-				vs.Sum = &sum
-				if ex := s.hist.Exemplars(); len(ex) > 0 {
-					vs.Exemplars = ex
-				}
-			}
-			vf.Series = append(vf.Series, vs)
-		}
-		out[fam.name] = vf
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // Handler serves the registry in Prometheus text format (mount at
 // GET /metrics). Scrapers that negotiate OpenMetrics via the Accept
 // header (as Prometheus does when exemplar ingestion is enabled) get the
@@ -278,13 +224,4 @@ func acceptsOpenMetrics(accept string) bool {
 		return true
 	}
 	return false
-}
-
-// VarsHandler serves the registry as indented JSON (mount at
-// GET /debug/vars).
-func (r *Registry) VarsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
-	})
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -100,41 +99,6 @@ func TestAcceptsOpenMetrics(t *testing.T) {
 	}
 }
 
-func TestWriteJSONVars(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "A counter.", "k", "v").Add(2)
-	h := r.Histogram("h_seconds", "", nil)
-	h.Observe(1.5)
-
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out map[string]struct {
-		Type   string `json:"type"`
-		Series []struct {
-			Labels map[string]string `json:"labels"`
-			Value  *float64          `json:"value"`
-			Count  *uint64           `json:"count"`
-			Sum    *float64          `json:"sum"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	c := out["c_total"]
-	if c.Type != "counter" || len(c.Series) != 1 || c.Series[0].Value == nil || *c.Series[0].Value != 2 {
-		t.Errorf("c_total = %+v", c)
-	}
-	if c.Series[0].Labels["k"] != "v" {
-		t.Errorf("labels = %v", c.Series[0].Labels)
-	}
-	hh := out["h_seconds"]
-	if hh.Type != "histogram" || len(hh.Series) != 1 || hh.Series[0].Count == nil || *hh.Series[0].Count != 1 {
-		t.Errorf("h_seconds = %+v", hh)
-	}
-}
-
 func TestHandlers(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total", "").Inc()
@@ -166,14 +130,5 @@ func TestHandlers(t *testing.T) {
 	}
 	if !strings.HasSuffix(string(om), "# EOF\n") {
 		t.Errorf("OpenMetrics body lacks # EOF:\n%s", om)
-	}
-
-	rec = httptest.NewRecorder()
-	r.VarsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("vars content type = %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), `"hits_total"`) {
-		t.Errorf("vars body = %s", rec.Body.String())
 	}
 }

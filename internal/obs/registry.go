@@ -302,7 +302,7 @@ func (h *Histogram) Observe(v float64) {
 // at or above the exemplar threshold, remembers (traceID, v, now) as the
 // bucket's exemplar, replacing any earlier one. The exemplar shows up as a
 // `# {trace_id="..."}` suffix on the bucket's line when a scraper
-// negotiates the OpenMetrics exposition, and always in /debug/vars JSON.
+// negotiates the OpenMetrics exposition.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	i := h.bucketIndex(v)
 	h.counts[i].Add(1)

@@ -127,8 +127,8 @@ func TestConcurrentWriters(t *testing.T) {
 				if err := r.WritePrometheus(&buf); err != nil {
 					t.Errorf("WritePrometheus: %v", err)
 				}
-				if err := r.WriteJSON(&buf); err != nil {
-					t.Errorf("WriteJSON: %v", err)
+				if err := r.WriteOpenMetrics(&buf); err != nil {
+					t.Errorf("WriteOpenMetrics: %v", err)
 				}
 			}
 		}()

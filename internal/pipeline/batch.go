@@ -141,18 +141,25 @@ func (e *BatchExecutor) finish() {
 	e.depth.Dec()
 }
 
+// BatchResult pairs one snapshot's localization outcome with its error.
+// Exactly one of Result/Err is meaningful.
+type BatchResult struct {
+	Result localize.Result
+	Err    error
+}
+
 // Execute localizes every snapshot with l at the given k, fanning items
 // across the executor's worker slots. Results are positional. The whole
 // batch is rejected with ErrBatchBusy when its items do not fit the queue.
 // Canceling ctx fails the not-yet-started items with ctx.Err(); items
-// already holding a slot see ctx through localize.SafeLocalize, so a
-// context-aware localizer stops at its next cancellation point with a
-// degraded partial result instead of pinning the slot. A panicking item
-// fails only itself: SafeLocalize converts the panic into the item's error
-// (stack logged), keeping one poisoned snapshot from killing the process or
-// failing its batch neighbors.
-func (e *BatchExecutor) Execute(ctx context.Context, l localize.Localizer, snapshots []*kpi.Snapshot, k int) ([]localize.BatchResult, error) {
-	out := make([]localize.BatchResult, len(snapshots))
+// already holding a slot run under ctx through localize.SafeLocalize, so
+// they stop at their next safe point with a degraded partial result
+// instead of pinning the slot. A panicking item fails only itself:
+// SafeLocalize converts the panic into the item's error (stack logged),
+// keeping one poisoned snapshot from killing the process or failing its
+// batch neighbors.
+func (e *BatchExecutor) Execute(ctx context.Context, l localize.Localizer, snapshots []*kpi.Snapshot, k int) ([]BatchResult, error) {
+	out := make([]BatchResult, len(snapshots))
 	if len(snapshots) == 0 {
 		e.batchesOK.Inc()
 		return out, nil
@@ -172,7 +179,7 @@ func (e *BatchExecutor) Execute(ctx context.Context, l localize.Localizer, snaps
 			select {
 			case e.slots <- struct{}{}:
 			case <-ctx.Done():
-				out[i] = localize.BatchResult{Err: ctx.Err()}
+				out[i] = BatchResult{Err: ctx.Err()}
 				e.itemsErr.Inc()
 				return
 			}
@@ -181,7 +188,7 @@ func (e *BatchExecutor) Execute(ctx context.Context, l localize.Localizer, snaps
 			start := time.Now()
 			res, err := localize.SafeLocalize(ctx, l, snapshots[i], k)
 			e.stages[stageBatchLocalize].Observe(time.Since(start).Seconds())
-			out[i] = localize.BatchResult{Result: res, Err: err}
+			out[i] = BatchResult{Result: res, Err: err}
 			if err != nil {
 				e.itemsErr.Inc()
 			} else {

@@ -22,6 +22,10 @@ type blockingLocalizer struct {
 func (l *blockingLocalizer) Name() string { return "blocking" }
 
 func (l *blockingLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+	return l.LocalizeContext(context.Background(), s, k)
+}
+
+func (l *blockingLocalizer) LocalizeContext(_ context.Context, s *kpi.Snapshot, k int) (localize.Result, error) {
 	l.started <- struct{}{}
 	<-l.release
 	return localize.Result{}, nil
@@ -33,7 +37,11 @@ type indexLocalizer struct{}
 
 func (indexLocalizer) Name() string { return "index" }
 
-func (indexLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+func (r indexLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+	return r.LocalizeContext(context.Background(), s, k)
+}
+
+func (indexLocalizer) LocalizeContext(_ context.Context, s *kpi.Snapshot, k int) (localize.Result, error) {
 	if s.Len() == 1 {
 		return localize.Result{}, errors.New("single-leaf snapshot rejected")
 	}
@@ -105,7 +113,7 @@ func TestBatchExecutorBackpressure(t *testing.T) {
 		t.Fatalf("capacity = %d, want 1", e.Capacity())
 	}
 	bl := &blockingLocalizer{started: make(chan struct{}, 1), release: make(chan struct{})}
-	first := make(chan []localize.BatchResult, 1)
+	first := make(chan []BatchResult, 1)
 	go func() {
 		res, err := e.Execute(context.Background(), bl, batchSnapshots(t, 1), 3)
 		if err != nil {
@@ -141,7 +149,7 @@ func TestBatchExecutorCancellation(t *testing.T) {
 	e := NewBatchExecutor(obs.NewRegistry(), 1, 1)
 	bl := &blockingLocalizer{started: make(chan struct{}, 2), release: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan []localize.BatchResult, 1)
+	done := make(chan []BatchResult, 1)
 	go func() {
 		res, err := e.Execute(ctx, bl, batchSnapshots(t, 2), 3)
 		if err != nil {
@@ -162,7 +170,7 @@ func TestBatchExecutorCancellation(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	close(bl.release)
-	var res []localize.BatchResult
+	var res []BatchResult
 	select {
 	case res = <-done:
 	case <-time.After(10 * time.Second):

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/anomaly"
+	"repro/internal/baseline/squeeze"
 	"repro/internal/kpi"
 	"repro/internal/obs"
 	"repro/internal/rapminer"
@@ -60,6 +61,39 @@ func TestPipelineCapturesExplainReports(t *testing.T) {
 	}
 	if got.Source != "pipeline" {
 		t.Errorf("caller-traced report source = %q", got.Source)
+	}
+}
+
+// TestPipelineReportsEveryMethod checks a monitor whose localizer has no
+// search journal still leaves a report of the patterns it returned.
+func TestPipelineReportsEveryMethod(t *testing.T) {
+	runs := explain.NewStore(8)
+	sq, err := squeeze.New(squeeze.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(anomaly.DefaultRelativeDeviation(), sq)
+	cfg.Runs = runs
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scope := kpi.MustParseCombination(testSchema(), "(a2, *)")
+	var ev Event
+	for i := 0; i < 2; i++ { // arming, then open (localizes)
+		if ev, err = m.Process(t0.Add(time.Duration(i)*time.Minute), snapshotWithDrop(t, scope, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ev.Kind != EventOpened || runs.Len() != 1 {
+		t.Fatalf("event %v, %d reports; want an opened incident and 1 report", ev.Kind, runs.Len())
+	}
+	rep := runs.Recent()[0]
+	if rep.Source != "pipeline" || rep.Method != "Squeeze" || !rep.PatternsOnly {
+		t.Errorf("report = source %q, method %q, patterns only %v", rep.Source, rep.Method, rep.PatternsOnly)
+	}
+	if len(rep.Patterns) != len(ev.Incident.Scopes) || len(rep.Patterns) == 0 || rep.Patterns[0].Combination[0] != "a2" {
+		t.Errorf("report patterns = %+v, incident scopes %+v", rep.Patterns, ev.Incident.Scopes)
 	}
 }
 

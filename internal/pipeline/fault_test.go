@@ -11,6 +11,7 @@ import (
 	"repro/internal/kpi"
 	"repro/internal/localize"
 	"repro/internal/obs"
+	"repro/internal/rapminer"
 )
 
 // zeroForecastSnapshot builds a snapshot whose aggregate forecast is zero
@@ -69,6 +70,10 @@ type panicLocalizer struct{ boomLen int }
 func (p panicLocalizer) Name() string { return "panic" }
 
 func (p panicLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+	return p.LocalizeContext(context.Background(), s, k)
+}
+
+func (p panicLocalizer) LocalizeContext(_ context.Context, s *kpi.Snapshot, k int) (localize.Result, error) {
 	if s.Len() == p.boomLen {
 		panic("poisoned snapshot")
 	}
@@ -108,6 +113,41 @@ func TestBatchExecutorPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestPanicFailsOnlyItsBatchItem checks one poisoned snapshot inside a
+// batch fails only its own item when the real miner runs it.
+func TestPanicFailsOnlyItsBatchItem(t *testing.T) {
+	scope := kpi.MustParseCombination(testSchema(), "(a2, *)")
+	good := func() *kpi.Snapshot {
+		snap := snapshotWithDrop(t, scope, 0.5)
+		anomaly.Label(snap, anomaly.DefaultRelativeDeviation())
+		return snap
+	}
+	poisoned := &kpi.Snapshot{Schema: testSchema(), Leaves: []kpi.Leaf{
+		{Combo: kpi.Combination{0, 0}, Actual: 1, Forecast: 100, Anomalous: true},
+		{Combo: kpi.Combination{9, 1}, Actual: 100, Forecast: 100}, // code 9 out of range
+	}}
+	e := NewBatchExecutor(obs.NewRegistry(), 2, -1)
+	results, err := e.Execute(context.Background(), rapminer.MustNew(rapminer.DefaultConfig()),
+		[]*kpi.Snapshot{good(), poisoned, good()}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("%d results, want 3", len(results))
+	}
+	if results[0].Err != nil || results[2].Err != nil {
+		t.Fatalf("healthy neighbors failed: %v / %v", results[0].Err, results[2].Err)
+	}
+	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "panic") {
+		t.Fatalf("poisoned item error = %v, want a panic-derived error", results[1].Err)
+	}
+	for _, i := range []int{0, 2} {
+		if got := results[i].Result.Patterns; len(got) != 1 || !got[0].Combo.Equal(scope) {
+			t.Fatalf("healthy item %d patterns = %+v, want %v", i, got, scope)
+		}
+	}
+}
+
 // TestBatchQueueDepthGaugeConverges is the regression test for the
 // admit/finish gauge race: under concurrent batches the published depth must
 // track the pending counter via commutative deltas, never stick at a
@@ -137,7 +177,7 @@ func TestBatchQueueDepthGaugeConverges(t *testing.T) {
 	}
 }
 
-// ctxLocalizer is a context-aware localizer that records the context each
+// ctxLocalizer is a localizer that records the context each
 // run received.
 type ctxLocalizer struct{ got []context.Context }
 
@@ -178,9 +218,9 @@ func TestPlainLocalizerPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestContextLocalizerGetsTickContext checks a context-aware localizer
-// without diagnostics runs under the tick's context: it carries the
-// caller's values and the tick's trace.
+// TestContextLocalizerGetsTickContext checks a localizer without
+// diagnostics runs under the tick's context: it carries the caller's
+// values and the tick's trace.
 func TestContextLocalizerGetsTickContext(t *testing.T) {
 	type key struct{}
 	loc := &ctxLocalizer{}

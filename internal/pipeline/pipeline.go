@@ -18,7 +18,6 @@ import (
 	"repro/internal/kpi"
 	"repro/internal/localize"
 	"repro/internal/obs"
-	"repro/internal/rapminer"
 	"repro/internal/rapminer/explain"
 )
 
@@ -50,8 +49,7 @@ type Config struct {
 	// obs.Default().
 	Registry *obs.Registry
 	// Runs receives one explain report per localization run, keyed by
-	// the run's trace ID, when the localizer supports diagnostics. Nil
-	// means explain.Default().
+	// the run's trace ID. Nil means explain.Default().
 	Runs *explain.Store
 }
 
@@ -132,9 +130,10 @@ type Event struct {
 // Monitor is the stateful alarm-and-localize service. It is not safe for
 // concurrent use; drive it from one goroutine (see Runner).
 type Monitor struct {
-	cfg Config
-	mx  *metrics
-	log *slog.Logger
+	cfg     Config
+	mx      *metrics
+	log     *slog.Logger
+	serving Serving
 
 	alarmStreak int
 	cleanStreak int
@@ -164,10 +163,11 @@ func New(cfg Config) (*Monitor, error) {
 		cfg.Runs = explain.Default()
 	}
 	return &Monitor{
-		cfg:    cfg,
-		mx:     newMetrics(cfg.Registry),
-		log:    obs.Logger("pipeline"),
-		nextID: 1,
+		cfg:     cfg,
+		mx:      newMetrics(cfg.Registry),
+		log:     obs.Logger("pipeline"),
+		serving: Serving{Source: "pipeline", Registry: cfg.Registry, Runs: cfg.Runs},
+		nextID:  1,
 	}, nil
 }
 
@@ -288,8 +288,6 @@ func (m *Monitor) localize(ctx context.Context, snap *kpi.Snapshot) ([]localize.
 	if _, ok := obs.TraceFromContext(ctx); !ok {
 		ctx = obs.ContextWithTrace(ctx, obs.NewTraceContext())
 	}
-	runStart := time.Now()
-
 	// Both stage spans are children of the tick's context, not of each
 	// other: detect has ended by the time localize starts.
 	_, span := obs.StartSpan(ctx, "pipeline.detect")
@@ -306,44 +304,12 @@ func (m *Monitor) localize(ctx context.Context, snap *kpi.Snapshot) ([]localize.
 	span.SetAttr("anomalous", n)
 	span.End()
 
-	locCtx, span := obs.StartSpan(ctx, "pipeline.localize")
-	defer span.End()
 	start = time.Now()
-	var (
-		res localize.Result
-		err error
-	)
-	// Localizers that expose search diagnostics (RAPMiner) publish the
-	// paper's pruning statistics as live metrics on every incident tick
-	// and journal the run into the explain-report store.
-	if dl, ok := m.cfg.Localizer.(rapminer.TracedLocalizer); ok {
-		var diag rapminer.Diagnostics
-		res, diag, err = dl.LocalizeWithDiagnosticsContext(locCtx, snap, m.cfg.K)
-		if err == nil {
-			rapminer.PublishDiagnostics(m.cfg.Registry, diag)
-			span.SetAttr("cuboids_visited", diag.CuboidsVisited)
-			span.SetAttr("early_stopped", diag.EarlyStopped)
-			m.cfg.Runs.Put(explain.New(obs.TraceIDFromContext(locCtx),
-				"pipeline", m.cfg.Localizer.Name(), snap, m.cfg.K, diag,
-				time.Since(runStart)))
-		}
-		if err == nil && diag.Degraded {
-			// Partial results are still served, but a degraded incident
-			// scope deserves an operator-visible line.
-			m.log.Warn("localization degraded",
-				slog.String("reason", diag.DegradedReason),
-				slog.Int("candidates", diag.Candidates))
-		}
-	} else {
-		// SafeLocalize adds panic isolation and, for context-aware
-		// localizers, the tick's cancellation and deadline.
-		res, err = localize.SafeLocalize(locCtx, m.cfg.Localizer, snap, m.cfg.K)
-	}
+	res, err := m.serving.Localize(ctx, "pipeline.localize", m.cfg.Localizer, snap, m.cfg.K)
 	m.mx.observeStage(stageLocalize, time.Since(start))
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: localize: %w", err)
 	}
-	span.SetAttr("patterns", len(res.Patterns))
 	return res.Patterns, nil
 }
 

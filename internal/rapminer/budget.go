@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/localize"
 )
 
 // Degradation reasons reported by Diagnostics.DegradedReason and
@@ -11,9 +13,9 @@ import (
 // search (best-so-far candidates are still returned and ranked).
 const (
 	// DegradedCanceled: the caller's context was canceled.
-	DegradedCanceled = "canceled"
+	DegradedCanceled = localize.DegradedCanceled
 	// DegradedDeadline: the context deadline or Config.MaxDuration expired.
-	DegradedDeadline = "deadline exceeded"
+	DegradedDeadline = localize.DegradedDeadline
 	// DegradedMaxCuboids: the run scanned Config.MaxCuboids cuboids.
 	DegradedMaxCuboids = "max cuboids"
 )
@@ -84,11 +86,7 @@ func (b *runBudget) exceeded() bool {
 	case b.maxCuboids > 0 && b.cuboids >= b.maxCuboids:
 		b.reason = DegradedMaxCuboids
 	case b.ctx != nil && b.ctx.Err() != nil:
-		if b.ctx.Err() == context.DeadlineExceeded {
-			b.reason = DegradedDeadline
-		} else {
-			b.reason = DegradedCanceled
-		}
+		b.reason = localize.StopReason(b.ctx)
 	case b.hasDeadline && !time.Now().Before(b.deadline):
 		b.reason = DegradedDeadline
 	default:

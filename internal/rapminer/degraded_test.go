@@ -62,7 +62,7 @@ func TestMaxCuboidsBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCuboids = 3
 	cfg.Workers = 1
-	wantRes, wantDiag, err := MustNew(cfg).LocalizeWithDiagnostics(snap, 10)
+	wantRes, wantDiag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestMaxCuboidsBudget(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		cfg.Workers = workers
-		gotRes, gotDiag, err := MustNew(cfg).LocalizeWithDiagnostics(snap, 10)
+		gotRes, gotDiag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,12 +90,12 @@ func TestMaxCuboidsBudget(t *testing.T) {
 	// A budget larger than the search never degrades and changes nothing.
 	cfg.Workers = 1
 	cfg.MaxCuboids = 0
-	full, fullDiag, err := MustNew(cfg).LocalizeWithDiagnostics(snap, 10)
+	full, fullDiag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.MaxCuboids = fullDiag.CuboidsVisited + 100
-	loose, looseDiag, err := MustNew(cfg).LocalizeWithDiagnostics(snap, 10)
+	loose, looseDiag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestMaxDurationBudget(t *testing.T) {
 	snap := benchCase(t)
 	cfg := DefaultConfig()
 	cfg.MaxDuration = time.Nanosecond
-	res, diag, err := MustNew(cfg).LocalizeWithDiagnostics(snap, 10)
+	res, diag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMaxDurationBudget(t *testing.T) {
 func TestContextDoesNotChangeResults(t *testing.T) {
 	snap := benchCase(t)
 	base := MustNew(DefaultConfig())
-	wantRes, wantDiag, err := base.WithWorkers(1).LocalizeWithDiagnostics(snap, 10)
+	wantRes, wantDiag, err := base.WithWorkers(1).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,27 +262,6 @@ func TestPanicIsolatedToError(t *testing.T) {
 		if len(res.Patterns) != 0 {
 			t.Fatalf("workers %d: panicked run returned patterns", workers)
 		}
-	}
-}
-
-// TestPanicFailsOnlyItsBatchItem checks one poisoned snapshot inside a
-// batch fails only its own item.
-func TestPanicFailsOnlyItsBatchItem(t *testing.T) {
-	good := benchCase(t)
-	snaps := []*kpi.Snapshot{good, poisonedSnapshot(), good}
-	m := MustNew(DefaultConfig())
-	results := m.LocalizeBatch(context.Background(), snaps, 3)
-	if len(results) != 3 {
-		t.Fatalf("%d results, want 3", len(results))
-	}
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("healthy neighbors failed: %v / %v", results[0].Err, results[2].Err)
-	}
-	if results[1].Err == nil || !strings.Contains(results[1].Err.Error(), "panic") {
-		t.Fatalf("poisoned item error = %v, want a panic-derived error", results[1].Err)
-	}
-	if len(results[0].Result.Patterns) == 0 {
-		t.Fatal("healthy item returned no patterns")
 	}
 }
 

@@ -1,6 +1,7 @@
 package rapminer
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -65,11 +66,11 @@ func TestDeltaIngestedMatchesFresh(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		m := base.WithWorkers(workers)
-		wantRes, wantDiag, err := m.LocalizeWithDiagnostics(fresh, 5)
+		wantRes, wantDiag, err := m.LocalizeWithDiagnosticsContext(context.Background(), fresh, 5)
 		if err != nil {
 			t.Fatalf("workers %d: fresh run: %v", workers, err)
 		}
-		gotRes, gotDiag, err := m.LocalizeWithDiagnostics(patched, 5)
+		gotRes, gotDiag, err := m.LocalizeWithDiagnosticsContext(context.Background(), patched, 5)
 		if err != nil {
 			t.Fatalf("workers %d: patched run: %v", workers, err)
 		}

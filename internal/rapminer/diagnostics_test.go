@@ -14,7 +14,7 @@ func TestLocalizeWithDiagnostics(t *testing.T) {
 	rap := kpi.MustParseCombination(s, "(a1, *, *, *)")
 	snap := denseSnapshot(t, s, rap)
 	m := MustNew(DefaultConfig())
-	res, diag, err := m.LocalizeWithDiagnostics(snap, 3)
+	res, diag, err := m.LocalizeWithDiagnosticsContext(context.Background(), snap, 3)
 	if err != nil {
 		t.Fatalf("LocalizeWithDiagnostics: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestDiagnosticsAblationVisitsWholeLattice(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableAttributeDeletion = true
 	m := MustNew(cfg)
-	_, diag, err := m.LocalizeWithDiagnostics(snap, 3)
+	_, diag, err := m.LocalizeWithDiagnosticsContext(context.Background(), snap, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDiagnosticsZeroOnDegenerateInputs(t *testing.T) {
 	s := tableVSchema()
 	snap := denseSnapshot(t, s) // no anomalies
 	m := MustNew(DefaultConfig())
-	_, diag, err := m.LocalizeWithDiagnostics(snap, 3)
+	_, diag, err := m.LocalizeWithDiagnosticsContext(context.Background(), snap, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDiagnosticsJournalLayersAndCandidates(t *testing.T) {
 	rap := kpi.MustParseCombination(s, "(a1, *, *, *)")
 	snap := denseSnapshot(t, s, rap)
 	m := MustNew(DefaultConfig())
-	res, diag, err := m.LocalizeWithDiagnostics(snap, 3)
+	res, diag, err := m.LocalizeWithDiagnosticsContext(context.Background(), snap, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +206,13 @@ func TestLocalizeWithDiagnosticsContextSharesTrace(t *testing.T) {
 	}
 	parent.End()
 
-	// Same answer as the untraced variant.
-	resPlain, diagPlain, err := m.LocalizeWithDiagnostics(snap, 3)
+	// Same answer as a run under a fresh trace.
+	resPlain, diagPlain, err := m.LocalizeWithDiagnosticsContext(context.Background(), snap, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resCtx.Patterns) != len(resPlain.Patterns) || diagCtx.CuboidsVisited != diagPlain.CuboidsVisited {
-		t.Errorf("traced and untraced runs disagree")
+		t.Errorf("runs under the caller's and a fresh trace disagree")
 	}
 
 	// Both stage spans joined the caller's trace.

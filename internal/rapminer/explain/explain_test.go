@@ -1,6 +1,7 @@
 package explain
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/kpi"
+	"repro/internal/localize"
 	"repro/internal/rapminer"
 )
 
@@ -40,7 +42,7 @@ func minedReport(t *testing.T, traceID string) (Report, rapminer.Diagnostics, *k
 	t.Helper()
 	snap := testSnapshot(t)
 	m := rapminer.MustNew(rapminer.DefaultConfig())
-	_, diag, err := m.LocalizeWithDiagnostics(snap, 2)
+	_, diag, err := m.LocalizeWithDiagnosticsContext(context.Background(), snap, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +123,42 @@ func TestReportRender(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestResultReportRender checks a method without a search journal gets a
+// report of its returned patterns, rendered without the Algorithm 1 and 2
+// sections.
+func TestResultReportRender(t *testing.T) {
+	snap := testSnapshot(t)
+	res := localize.Result{
+		Patterns:       []localize.ScoredPattern{{Combo: kpi.Combination{0, kpi.Wildcard}, Score: 0.75}},
+		Degraded:       true,
+		DegradedReason: localize.DegradedDeadline,
+	}
+	r := NewResult("plain", "pipeline", "Squeeze", snap, 3, res, 2*time.Millisecond)
+	if !r.PatternsOnly || r.Method != "Squeeze" || r.K != 3 || r.Leaves != 6 || r.AnomalousLeaves != 2 || r.ElapsedMS != 2 {
+		t.Errorf("header = %+v", r)
+	}
+	if !r.Degraded || r.DegradedReason != localize.DegradedDeadline {
+		t.Errorf("degraded = (%v, %q)", r.Degraded, r.DegradedReason)
+	}
+	want := []Pattern{{Rank: 1, Combination: []string{"a1", "*"}, Score: 0.75}}
+	if fmt.Sprint(r.Patterns) != fmt.Sprint(want) {
+		t.Errorf("patterns = %+v, want %+v", r.Patterns, want)
+	}
+	var b strings.Builder
+	r.Render(&b)
+	out := b.String()
+	for _, want := range []string{"run plain", "method Squeeze  k=3", "DEGRADED (deadline exceeded)", " 1. (a1, *)  score 0.7500"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendered report missing %q:\n%s", want, out)
+		}
+	}
+	for _, absent := range []string{"stage 1", "stage 2", "RAPScore"} {
+		if strings.Contains(out, absent) {
+			t.Errorf("rendered report carries %q:\n%s", absent, out)
 		}
 	}
 }

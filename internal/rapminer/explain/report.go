@@ -1,10 +1,11 @@
-// Package explain turns one localization run's rapminer.Diagnostics into a
-// stored, servable, human-readable explain report: which attributes
-// survived the CP cut (Algorithm 1), how much of the cuboid lattice each
-// layer of the AC-guided search scanned and pruned (Algorithm 2), and the
-// full ranked candidate set behind the returned RAPs (Eq. 3). Reports are
-// keyed by trace ID, so the span tree at /debug/spans and the report at
-// /debug/runs/{id} describe the same run.
+// Package explain turns one localization run into a stored, servable,
+// human-readable explain report. A RAPMiner run's report carries its
+// rapminer.Diagnostics: which attributes survived the CP cut (Algorithm 1),
+// how much of the cuboid lattice each layer of the AC-guided search scanned
+// and pruned (Algorithm 2), and the full ranked candidate set behind the
+// returned RAPs (Eq. 3). Any other method's report carries the run's
+// returned patterns. Reports are keyed by trace ID, so the span tree at
+// /debug/spans and the report at /debug/runs/{id} describe the same run.
 package explain
 
 import (
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/kpi"
+	"repro/internal/localize"
 	"repro/internal/rapminer"
 )
 
@@ -32,6 +34,11 @@ type Report struct {
 	Leaves          int     `json:"leaves"`
 	AnomalousLeaves int     `json:"anomalous_leaves"`
 	ElapsedMS       float64 `json:"elapsed_ms"`
+
+	// PatternsOnly marks the report of a method without RAPMiner's search
+	// journal: it leaves the Algorithm 1 and 2 fields below and the
+	// candidate set empty and lists Patterns instead.
+	PatternsOnly bool `json:"patterns_only,omitempty"`
 
 	// TCP and TConf echo the run's thresholds (t_CP, t_conf).
 	TCP   float64 `json:"t_cp"`
@@ -62,6 +69,17 @@ type Report struct {
 	// Candidates is the full candidate set in ranked order; the first
 	// min(K, len) entries are what the caller received.
 	Candidates []Candidate `json:"candidates"`
+
+	// Patterns is what a method without a search journal returned, in
+	// rank order.
+	Patterns []Pattern `json:"patterns,omitempty"`
+}
+
+// Pattern is one returned pattern of a method without a search journal.
+type Pattern struct {
+	Rank        int      `json:"rank"`
+	Combination []string `json:"combination"`
+	Score       float64  `json:"score"`
 }
 
 // AttributeVerdict is one attribute's Algorithm 1 outcome.
@@ -145,6 +163,29 @@ func New(traceID, source, method string, snap *kpi.Snapshot, k int, diag rapmine
 	return r
 }
 
+// NewResult builds the report of a method without a search journal from
+// the result it returned.
+func NewResult(traceID, source, method string, snap *kpi.Snapshot, k int, res localize.Result, elapsed time.Duration) Report {
+	r := Report{
+		TraceID:         traceID,
+		Time:            time.Now().UTC(),
+		Source:          source,
+		Method:          method,
+		K:               k,
+		Leaves:          snap.Len(),
+		AnomalousLeaves: snap.NumAnomalous(),
+		ElapsedMS:       float64(elapsed.Microseconds()) / 1000,
+		PatternsOnly:    true,
+		Degraded:        res.Degraded,
+		DegradedReason:  res.DegradedReason,
+		Patterns:        make([]Pattern, len(res.Patterns)),
+	}
+	for i, p := range res.Patterns {
+		r.Patterns[i] = Pattern{Rank: i + 1, Combination: comboTokens(snap.Schema, p.Combo), Score: p.Score}
+	}
+	return r
+}
+
 // comboTokens resolves a combination to schema value tokens.
 func comboTokens(s *kpi.Schema, c kpi.Combination) []string {
 	out := make([]string, len(c))
@@ -159,13 +200,27 @@ func comboTokens(s *kpi.Schema, c kpi.Combination) []string {
 }
 
 // Render writes the report as a human-readable explanation, the format
-// `rapmctl explain` prints.
+// `rapmctl explain` prints. Reports without a search journal render their
+// returned patterns instead of the Algorithm 1 and 2 sections.
 func (r Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "run %s\n", r.TraceID)
 	fmt.Fprintf(w, "  time      %s\n", r.Time.Format(time.RFC3339))
 	fmt.Fprintf(w, "  source    %s  method %s  k=%d\n", r.Source, r.Method, r.K)
 	fmt.Fprintf(w, "  snapshot  %d leaves, %d anomalous\n", r.Leaves, r.AnomalousLeaves)
 	fmt.Fprintf(w, "  elapsed   %.3f ms\n", r.ElapsedMS)
+	if r.PatternsOnly {
+		if r.Degraded {
+			fmt.Fprintf(w, "  DEGRADED (%s): run cut off, patterns are best-so-far only\n", r.DegradedReason)
+		}
+		fmt.Fprintf(w, "\npatterns\n")
+		if len(r.Patterns) == 0 {
+			fmt.Fprintln(w, "  (none)")
+		}
+		for _, p := range r.Patterns {
+			fmt.Fprintf(w, "  %2d. (%s)  score %.4f\n", p.Rank, strings.Join(p.Combination, ", "), p.Score)
+		}
+		return
+	}
 
 	fmt.Fprintf(w, "\nstage 1 — attribute deletion (t_CP = %g, Algorithm 1)\n", r.TCP)
 	for _, a := range r.Attributes {

@@ -101,9 +101,11 @@ type Summary struct {
 	Method          string    `json:"method"`
 	Leaves          int       `json:"leaves"`
 	AnomalousLeaves int       `json:"anomalous_leaves"`
-	Candidates      int       `json:"candidates"`
-	EarlyStopped    bool      `json:"early_stopped"`
-	ElapsedMS       float64   `json:"elapsed_ms"`
+	// Candidates counts the search's candidate set, or the returned
+	// patterns of a report without a search journal.
+	Candidates   int     `json:"candidates"`
+	EarlyStopped bool    `json:"early_stopped"`
+	ElapsedMS    float64 `json:"elapsed_ms"`
 }
 
 // summarize projects a report to its listing row.
@@ -115,7 +117,7 @@ func summarize(r Report) Summary {
 		Method:          r.Method,
 		Leaves:          r.Leaves,
 		AnomalousLeaves: r.AnomalousLeaves,
-		Candidates:      len(r.Candidates),
+		Candidates:      len(r.Candidates) + len(r.Patterns),
 		EarlyStopped:    r.EarlyStopped,
 		ElapsedMS:       r.ElapsedMS,
 	}

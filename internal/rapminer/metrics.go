@@ -1,11 +1,8 @@
 package rapminer
 
 import (
-	"context"
 	"sync"
 
-	"repro/internal/kpi"
-	"repro/internal/localize"
 	"repro/internal/obs"
 )
 
@@ -155,16 +152,3 @@ func PublishDiagnostics(reg *obs.Registry, d Diagnostics) {
 		mx.earlyStopRatio.Set(mx.earlyStops.Value() / r)
 	}
 }
-
-// TracedLocalizer is a localizer that reports per-run Diagnostics and
-// whose run joins the caller's trace: the context's trace ID groups the
-// run's stage spans and keys its explain report. Callers holding a plain
-// localize.Localizer type-assert to it to publish search telemetry without
-// naming the concrete miner; the HTTP API and the pipeline do so, so every
-// localization is individually traceable after the fact.
-type TracedLocalizer interface {
-	localize.Localizer
-	LocalizeWithDiagnosticsContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, Diagnostics, error)
-}
-
-var _ TracedLocalizer = (*Miner)(nil)

@@ -2,6 +2,7 @@ package rapminer
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -105,7 +106,7 @@ func TestSearchObservesLayerScanMetrics(t *testing.T) {
 	layers0 := mx.rollupLayers.Value() + mx.rollupFallback.Value()
 
 	snap := fig6Snapshot(t)
-	res, diag, err := MustNew(DefaultConfig()).LocalizeWithDiagnostics(snap, 3)
+	res, diag, err := MustNew(DefaultConfig()).LocalizeWithDiagnosticsContext(context.Background(), snap, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rapminer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -183,7 +184,7 @@ func checkMinerVsOracle(t *testing.T, name string, snap *kpi.Snapshot, cfg Confi
 	t.Helper()
 	m := MustNew(cfg)
 	for _, w := range workers {
-		res, diag, err := m.WithWorkers(w).LocalizeWithDiagnostics(snap, k)
+		res, diag, err := m.WithWorkers(w).LocalizeWithDiagnosticsContext(context.Background(), snap, k)
 		if err != nil {
 			t.Fatalf("%s workers %d: %v", name, w, err)
 		}
@@ -380,7 +381,7 @@ func TestMinerMatchesOracle(t *testing.T) {
 	checkMinerVsOracleBoth(t, "bench", benchCase(t), cfg, 10, workers)
 
 	sparse := worldSnapshot(t, 3, []int{20, 16, 12, 10, 8, 6}, 0.015, 2, 2)
-	_, diag, err := MustNew(cfg).LocalizeWithDiagnostics(sparse, 10)
+	_, diag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), sparse, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestMinerMatchesOracle(t *testing.T) {
 	full := cfg
 	full.DisableAttributeDeletion = true
 	wide := overflowWorld(t)
-	if _, diag, err = MustNew(full).LocalizeWithDiagnostics(wide, 10); err != nil {
+	if _, diag, err = MustNew(full).LocalizeWithDiagnosticsContext(context.Background(), wide, 10); err != nil {
 		t.Fatal(err)
 	}
 	if diag.CuboidsVisited != diag.CuboidsSearchable {

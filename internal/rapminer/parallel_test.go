@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gendata"
 	"repro/internal/kpi"
-	"repro/internal/localize"
 )
 
 // TestParallelSearchMatchesSequential is the determinism property behind the
@@ -32,7 +31,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 	}
 	seq := base.WithWorkers(1)
 	for si, snap := range snapshots {
-		wantRes, wantDiag, err := seq.LocalizeWithDiagnostics(snap, 10)
+		wantRes, wantDiag, err := seq.LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 		if err != nil {
 			t.Fatalf("case %d: sequential run failed: %v", si, err)
 		}
@@ -51,7 +50,7 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 		}
 		for _, workers := range []int{2, 4, 8} {
 			par := base.WithWorkers(workers)
-			gotRes, gotDiag, err := par.LocalizeWithDiagnostics(snap, 10)
+			gotRes, gotDiag, err := par.LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 			if err != nil {
 				t.Fatalf("case %d workers %d: %v", si, workers, err)
 			}
@@ -105,54 +104,4 @@ func TestWithWorkersDoesNotMutateReceiver(t *testing.T) {
 	if neg := m.WithWorkers(-5); neg.cfg.Workers != 0 {
 		t.Fatalf("negative worker count not normalized: %d", neg.cfg.Workers)
 	}
-}
-
-// TestLocalizeBatch checks the batch entry point returns positional results
-// identical to per-snapshot Localize calls and honors cancellation.
-func TestLocalizeBatch(t *testing.T) {
-	corpus, err := gendata.RAPMD(5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshots := make([]*kpi.Snapshot, len(corpus.Cases))
-	for i, c := range corpus.Cases {
-		snapshots[i] = c.Snapshot
-	}
-	cfg := DefaultConfig()
-	cfg.Workers = 4
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := m.LocalizeBatch(context.Background(), snapshots, 5)
-	if len(results) != len(snapshots) {
-		t.Fatalf("%d results, want %d", len(results), len(snapshots))
-	}
-	for i, br := range results {
-		if br.Err != nil {
-			t.Fatalf("item %d: %v", i, br.Err)
-		}
-		want, err := m.Localize(snapshots[i], 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(br.Result.Patterns) != len(want.Patterns) {
-			t.Fatalf("item %d: %d patterns, want %d", i, len(br.Result.Patterns), len(want.Patterns))
-		}
-		for j := range want.Patterns {
-			if !br.Result.Patterns[j].Combo.Equal(want.Patterns[j].Combo) {
-				t.Errorf("item %d pattern %d diverges from Localize", i, j)
-			}
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, br := range m.LocalizeBatch(ctx, snapshots, 5) {
-		if br.Err != context.Canceled {
-			t.Fatalf("canceled batch item error = %v, want context.Canceled", br.Err)
-		}
-	}
-
-	var _ localize.BatchLocalizer = m
 }

@@ -243,7 +243,7 @@ func (m *Miner) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, error)
 	return res, err
 }
 
-// LocalizeContext implements localize.ContextLocalizer: Localize under ctx,
+// LocalizeContext implements localize.Localizer: Localize under ctx,
 // honoring cancellation and deadline. A run cut off mid-search returns its
 // best-so-far candidates with Result.Degraded set rather than an error, so
 // a tight deadline yields a usable partial answer.
@@ -252,32 +252,11 @@ func (m *Miner) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k i
 	return res, err
 }
 
-var _ localize.ContextLocalizer = (*Miner)(nil)
-
-// LocalizeBatch implements localize.BatchLocalizer: the snapshots are
-// localized concurrently across cfg.Workers goroutines, each item's run
-// fully sequential (item-level parallelism maximizes batch throughput, and
-// per-item results are independent of the fan-out). Results are positional;
-// a failed item carries its error without affecting its neighbors.
-func (m *Miner) LocalizeBatch(ctx context.Context, snapshots []*kpi.Snapshot, k int) []localize.BatchResult {
-	return localize.BatchLocalize(ctx, m.WithWorkers(1), snapshots, k, m.workers())
-}
-
-// LocalizeWithDiagnostics is Localize plus the run's search statistics.
-func (m *Miner) LocalizeWithDiagnostics(snapshot *kpi.Snapshot, k int) (localize.Result, Diagnostics, error) {
-	var diag Diagnostics
-	res, diag, err := m.localize(nil, snapshot, k, &diag)
-	return res, diag, err
-}
-
-// LocalizeWithDiagnosticsContext is LocalizeWithDiagnostics under a trace:
-// the run's two stages are recorded as child spans of whatever trace ctx
-// carries, so the miner's work appears in the caller's span tree. A nil
-// context traces the stages as a fresh root trace.
+// LocalizeWithDiagnosticsContext is LocalizeContext plus the run's search
+// statistics. The run's two stages are recorded as child spans of whatever
+// trace ctx carries, so the miner's work appears in the caller's span tree;
+// a nil ctx runs untraced, as Localize does.
 func (m *Miner) LocalizeWithDiagnosticsContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, Diagnostics, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var diag Diagnostics
 	res, diag, err := m.localize(ctx, snapshot, k, &diag)
 	return res, diag, err

@@ -27,7 +27,7 @@ func TestRollupEngineMatchesFused(t *testing.T) {
 	base := MustNew(DefaultConfig())
 	for si, snap := range snapshots {
 		for _, workers := range []int{1, 2, 4, 8} {
-			_, diag, err := base.WithWorkers(workers).LocalizeWithDiagnostics(snap, 10)
+			_, diag, err := base.WithWorkers(workers).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 			if err != nil {
 				t.Fatalf("case %d workers %d: %v", si, workers, err)
 			}
@@ -62,7 +62,7 @@ func TestRollupBudgetCutoffMatchesFused(t *testing.T) {
 	for name, snap := range map[string]*kpi.Snapshot{"bench": benchCase(t), "sparse": sparse} {
 		var want Diagnostics
 		for i, workers := range []int{1, 2, 4, 8} {
-			res, diag, err := m.WithWorkers(workers).LocalizeWithDiagnostics(snap, 10)
+			res, diag, err := m.WithWorkers(workers).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", name, workers, err)
 			}
