@@ -2,6 +2,10 @@
 // Pei, Yin — SIGMOD 2000) and, on top of it, the association-rule root
 // anomaly pattern localizer the RAPMiner paper evaluates as a baseline
 // (its reference [15] searches root causes with association rule mining).
+// A rule's confidence is read from count-only cuboid scans, one per
+// distinct itemset cuboid in a run, rather than from a pass over every
+// leaf per itemset; the counts are integers, so every confidence equals
+// Snapshot.Confidence's.
 //
 // The localizer's safe point is the conditional pattern base (the level,
 // with UseApriori): a run whose context ends stops before building the

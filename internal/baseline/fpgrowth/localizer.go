@@ -1,9 +1,11 @@
 package fpgrowth
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/kpi"
 	"repro/internal/localize"
@@ -74,6 +76,12 @@ func (l *Localizer) Localize(snapshot *kpi.Snapshot, k int) (localize.Result, er
 // LocalizeContext implements localize.Localizer. Once ctx ends, the
 // conditional pattern bases not yet mined are skipped.
 func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot, k int) (localize.Result, error) {
+	return l.localize(ctx, snapshot, k, newCuboidCounts(snapshot).confidence)
+}
+
+// localize is LocalizeContext with the rule confidence of each itemset's
+// pattern read from confidence.
+func (l *Localizer) localize(ctx context.Context, snapshot *kpi.Snapshot, k int, confidence func(kpi.Combination) float64) (localize.Result, error) {
 	if snapshot == nil {
 		return localize.Result{}, fmt.Errorf("fpgrowth: nil snapshot")
 	}
@@ -125,8 +133,7 @@ func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot,
 			attr, code := decodeItem(it)
 			combo[attr] = code
 		}
-		conf := snapshot.Confidence(combo)
-		if conf < l.cfg.MinConfidence {
+		if confidence(combo) < l.cfg.MinConfidence {
 			continue
 		}
 		patterns = append(patterns, localize.ScoredPattern{
@@ -139,4 +146,41 @@ func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot,
 		patterns = patterns[:k]
 	}
 	return poll.Result(patterns), nil
+}
+
+// cuboidCounts reads rule confidences from count-only cuboid scans: one
+// ScanCuboid per distinct itemset cuboid, memoized for the run, instead of
+// a pass over every leaf per itemset. The counts are integers, so each
+// confidence is the division Snapshot.Confidence makes.
+type cuboidCounts struct {
+	snapshot *kpi.Snapshot
+	// groups holds each scanned cuboid's groups, in ascending group index.
+	groups map[*kpi.CuboidIndexer][]kpi.GroupCount
+}
+
+func newCuboidCounts(snapshot *kpi.Snapshot) *cuboidCounts {
+	return &cuboidCounts{snapshot: snapshot, groups: make(map[*kpi.CuboidIndexer][]kpi.GroupCount)}
+}
+
+// confidence returns Confidence(combo => Anomaly). Groups of a cuboid
+// whose indexes overflow are keyed by their first leaf, not by index, so
+// those cuboids keep the leaf scan.
+func (cc *cuboidCounts) confidence(combo kpi.Combination) float64 {
+	cuboid := kpi.Cuboid(combo.Attrs())
+	ix := cc.snapshot.Indexer(cuboid)
+	if ix.Size() < 0 {
+		return cc.snapshot.Confidence(combo)
+	}
+	groups, ok := cc.groups[ix]
+	if !ok {
+		groups, _ = cc.snapshot.ScanCuboid(cuboid, nil, 1, nil)
+		cc.groups[ix] = groups
+	}
+	g, found := slices.BinarySearchFunc(groups, ix.Index(combo), func(gc kpi.GroupCount, x int) int {
+		return cmp.Compare(gc.Group, x)
+	})
+	if !found {
+		return 0
+	}
+	return groups[g].Confidence()
 }

@@ -20,11 +20,12 @@
 package hotspot
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/kpi"
 	"repro/internal/localize"
@@ -108,11 +109,8 @@ func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot,
 	}
 
 	// Total |v - f| over the dataset; nothing to explain when zero.
-	var totalDev float64
-	for _, leaf := range snapshot.Leaves {
-		totalDev += math.Abs(leaf.Actual - leaf.Forecast)
-	}
-	if totalDev == 0 {
+	r := newRun(snapshot)
+	if r.totalDev == 0 {
 		return localize.Result{}, nil
 	}
 
@@ -127,7 +125,7 @@ func (l *Localizer) LocalizeContext(ctx context.Context, snapshot *kpi.Snapshot,
 search:
 	for layer := 1; layer <= len(attrs); layer++ {
 		for _, cuboid := range kpi.CuboidsAtLayer(attrs, layer) {
-			outcome := l.searchCuboid(snapshot, cuboid, totalDev, rng, poll)
+			outcome := l.searchCuboid(r, cuboid, rng, poll)
 			if outcome.ps > best.ps {
 				best = outcome
 			}
@@ -160,31 +158,59 @@ type searchOutcome struct {
 	ps  float64
 }
 
+// run is one search's per-leaf state, shared by every cuboid.
+type run struct {
+	snapshot         *kpi.Snapshot
+	actual, forecast []float64
+	// dev holds each leaf's |v - f|; totalDev is their sum in leaf order.
+	dev      []float64
+	totalDev float64
+	// stamp marks the leaves of S in potentialScore: leaf i is in S when
+	// stamp[i] equals epoch, which every call bumps.
+	stamp []uint32
+	epoch uint32
+	// members lists S's leaves in first-seen order.
+	members []int32
+}
+
+func newRun(snapshot *kpi.Snapshot) *run {
+	cols := snapshot.Columns()
+	r := &run{
+		snapshot: snapshot,
+		actual:   cols.Actual(),
+		forecast: cols.Forecast(),
+		dev:      make([]float64, cols.Len()),
+		stamp:    make([]uint32, cols.Len()),
+	}
+	for i := range r.dev {
+		r.dev[i] = math.Abs(r.actual[i] - r.forecast[i])
+		r.totalDev += r.dev[i]
+	}
+	return r
+}
+
 // element is one candidate combination of a cuboid, with the leaves of the
 // dataset that fall under it.
 type element struct {
 	combo   kpi.Combination
-	leafIdx []int
+	leafIdx []int32 // ascending
 	dev     float64 // aggregate |v - f| under the combination
+	group   int32
 }
 
 // searchCuboid runs MCTS over subsets of the cuboid's most deviating
 // combinations, polling before each iteration.
-func (l *Localizer) searchCuboid(snapshot *kpi.Snapshot, cuboid kpi.Cuboid, totalDev float64, rng *rand.Rand, poll *localize.Poll) searchOutcome {
-	elements := l.cuboidElements(snapshot, cuboid)
+func (l *Localizer) searchCuboid(r *run, cuboid kpi.Cuboid, rng *rand.Rand, poll *localize.Poll) searchOutcome {
+	elements := l.cuboidElements(r, cuboid)
 	if len(elements) == 0 {
 		return searchOutcome{ps: math.Inf(-1)}
-	}
-
-	eval := func(setBits []bool) float64 {
-		return potentialScore(snapshot, elements, setBits, totalDev)
 	}
 
 	tree := newMCTS(len(elements), l.cfg.MaxSetSize, l.cfg.UCBConstant, rng)
 	best := searchOutcome{ps: math.Inf(-1)}
 	for it := 0; it < l.cfg.Iterations && !poll.Stop(); it++ {
 		setBits := tree.selectAndExpand()
-		ps := eval(setBits)
+		ps := r.potentialScore(elements, setBits)
 		tree.backpropagate(ps)
 		if ps > best.ps {
 			best.ps = ps
@@ -203,61 +229,88 @@ func (l *Localizer) searchCuboid(snapshot *kpi.Snapshot, cuboid kpi.Cuboid, tota
 }
 
 // cuboidElements ranks the cuboid's combinations by aggregate deviation and
-// keeps the strongest MaxElements, precomputing their leaf lists.
-func (l *Localizer) cuboidElements(snapshot *kpi.Snapshot, cuboid kpi.Cuboid) []element {
-	byKey := make(map[string]*element)
-	for i, leaf := range snapshot.Leaves {
-		p := leaf.Combo.Project(cuboid)
-		k := p.Key()
-		e, ok := byKey[k]
-		if !ok {
-			e = &element{combo: p}
-			byKey[k] = e
-		}
-		e.leafIdx = append(e.leafIdx, i)
-		e.dev += math.Abs(leaf.Actual - leaf.Forecast)
+// keeps the strongest MaxElements, listing the leaves of those only. Each
+// group's deviation adds its leaves' dev in ascending leaf order, and ties
+// break on Combination.Key order.
+func (l *Localizer) cuboidElements(r *run, cuboid kpi.Cuboid) []element {
+	ix := r.snapshot.Indexer(cuboid)
+	of, names := groupLeaves(r.snapshot, ix)
+	devs := make([]float64, len(names))
+	for i, g := range of {
+		devs[g] += r.dev[i]
 	}
-	elements := make([]element, 0, len(byKey))
-	for _, e := range byKey {
-		if e.dev > 0 {
-			elements = append(elements, *e)
+	var elements []element
+	for g, d := range devs {
+		if d > 0 {
+			combo := make(kpi.Combination, r.snapshot.Schema.NumAttributes())
+			r.snapshot.DecodeGroup(ix, names[g], combo)
+			elements = append(elements, element{combo: combo, dev: d, group: int32(g)})
 		}
 	}
-	sort.SliceStable(elements, func(i, j int) bool {
-		if elements[i].dev != elements[j].dev {
-			return elements[i].dev > elements[j].dev
+	slices.SortFunc(elements, func(a, b element) int {
+		if a.dev != b.dev {
+			return cmp.Compare(b.dev, a.dev)
 		}
-		return elements[i].combo.Key() < elements[j].combo.Key()
+		return a.combo.CompareKey(b.combo)
 	})
 	if len(elements) > l.cfg.MaxElements {
 		elements = elements[:l.cfg.MaxElements]
 	}
+	// slot[g] is 1 + the position of group g's element, or 0.
+	slot := make([]int32, len(names))
+	for j, e := range elements {
+		slot[e.group] = int32(j) + 1
+	}
+	for i, g := range of {
+		if j := slot[g]; j > 0 {
+			elements[j-1].leafIdx = append(elements[j-1].leafIdx, int32(i))
+		}
+	}
 	return elements
 }
 
+// groupLeaves numbers the leaves' groups in ix's cuboid: of[i] is leaf i's
+// group, and names[g] names group g for Snapshot.DecodeGroup.
+func groupLeaves(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer) (of []int32, names []int) {
+	if size := ix.Size(); size < 0 || size > math.MaxInt32 {
+		of, names, _ = snapshot.GroupLeaves(ix, nil)
+		return of, names
+	}
+	of = snapshot.Columns().GroupIndexes(ix, nil)
+	index := slices.Compact(slices.Sorted(slices.Values(of)))
+	names = make([]int, len(index))
+	for g, x := range index {
+		names[g] = int(x)
+	}
+	for i, x := range of {
+		g, _ := slices.BinarySearch(index, x)
+		of[i] = int32(g)
+	}
+	return of, names
+}
+
 // potentialScore computes ps(S) for the element subset marked in setBits.
-func potentialScore(snapshot *kpi.Snapshot, elements []element, setBits []bool, totalDev float64) float64 {
+func (r *run) potentialScore(elements []element, setBits []bool) float64 {
 	var vS, fS float64
-	inSet := make(map[int]struct{})
+	r.epoch++
 	// members lists S's leaves in first-seen order: the residual below is
-	// summed in that fixed order, not in map order, so ps(S) has the same
-	// bits on every run.
-	var members []int
+	// summed in that fixed order, so ps(S) has the same bits on every run.
+	r.members = r.members[:0]
 	for i, on := range setBits {
 		if !on {
 			continue
 		}
 		for _, li := range elements[i].leafIdx {
-			if _, dup := inSet[li]; dup {
+			if r.stamp[li] == r.epoch {
 				continue
 			}
-			inSet[li] = struct{}{}
-			members = append(members, li)
-			vS += snapshot.Leaves[li].Actual
-			fS += snapshot.Leaves[li].Forecast
+			r.stamp[li] = r.epoch
+			r.members = append(r.members, li)
+			vS += r.actual[li]
+			fS += r.forecast[li]
 		}
 	}
-	if len(members) == 0 {
+	if len(r.members) == 0 {
 		return 0
 	}
 	ripple := 1.0
@@ -266,13 +319,12 @@ func potentialScore(snapshot *kpi.Snapshot, elements []element, setBits []bool, 
 	}
 	// residual = sum over all leaves of |v - a|; outside S, a = f, so we
 	// start from totalDev and correct the in-S part.
-	residual := totalDev
-	for _, li := range members {
-		leaf := snapshot.Leaves[li]
-		residual -= math.Abs(leaf.Actual - leaf.Forecast)
-		residual += math.Abs(leaf.Actual - leaf.Forecast*ripple)
+	residual := r.totalDev
+	for _, li := range r.members {
+		residual -= r.dev[li]
+		residual += math.Abs(r.actual[li] - r.forecast[li]*ripple)
 	}
-	ps := 1 - residual/totalDev
+	ps := 1 - residual/r.totalDev
 	if ps < 0 {
 		ps = 0
 	}

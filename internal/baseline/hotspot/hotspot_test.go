@@ -175,12 +175,9 @@ func TestPotentialScoreExactSetIsOne(t *testing.T) {
 	s := testSchema()
 	rap := kpi.MustParseCombination(s, "(a1, *, *)")
 	snap := rippleSnapshot(t, s, []kpi.Combination{rap}, 0.5)
-	var totalDev float64
-	for _, leaf := range snap.Leaves {
-		totalDev += math.Abs(leaf.Actual - leaf.Forecast)
-	}
+	r := newRun(snap)
 	l, _ := New(DefaultConfig())
-	elements := l.cuboidElements(snap, kpi.Cuboid{0})
+	elements := l.cuboidElements(r, kpi.Cuboid{0})
 	if len(elements) == 0 {
 		t.Fatal("no elements in cuboid {A}")
 	}
@@ -190,12 +187,12 @@ func TestPotentialScoreExactSetIsOne(t *testing.T) {
 	}
 	bits := make([]bool, len(elements))
 	bits[0] = true
-	if ps := potentialScore(snap, elements, bits, totalDev); math.Abs(ps-1) > 1e-9 {
+	if ps := r.potentialScore(elements, bits); math.Abs(ps-1) > 1e-9 {
 		t.Errorf("ps(exact set) = %v, want 1", ps)
 	}
 	// Empty set scores zero.
 	empty := make([]bool, len(elements))
-	if ps := potentialScore(snap, elements, empty, totalDev); ps != 0 {
+	if ps := r.potentialScore(elements, empty); ps != 0 {
 		t.Errorf("ps(empty) = %v, want 0", ps)
 	}
 }

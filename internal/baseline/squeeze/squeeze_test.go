@@ -454,3 +454,81 @@ func TestSqueezeWorkerPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestLocateInCuboidBitmapWordEdges holds locateInCuboid to the reference
+// search on universes of 63, 64, 65 and 130 leaves, where the selection
+// bitmap ends just before, on and past a word edge. Groups a0–a2 take
+// every third leaf, so each later group's leaves interleave with the
+// earlier ones'; a3 and a4 hold leaves in the upper half only. Cluster 0
+// ranks a3 before a0, so its touched words grow downward; cluster 1 ranks
+// a1 before a4, so they grow upward. The two clusters leave gaps in each
+// other's universes, and the bitmap must be all zeros after every call.
+func TestLocateInCuboidBitmapWordEdges(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 130} {
+		schema := fuzzSchema([]int{5, n})
+		r := rand.New(rand.NewSource(int64(n)))
+		leaves := make([]kpi.Leaf, n)
+		var clusters [2]cluster
+		for i := range leaves {
+			g := int32(i % 3)
+			if i >= n/2 && i%5 < 2 {
+				g = 3 + int32(i%5)
+			}
+			f := 50 + 50*r.Float64()
+			leaf := kpi.Leaf{Combo: kpi.Combination{g, int32(i)}, Actual: f * (1 + 0.05*r.NormFloat64()), Forecast: f}
+			switch {
+			case g == 3 || (g == 0 && i%2 == 0):
+				leaf.Actual, leaf.Anomalous = f*0.5, true
+				clusters[0].leafIdx = append(clusters[0].leafIdx, i)
+			case (g == 1 && i%4 != 0) || (g == 4 && i%3 != 0):
+				leaf.Actual, leaf.Anomalous = f*0.1, true
+				clusters[1].leafIdx = append(clusters[1].leafIdx, i)
+			}
+			leaves[i] = leaf
+		}
+		snap, err := kpi.NewSnapshot(schema, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := newUniverse(snap, clusters[:])
+		var (
+			groups cuboidGroups
+			sc     prefixScratch
+		)
+		if !groups.build(snap, kpi.Cuboid{0}) {
+			t.Fatal("cuboid {A} not searchable")
+		}
+		for _, maxPrefix := range []int{1, 2, 4} {
+			cfg := DefaultConfig()
+			cfg.MaxPrefix = maxPrefix
+			l, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c, cl := range clusters {
+				got, gps := l.locateInCuboid(&groups, u, c, &sc)
+				for w, word := range sc.sel {
+					if word != 0 {
+						t.Fatalf("n=%d cluster %d: bitmap word %d = %#x after the call, want 0", n, c, w, word)
+					}
+				}
+				var univ []int
+				for i, role := range u.role {
+					if role == normalLeaf || role == int32(c) {
+						univ = append(univ, i)
+					}
+				}
+				want, wantGPS := l.referenceLocateInCuboid(snap, kpi.Cuboid{0}, cl, univ)
+				set := combos(groups.ix, groups.indexes(sc.order[:got]))
+				if len(set) != len(want) || math.Float64bits(gps) != math.Float64bits(wantGPS) {
+					t.Fatalf("n=%d MaxPrefix %d cluster %d: %v gps %.17g, reference %v gps %.17g", n, maxPrefix, c, set, gps, want, wantGPS)
+				}
+				for j := range set {
+					if !set[j].Equal(want[j]) {
+						t.Fatalf("n=%d MaxPrefix %d cluster %d: set %v, reference %v", n, maxPrefix, c, set, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -72,7 +72,8 @@ func (s *logSampler) allow(now time.Time) bool {
 // an OpenMetrics /metrics scrape resolves straight to
 // /debug/runs/{trace-id}), the rolling SLO
 // windows behind GET /debug/slo, an in-flight gauge, and one structured —
-// and, under load, sampled — log line per request. Metric label
+// and, under load, sampled — log line per request, which also carries a
+// degraded reply's marker and reason (the DegradedHeader). Metric label
 // cardinality is bounded by using the matched route pattern (never the raw
 // URL path).
 func instrument(reg *obs.Registry, log *slog.Logger, slo *sloState, sampler *logSampler, exemplarMin float64, next http.Handler) http.Handler {
@@ -110,7 +111,8 @@ func instrument(reg *obs.Registry, log *slog.Logger, slo *sloState, sampler *log
 		if route == "" {
 			route = "none"
 		}
-		degraded := rec.Header().Get(DegradedHeader) != ""
+		degradedReason := rec.Header().Get(DegradedHeader)
+		degraded := degradedReason != ""
 		span.SetAttr("route", route)
 		span.SetAttr("status", rec.status)
 		span.End()
@@ -124,7 +126,7 @@ func instrument(reg *obs.Registry, log *slog.Logger, slo *sloState, sampler *log
 		slo.record(route, elapsed, rec.status, degraded)
 
 		if sampler.allow(start) {
-			log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			attrs := []slog.Attr{
 				slog.String("method", r.Method),
 				slog.String("trace_id", span.TraceID()),
 				slog.String("path", r.URL.Path),
@@ -132,7 +134,11 @@ func instrument(reg *obs.Registry, log *slog.Logger, slo *sloState, sampler *log
 				slog.Int("status", rec.status),
 				slog.Int64("bytes", rec.bytes),
 				slog.Duration("elapsed", elapsed),
-			)
+			}
+			if degraded {
+				attrs = append(attrs, slog.Bool("degraded", true), slog.String("degraded_reason", degradedReason))
+			}
+			log.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 		}
 	})
 }

@@ -1,18 +1,22 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/kpi"
 	"repro/internal/localize"
 	"repro/internal/methods"
+	"repro/internal/obs"
 	"repro/internal/rapminer"
 )
 
@@ -297,6 +301,59 @@ func TestBatchRequestTimeoutCoversBodyRead(t *testing.T) {
 			if tt.code == http.StatusOK {
 				t.Errorf("timeout %v: localizer never ran", tt.timeout)
 			}
+		}
+	}
+}
+
+// lockedBuffer is a log sink safe for the server's handler goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// TestDegradedRequestsLogUnderTheSampler checks a degraded request is
+// reported on its sampled request line and nowhere else: with a 2 ms
+// request timeout, ten degraded requests at a cap of two lines a second
+// write at most two lines per second they span, each marked degraded with
+// its reason.
+func TestDegradedRequestsLogUnderTheSampler(t *testing.T) {
+	withTestMethod(t, "stall", stallLocalizer{})
+	var sink lockedBuffer
+	obs.SetLogger(slog.New(slog.NewTextHandler(&sink, nil)))
+	t.Cleanup(func() { obs.SetLogger(nil) })
+	const maxPerSec, requests = 2, 10
+	srv := httptest.NewServer(New(Options{Registry: obs.NewRegistry(), RequestTimeout: 2 * time.Millisecond, LogMaxPerSec: maxPerSec}))
+	first := time.Now().Unix()
+	for range requests {
+		resp, err := http.Post(srv.URL+"/v1/localize?method=stall", "text/csv", strings.NewReader(sampleCSV))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("status = %d, want %d", resp.StatusCode, http.StatusGatewayTimeout)
+		}
+	}
+	last := time.Now().Unix()
+	srv.Close() // waits for the handlers, so every line is written
+
+	sink.mu.Lock()
+	lines := strings.Split(strings.TrimSpace(sink.buf.String()), "\n")
+	sink.mu.Unlock()
+	if bound := maxPerSec * int(last-first+1); len(lines) > bound || bound >= requests {
+		t.Fatalf("%d degraded requests over %d s wrote %d lines, want at most %d:\n%s",
+			requests, last-first+1, len(lines), bound, strings.Join(lines, "\n"))
+	}
+	for _, line := range lines {
+		if !strings.Contains(line, "msg=request") || !strings.Contains(line, "degraded=true") ||
+			!strings.Contains(line, "degraded_reason=\""+localize.DegradedDeadline+"\"") {
+			t.Errorf("line %q is not a request line marked degraded with reason %q", line, localize.DegradedDeadline)
 		}
 	}
 }

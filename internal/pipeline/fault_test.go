@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -236,5 +237,45 @@ func TestContextLocalizerGetsTickContext(t *testing.T) {
 	}
 	if _, ok := obs.TraceFromContext(loc.got[0]); !ok {
 		t.Fatal("localizer context carries no trace")
+	}
+}
+
+// degradedLocalizer answers every run with a degraded root pattern.
+type degradedLocalizer struct{}
+
+func (degradedLocalizer) Name() string { return "degraded" }
+
+func (d degradedLocalizer) Localize(s *kpi.Snapshot, k int) (localize.Result, error) {
+	return d.LocalizeContext(context.Background(), s, k)
+}
+
+func (degradedLocalizer) LocalizeContext(_ context.Context, s *kpi.Snapshot, k int) (localize.Result, error) {
+	return localize.Result{
+		Patterns:       []localize.ScoredPattern{{Combo: kpi.NewRoot(s.Schema.NumAttributes()), Score: 1}},
+		Degraded:       true,
+		DegradedReason: localize.DegradedDeadline,
+	}, nil
+}
+
+// TestDegradedTickLogsOnce checks a degraded localizing tick writes one
+// Warn line naming the method and reason. The Monitor, not the serving
+// path it shares with the HTTP API, logs it: the API reports degraded
+// requests on its sampled request line.
+func TestDegradedTickLogsOnce(t *testing.T) {
+	var buf strings.Builder
+	obs.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
+	t.Cleanup(func() { obs.SetLogger(nil) })
+	if err := alarmingTicks(t, context.Background(), degradedLocalizer{}); err != nil {
+		t.Fatal(err)
+	}
+	var warns []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(line, "level=WARN") {
+			warns = append(warns, line)
+		}
+	}
+	if len(warns) != 1 || !strings.Contains(warns[0], `msg="localization degraded"`) ||
+		!strings.Contains(warns[0], "method=degraded") || !strings.Contains(warns[0], `reason="deadline exceeded"`) {
+		t.Fatalf("Warn lines = %q, want one degraded-run line", warns)
 	}
 }

@@ -310,6 +310,12 @@ func (m *Monitor) localize(ctx context.Context, snap *kpi.Snapshot) ([]localize.
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: localize: %w", err)
 	}
+	if res.Degraded {
+		m.log.Warn("localization degraded",
+			slog.String("method", m.cfg.Localizer.Name()),
+			slog.String("reason", res.DegradedReason),
+			slog.Int("patterns", len(res.Patterns)))
+	}
 	return res.Patterns, nil
 }
 

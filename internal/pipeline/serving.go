@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"log/slog"
 	"time"
 
 	"repro/internal/kpi"
@@ -28,8 +27,9 @@ type Serving struct {
 // isolation, and stores the run's explain report keyed by the span's trace
 // ID. A RAPMiner run also publishes its search statistics (the paper's
 // pruning telemetry) and journals them in the report; any other method's
-// report carries the patterns it returned. A degraded run is served as is
-// and logged through the "pipeline" component logger.
+// report carries the patterns it returned. A degraded run is served as is;
+// its caller reports it (the HTTP API on its sampled request line, the
+// Monitor once per tick).
 func (s Serving) Localize(ctx context.Context, span string, l localize.Localizer, snap *kpi.Snapshot, k int) (localize.Result, error) {
 	ctx, sp := obs.StartSpan(ctx, span)
 	defer sp.End()
@@ -57,11 +57,5 @@ func (s Serving) Localize(ctx context.Context, span string, l localize.Localizer
 	}
 	sp.SetAttr("patterns", len(res.Patterns))
 	s.Runs.Put(report)
-	if res.Degraded {
-		obs.Logger("pipeline").Warn("localization degraded",
-			slog.String("method", l.Name()),
-			slog.String("reason", res.DegradedReason),
-			slog.Int("patterns", len(res.Patterns)))
-	}
 	return res, nil
 }
