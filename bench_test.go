@@ -21,6 +21,7 @@ import (
 	"repro/internal/gendata"
 	"repro/internal/inject"
 	"repro/internal/localize"
+	"repro/internal/methods"
 	"repro/internal/rapminer"
 )
 
@@ -76,9 +77,21 @@ func rapmdCorpus(b *testing.B) *gendata.Corpus {
 	return rapmdData
 }
 
+// paperMethods builds the five localizers of the paper's figures with
+// their default configurations.
+func paperMethods() ([]localize.Localizer, error) {
+	var paper []methods.Method
+	for _, m := range methods.All() {
+		if m.Paper {
+			paper = append(paper, m)
+		}
+	}
+	return methods.Build(rapminer.DefaultConfig(), paper...)
+}
+
 func benchMethods(b *testing.B) []localize.Localizer {
 	b.Helper()
-	methods, err := experiments.PaperMethods()
+	methods, err := paperMethods()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -250,7 +263,7 @@ func TestBenchCorpusEffectiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	methods, err := experiments.PaperMethods()
+	methods, err := paperMethods()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package anomaly
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/kpi"
 )
@@ -23,20 +22,11 @@ type Detector interface {
 }
 
 // Label applies a detector to every leaf of the snapshot in place and
-// returns the number of leaves labeled anomalous. Label invalidates the
-// snapshot's label-derived caches, so a relabeled snapshot is always
-// searched against the fresh labels.
+// returns the number of leaves labeled anomalous. The snapshot's
+// label-derived caches are dropped (kpi.Snapshot.Relabel), so a relabeled
+// snapshot is always searched against the fresh labels.
 func Label(s *kpi.Snapshot, d Detector) int {
-	n := 0
-	for i := range s.Leaves {
-		l := &s.Leaves[i]
-		l.Anomalous = d.Detect(l.Actual, l.Forecast)
-		if l.Anomalous {
-			n++
-		}
-	}
-	s.InvalidateLabels()
-	return n
+	return s.Relabel(d.Detect)
 }
 
 // RelativeDeviation flags a leaf when |f - v| / max(f, eps) exceeds
@@ -78,124 +68,4 @@ func (d RelativeDeviation) Detect(actual, forecast float64) bool {
 	}
 	dev := math.Abs(forecast-actual) / (math.Abs(forecast) + d.Eps)
 	return dev >= d.Threshold
-}
-
-// AbsoluteDeviation flags a leaf when |f - v| exceeds Threshold; useful for
-// KPIs whose noise floor is additive rather than multiplicative.
-type AbsoluteDeviation struct {
-	Threshold float64
-}
-
-var _ Detector = AbsoluteDeviation{}
-
-// Name implements Detector.
-func (d AbsoluteDeviation) Name() string {
-	return fmt.Sprintf("absdev(%g)", d.Threshold)
-}
-
-// Detect implements Detector.
-func (d AbsoluteDeviation) Detect(actual, forecast float64) bool {
-	return math.Abs(forecast-actual) >= d.Threshold
-}
-
-// KSigma flags a leaf when the residual deviates from the residual mean by
-// more than K standard deviations. Mean and Std are calibrated from a
-// normal-period window with Calibrate.
-type KSigma struct {
-	K    float64
-	Mean float64
-	Std  float64
-}
-
-var _ Detector = (*KSigma)(nil)
-
-// Name implements Detector.
-func (d *KSigma) Name() string { return fmt.Sprintf("ksigma(%.1f)", d.K) }
-
-// Calibrate estimates the residual distribution from paired normal-period
-// observations.
-func (d *KSigma) Calibrate(actual, forecast []float64) error {
-	if len(actual) != len(forecast) {
-		return fmt.Errorf("anomaly: calibrate length mismatch %d vs %d", len(actual), len(forecast))
-	}
-	if len(actual) == 0 {
-		return fmt.Errorf("anomaly: calibrate with no samples")
-	}
-	var sum float64
-	for i := range actual {
-		sum += actual[i] - forecast[i]
-	}
-	d.Mean = sum / float64(len(actual))
-	var ss float64
-	for i := range actual {
-		r := actual[i] - forecast[i] - d.Mean
-		ss += r * r
-	}
-	d.Std = math.Sqrt(ss / float64(len(actual)))
-	return nil
-}
-
-// Detect implements Detector.
-func (d *KSigma) Detect(actual, forecast float64) bool {
-	if d.Std == 0 {
-		return actual != forecast
-	}
-	return math.Abs(actual-forecast-d.Mean) > d.K*d.Std
-}
-
-// TopQuantile labels the fraction Q of leaves with the largest relative
-// deviations, regardless of absolute scale — useful when a fixed threshold
-// cannot be calibrated. Unlike the threshold detectors it needs the whole
-// snapshot at once, so it is applied via LabelTopQuantile rather than
-// Label.
-type TopQuantile struct {
-	// Q is the fraction of leaves to label, in (0, 1).
-	Q float64
-	// Eps guards division.
-	Eps float64
-}
-
-// LabelTopQuantile labels the snapshot in place and returns the number of
-// anomalous leaves. Like Label, it invalidates the snapshot's label-derived
-// caches.
-func LabelTopQuantile(s *kpi.Snapshot, d TopQuantile) (int, error) {
-	if d.Q <= 0 || d.Q >= 1 {
-		return 0, fmt.Errorf("anomaly: quantile %v out of (0, 1)", d.Q)
-	}
-	defer s.InvalidateLabels()
-	n := s.Len()
-	if n == 0 {
-		return 0, nil
-	}
-	devs := make([]float64, n)
-	for i, l := range s.Leaves {
-		devs[i] = math.Abs(l.Forecast-l.Actual) / (math.Abs(l.Forecast) + d.Eps)
-	}
-	sorted := append([]float64(nil), devs...)
-	sort.Float64s(sorted)
-	cutIdx := int(float64(n) * (1 - d.Q))
-	if cutIdx >= n {
-		cutIdx = n - 1
-	}
-	cut := sorted[cutIdx]
-	if cut == 0 {
-		// A zero threshold would label every exact leaf; an all-clean
-		// snapshot labels nothing.
-		count := 0
-		for i := range s.Leaves {
-			s.Leaves[i].Anomalous = devs[i] > 0
-			if s.Leaves[i].Anomalous {
-				count++
-			}
-		}
-		return count, nil
-	}
-	count := 0
-	for i := range s.Leaves {
-		s.Leaves[i].Anomalous = devs[i] >= cut
-		if s.Leaves[i].Anomalous {
-			count++
-		}
-	}
-	return count, nil
 }

@@ -7,9 +7,9 @@
 // leaf per itemset; the counts are integers, so every confidence equals
 // Snapshot.Confidence's.
 //
-// The localizer's safe point is the conditional pattern base (the level,
-// with UseApriori): a run whose context ends stops before building the
-// next one and ranks the itemsets mined so far.
+// The localizer's safe point is the conditional pattern base: a run whose
+// context ends stops before building the next one and ranks the itemsets
+// mined so far.
 package fpgrowth
 
 import (
@@ -29,17 +29,11 @@ type Itemset struct {
 	Support int
 }
 
-// Mine returns every itemset with support >= minSupport in the transaction
+// mine returns every itemset with support >= minSupport in the transaction
 // database, using the FP-growth algorithm (an FP-tree per conditional
-// pattern base, no candidate generation). minSupport must be >= 1.
-//
-// Items within a transaction must be unique; duplicate items in one
-// transaction count once.
-func Mine(transactions [][]Item, minSupport int) ([]Itemset, error) {
-	return mine(transactions, minSupport, localize.NewPoll(nil))
-}
-
-// mine is Mine that polls before each conditional pattern base and, once
+// pattern base, no candidate generation). minSupport must be >= 1. Items
+// within a transaction must be unique; duplicate items in one transaction
+// count once. mine polls before each conditional pattern base and, once
 // poll stops, returns the itemsets found so far.
 func mine(transactions [][]Item, minSupport int, poll *localize.Poll) ([]Itemset, error) {
 	if minSupport < 1 {

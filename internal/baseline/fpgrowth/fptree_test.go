@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/localize"
 )
 
 // apriori is a brute-force reference miner used to cross-check FP-growth.
@@ -202,4 +204,9 @@ func TestMineDeterministicOrder(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("Mine output order not deterministic")
 	}
+}
+
+// Mine is mine without a context: the tests' entry to the FP-growth miner.
+func Mine(transactions [][]Item, minSupport int) ([]Itemset, error) {
+	return mine(transactions, minSupport, localize.NewPoll(nil))
 }

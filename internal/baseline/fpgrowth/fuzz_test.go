@@ -128,7 +128,7 @@ func checkMatchesLeafScan(t *testing.T, snap *kpi.Snapshot, cfg Config) {
 // FuzzFPGrowthMatchesReference holds Localize, whose rule confidences come
 // from cuboid counts, to the same run with confidences from leaf scans, on
 // small random schemas and on a schema whose deep cuboids are sparse or
-// overflow int64, with both miners and several thresholds.
+// overflow int64, at several thresholds.
 func FuzzFPGrowthMatchesReference(f *testing.F) {
 	f.Add(int64(1), byte(2), byte(0), false)
 	f.Add(int64(2), byte(1), byte(5), false)
@@ -140,7 +140,6 @@ func FuzzFPGrowthMatchesReference(f *testing.F) {
 		cfg := Config{
 			MinSupportRatio: []float64{0.1, 0.02, 0.5}[thresholds%3],
 			MinConfidence:   []float64{0.8, 0.3, 1}[thresholds/3%3],
-			UseApriori:      thresholds&8 != 0,
 		}
 		checkMatchesLeafScan(t, snap, cfg)
 	})

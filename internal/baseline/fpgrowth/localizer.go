@@ -19,11 +19,6 @@ type Config struct {
 	// MinConfidence is the minimum confidence of the rule
 	// "pattern => anomalous" for the pattern to become a candidate.
 	MinConfidence float64
-	// UseApriori swaps the FP-growth miner for the Apriori one. Both
-	// produce identical itemsets; the paper notes "the efficiency of
-	// different implementation methods varies greatly", which
-	// BenchmarkMineVsApriori quantifies.
-	UseApriori bool
 }
 
 // DefaultConfig returns common association-rule thresholds: patterns must
@@ -109,12 +104,8 @@ func (l *Localizer) localize(ctx context.Context, snapshot *kpi.Snapshot, k int,
 	if minSupport < 1 {
 		minSupport = 1
 	}
-	mineItemsets := mine
-	if l.cfg.UseApriori {
-		mineItemsets = mineApriori
-	}
 	poll := localize.NewPoll(ctx)
-	itemsets, err := mineItemsets(transactions, minSupport, poll)
+	itemsets, err := mine(transactions, minSupport, poll)
 	if err != nil {
 		return localize.Result{}, err
 	}

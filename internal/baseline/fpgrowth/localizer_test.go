@@ -168,34 +168,3 @@ func TestLocalizerName(t *testing.T) {
 		t.Errorf("Name = %q", l.Name())
 	}
 }
-
-func TestLocalizeAprioriVariantAgrees(t *testing.T) {
-	s := testSchema4()
-	raps := []kpi.Combination{
-		kpi.MustParseCombination(s, "(a1, *, *, *)"),
-		kpi.MustParseCombination(s, "(a2, b2, *, *)"),
-	}
-	snap := denseSnapshot(t, s, raps...)
-	fp, _ := New(DefaultConfig())
-	apCfg := DefaultConfig()
-	apCfg.UseApriori = true
-	ap, _ := New(apCfg)
-
-	a, err := fp.Localize(snap, 10)
-	if err != nil {
-		t.Fatalf("fpgrowth: %v", err)
-	}
-	b, err := ap.Localize(snap, 10)
-	if err != nil {
-		t.Fatalf("apriori: %v", err)
-	}
-	if len(a.Patterns) != len(b.Patterns) {
-		t.Fatalf("variant results differ in size: %d vs %d", len(a.Patterns), len(b.Patterns))
-	}
-	for i := range a.Patterns {
-		if !a.Patterns[i].Combo.Equal(b.Patterns[i].Combo) {
-			t.Fatalf("variant results differ at %d: %v vs %v",
-				i, a.Patterns[i].Combo, b.Patterns[i].Combo)
-		}
-	}
-}

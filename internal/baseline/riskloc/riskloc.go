@@ -154,8 +154,7 @@ func (l *Localizer) buildPartition(snapshot *kpi.Snapshot) (partition, bool) {
 		nw:    make([]float64, n),
 		delta: make([]float64, n),
 	}
-	for i := range snapshot.Leaves {
-		leaf := &snapshot.Leaves[i]
+	for i, leaf := range snapshot.Leaves {
 		den := math.Abs(leaf.Forecast) + math.Abs(leaf.Actual) + l.cfg.Eps
 		p.d[i] = 2 * (leaf.Forecast - leaf.Actual) / den
 	}

@@ -205,13 +205,12 @@ func TestRiskLocLocalizeSurgeDirection(t *testing.T) {
 	s := testSchema()
 	rap := kpi.MustParseCombination(s, "(a2, *, *)")
 	snap := injectedSnapshot(t, s, nil, nil)
-	for i := range snap.Leaves {
-		if rap.Matches(snap.Leaves[i].Combo) {
-			snap.Leaves[i].Actual = 180
-			snap.Leaves[i].Anomalous = true
+	snap.Rewrite(func(l kpi.Leaf) (float64, float64, bool) {
+		if rap.Matches(l.Combo) {
+			return 180, l.Forecast, true
 		}
-	}
-	snap.InvalidateLabels()
+		return l.Actual, l.Forecast, l.Anomalous
+	})
 	res, err := mustNew(t).Localize(snap, 3)
 	if err != nil {
 		t.Fatalf("Localize: %v", err)

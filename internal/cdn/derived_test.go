@@ -61,17 +61,6 @@ func TestDerivedKPILocalization(t *testing.T) {
 		t.Fatalf("NewSnapshot: %v", err)
 	}
 
-	// The total requests did not change: a fundamental-KPI alarm on
-	// traffic volume would stay silent.
-	reqSnap, err := table.SnapshotOf("requests", "requests")
-	if err != nil {
-		t.Fatalf("SnapshotOf: %v", err)
-	}
-	v, f := reqSnap.Sum(kpi.NewRoot(4))
-	if v != f {
-		t.Fatalf("request volume changed: %v vs %v", v, f)
-	}
-
 	anomaly.Label(snap, anomaly.RelativeDeviation{Threshold: 0.3, Eps: 1e-9})
 	miner := rapminer.MustNew(rapminer.DefaultConfig())
 	res, err := miner.Localize(snap, 3)

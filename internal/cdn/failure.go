@@ -102,8 +102,8 @@ func (s *Simulator) DrawFailure(r *rand.Rand, kind FailureKind) (Failure, error)
 // ApplyFailures drops the actual values of every leaf under each failure's
 // scope by that failure's severity, in place. Overlapping scopes compound.
 // The forecasts are untouched, so a deviation-based detector sees exactly
-// the injected loss. The snapshot's structure caches are dropped, so sums
-// and scans read the new values.
+// the injected loss. The values are written through kpi.Snapshot.Rewrite,
+// so sums and scans read the new values.
 func ApplyFailures(snap *kpi.Snapshot, failures []Failure) error {
 	for _, f := range failures {
 		if f.Severity < 0 || f.Severity > 1 {
@@ -113,16 +113,14 @@ func ApplyFailures(snap *kpi.Snapshot, failures []Failure) error {
 			return fmt.Errorf("cdn: failure scope arity %d does not match schema", len(f.Scope))
 		}
 	}
-	for i := range snap.Leaves {
-		leaf := &snap.Leaves[i]
+	snap.Rewrite(func(leaf kpi.Leaf) (float64, float64, bool) {
 		for _, f := range failures {
 			if f.Scope.Matches(leaf.Combo) {
 				leaf.Actual *= 1 - f.Severity
 			}
 		}
-	}
-	// The values changed under any columnar frame built so far.
-	snap.InvalidateStructure()
+		return leaf.Actual, leaf.Forecast, leaf.Anomalous
+	})
 	return nil
 }
 

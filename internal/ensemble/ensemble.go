@@ -43,15 +43,6 @@ func New(members ...localize.Localizer) (*Localizer, error) {
 // Name implements localize.Localizer.
 func (l *Localizer) Name() string { return "Ensemble" }
 
-// Members returns the member names, for reports.
-func (l *Localizer) Members() []string {
-	names := make([]string, len(l.members))
-	for i, m := range l.members {
-		names[i] = m.Name()
-	}
-	return names
-}
-
 // Localize implements localize.Localizer: each member is asked for a
 // generous candidate list, and candidates are re-ranked by
 // sum over members of 1 / (rrfK + rank).

@@ -162,3 +162,12 @@ func TestEnsembleEmptyWhenNoAnomalies(t *testing.T) {
 		t.Errorf("clean snapshot produced %d patterns", len(res.Patterns))
 	}
 }
+
+// Members returns the member names, for reports.
+func (l *Localizer) Members() []string {
+	names := make([]string, len(l.members))
+	for i, m := range l.members {
+		names[i] = m.Name()
+	}
+	return names
+}

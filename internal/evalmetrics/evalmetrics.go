@@ -6,7 +6,6 @@ package evalmetrics
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/kpi"
@@ -123,9 +122,6 @@ type Timing struct {
 // Add records one case runtime.
 func (t *Timing) Add(d time.Duration) { t.samples = append(t.samples, d) }
 
-// N returns the number of samples.
-func (t *Timing) N() int { return len(t.samples) }
-
 // Mean returns the average runtime, or 0 with no samples.
 func (t *Timing) Mean() time.Duration {
 	if len(t.samples) == 0 {
@@ -136,18 +132,4 @@ func (t *Timing) Mean() time.Duration {
 		sum += d
 	}
 	return sum / time.Duration(len(t.samples))
-}
-
-// Median returns the median runtime, or 0 with no samples.
-func (t *Timing) Median() time.Duration {
-	if len(t.samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), t.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
 }

@@ -2,6 +2,7 @@ package evalmetrics
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -203,3 +204,20 @@ func TestBootstrapValidation(t *testing.T) {
 		t.Error("bad level accepted")
 	}
 }
+
+// Median returns the median runtime, or 0 with no samples.
+func (t *Timing) Median() time.Duration {
+	if len(t.samples) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), t.samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	mid := len(sorted) / 2
+	if len(sorted)%2 == 1 {
+		return sorted[mid]
+	}
+	return (sorted[mid-1] + sorted[mid]) / 2
+}
+
+// N returns the number of samples.
+func (t *Timing) N() int { return len(t.samples) }

@@ -4,6 +4,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/localize"
+	"repro/internal/methods"
+	"repro/internal/rapminer"
 )
 
 // tinyOptions keeps unit-test runtime small; the full sizes run in the
@@ -353,4 +357,10 @@ func TestRunReportAndMarkdown(t *testing.T) {
 	if b.String() != b2.String() {
 		t.Error("markdown rendering not deterministic")
 	}
+}
+
+// PaperMethods constructs the five localizers compared in Fig. 8 and
+// Fig. 9 with their default configurations.
+func PaperMethods() ([]localize.Localizer, error) {
+	return methods.Build(rapminer.DefaultConfig(), paperMethods()...)
 }

@@ -17,13 +17,8 @@ import (
 // paper's plotting order.
 var MethodNames = labels(paperMethods())
 
-// PaperMethods constructs the five localizers compared in Fig. 8 and
-// Fig. 9 with their default configurations.
-func PaperMethods() ([]localize.Localizer, error) {
-	return methods.Build(rapminer.DefaultConfig(), paperMethods()...)
-}
-
-// AllMethods is PaperMethods plus the HotSpot and RiskLoc extensions.
+// AllMethods constructs the paper's five localizers plus the HotSpot and
+// RiskLoc extensions.
 func AllMethods() ([]localize.Localizer, error) {
 	return methods.Build(rapminer.DefaultConfig(), slices.DeleteFunc(methods.All(),
 		func(m methods.Method) bool { return m.Key == "ensemble" })...)
@@ -68,16 +63,6 @@ func (o Options) repeats() int {
 		return 1
 	}
 	return o.Repeats
-}
-
-// DefaultOptions returns a configuration sized like the paper's study but
-// small enough to run in seconds-to-minutes.
-func DefaultOptions() Options {
-	return Options{
-		Seed:         2022,
-		SqueezeCases: 10,
-		RAPMDCases:   105,
-	}
 }
 
 func (o Options) validate() error {

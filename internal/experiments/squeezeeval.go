@@ -34,6 +34,7 @@ func RunSqueezeEval(opt Options) ([]SqueezeEvalRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: squeeze corpus %s: %w", group, err)
 		}
+		warmCaches(corpus.Cases)
 		row := SqueezeEvalRow{
 			Group:       group,
 			F1:          make(map[string]float64, len(methods)),

@@ -84,8 +84,7 @@ func derivedCase(sim *cdn.Simulator, cfg cdn.Config, r *rand.Rand, ts time.Time,
 	// Cache failure: the hit ratio under each RAP collapses by a
 	// per-leaf random severity in [0.2, 0.9]; requests are untouched.
 	const detectThreshold = 0.1
-	for i := range snap.Leaves {
-		leaf := &snap.Leaves[i]
+	snap.Rewrite(func(leaf kpi.Leaf) (float64, float64, bool) {
 		for _, rap := range raps {
 			if rap.Matches(leaf.Combo) {
 				severity := 0.2 + 0.7*r.Float64()
@@ -97,10 +96,7 @@ func derivedCase(sim *cdn.Simulator, cfg cdn.Config, r *rand.Rand, ts time.Time,
 		if leaf.Forecast > 0 {
 			dev = (leaf.Forecast - leaf.Actual) / leaf.Forecast
 		}
-		leaf.Anomalous = dev >= detectThreshold
-	}
-	// Values and labels were rewritten in place after the RAP draw read
-	// the snapshot.
-	snap.InvalidateStructure()
+		return leaf.Actual, leaf.Forecast, dev >= detectThreshold
+	})
 	return inject.Case{Snapshot: snap, RAPs: raps}, nil
 }

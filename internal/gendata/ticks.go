@@ -106,37 +106,6 @@ func (s StreamSpec) tickLeaf(i, tick int, t TickSpec, raps []kpi.Combination, co
 	return true, f * (1 - dev), f
 }
 
-// TickDelta materializes tick's delta (1-based) as update records against
-// the corpus schema.
-func (s StreamSpec) TickDelta(t TickSpec, tick int) (kpi.Delta, error) {
-	if err := s.Validate(); err != nil {
-		return kpi.Delta{}, err
-	}
-	if err := t.Validate(); err != nil {
-		return kpi.Delta{}, err
-	}
-	if tick < 1 {
-		return kpi.Delta{}, fmt.Errorf("gendata: tick %d, want >= 1", tick)
-	}
-	raps := s.RAPs()
-	total := s.NumLeaves()
-	nAttr := len(s.Attributes)
-	var d kpi.Delta
-	combo := make(kpi.Combination, nAttr)
-	for i := 0; i < total; i++ {
-		touched, v, f := s.tickLeaf(i, tick, t, raps, combo)
-		if !touched {
-			continue
-		}
-		d.Updates = append(d.Updates, kpi.LeafUpdate{
-			Combo:    combo.Clone(),
-			Actual:   v,
-			Forecast: f,
-		})
-	}
-	return d, nil
-}
-
 // StreamTickJSON writes tick's delta to w in the kpi delta JSON wire format
 // (readable by kpi.ReadDeltaJSON, POSTable to /v1/observe/delta) without
 // materializing the update set.

@@ -2,6 +2,7 @@ package gendata
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -161,4 +162,36 @@ func TestTickDeltaDrivesIncidents(t *testing.T) {
 	if n := apply(3); n != 0 {
 		t.Fatalf("clean ticks left %d anomalies", n)
 	}
+}
+
+// TickDelta materializes tick's delta (1-based) as update records against
+// the corpus schema: the in-memory reference StreamTickJSON's output is
+// held to.
+func (s StreamSpec) TickDelta(t TickSpec, tick int) (kpi.Delta, error) {
+	if err := s.Validate(); err != nil {
+		return kpi.Delta{}, err
+	}
+	if err := t.Validate(); err != nil {
+		return kpi.Delta{}, err
+	}
+	if tick < 1 {
+		return kpi.Delta{}, fmt.Errorf("gendata: tick %d, want >= 1", tick)
+	}
+	raps := s.RAPs()
+	total := s.NumLeaves()
+	nAttr := len(s.Attributes)
+	var d kpi.Delta
+	combo := make(kpi.Combination, nAttr)
+	for i := 0; i < total; i++ {
+		touched, v, f := s.tickLeaf(i, tick, t, raps, combo)
+		if !touched {
+			continue
+		}
+		d.Updates = append(d.Updates, kpi.LeafUpdate{
+			Combo:    combo.Clone(),
+			Actual:   v,
+			Forecast: f,
+		})
+	}
+	return d, nil
 }

@@ -211,8 +211,7 @@ func (c *continuousAPI) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	defer c.mu.Unlock()
 	resp := continuousStatusResponse{Window: []tickJSON{}}
 	if c.runner != nil {
-		resp.Ticks = c.runner.Ticks()
-		resp.Leaves = c.runner.Len()
+		resp = continuousStatusResponse{Ticks: c.runner.Ticks(), Leaves: c.runner.Len(), Window: resp.Window}
 		for _, st := range c.runner.Window() {
 			resp.Window = append(resp.Window, tickJSON{
 				Time:      st.Time,

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,7 +15,7 @@ import (
 // TestMain discards the request log stream: these tests drive hundreds of
 // requests and the per-request lines drown real failures.
 func TestMain(m *testing.M) {
-	obs.SetLogger(nil)
+	obs.ConfigureLogging(io.Discard, slog.LevelInfo, false)
 	os.Exit(m.Run())
 }
 

@@ -325,8 +325,8 @@ func (b *lockedBuffer) Write(p []byte) (int, error) {
 func TestDegradedRequestsLogUnderTheSampler(t *testing.T) {
 	withTestMethod(t, "stall", stallLocalizer{})
 	var sink lockedBuffer
-	obs.SetLogger(slog.New(slog.NewTextHandler(&sink, nil)))
-	t.Cleanup(func() { obs.SetLogger(nil) })
+	obs.ConfigureLogging(&sink, slog.LevelInfo, false)
+	t.Cleanup(func() { obs.ConfigureLogging(io.Discard, slog.LevelInfo, false) })
 	const maxPerSec, requests = 2, 10
 	srv := httptest.NewServer(New(Options{Registry: obs.NewRegistry(), RequestTimeout: 2 * time.Millisecond, LogMaxPerSec: maxPerSec}))
 	first := time.Now().Unix()

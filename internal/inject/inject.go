@@ -119,8 +119,7 @@ func InjectRAPMD(r *rand.Rand, background *kpi.Snapshot, cfg RAPMDConfig) (Case,
 		return Case{}, err
 	}
 
-	for i := range snap.Leaves {
-		leaf := &snap.Leaves[i]
+	snap.Rewrite(func(leaf kpi.Leaf) (float64, float64, bool) {
 		anomalous := false
 		for _, rap := range raps {
 			if rap.Matches(leaf.Combo) {
@@ -136,21 +135,17 @@ func InjectRAPMD(r *rand.Rand, background *kpi.Snapshot, cfg RAPMDConfig) (Case,
 		}
 		// Eq. 5: f = (v + Dev*eps) / (1 - Dev), so that Eq. 4 yields
 		// Dev = (f - v) / (f + eps).
-		leaf.Forecast = (leaf.Actual + dev*cfg.Eps) / (1 - dev)
+		forecast := (leaf.Actual + dev*cfg.Eps) / (1 - dev)
 		// Detector imperfection: occasional false alarms on normal
 		// leaves and missed detections under the RAPs.
 		switch {
 		case anomalous && r.Float64() < cfg.FalseNegativeRate:
-			leaf.Anomalous = false
+			anomalous = false
 		case !anomalous && r.Float64() < cfg.FalsePositiveRate:
-			leaf.Anomalous = true
-		default:
-			leaf.Anomalous = anomalous
+			anomalous = true
 		}
-	}
-	// Forecasts and labels were rewritten in place after the RAP draw read
-	// the snapshot.
-	snap.InvalidateStructure()
+		return leaf.Actual, forecast, anomalous
+	})
 	return Case{Snapshot: snap, RAPs: raps}, nil
 }
 

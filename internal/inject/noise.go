@@ -99,8 +99,7 @@ func ApplyNoise(r *rand.Rand, c Case, cfg NoiseConfig) (Case, error) {
 		for j := 1; j < len(scale); j++ {
 			scale[j] = 1 - cfg.Imbalance*r.Float64()
 		}
-		for i := range snap.Leaves {
-			leaf := &snap.Leaves[i]
+		snap.Rewrite(func(leaf kpi.Leaf) (float64, float64, bool) {
 			for j, rap := range c.RAPs {
 				if rap.Matches(leaf.Combo) {
 					if scale[j] != 1 {
@@ -109,25 +108,24 @@ func ApplyNoise(r *rand.Rand, c Case, cfg NoiseConfig) (Case, error) {
 					break
 				}
 			}
-		}
+			return leaf.Actual, leaf.Forecast, leaf.Anomalous
+		})
 	}
 
 	if cfg.ForecastStd > 0 {
-		for i := range snap.Leaves {
-			leaf := &snap.Leaves[i]
-			leaf.Forecast *= 1 + cfg.ForecastStd*r.NormFloat64()
-			if leaf.Forecast < 0 {
-				leaf.Forecast = 0
+		snap.Rewrite(func(leaf kpi.Leaf) (float64, float64, bool) {
+			forecast := leaf.Forecast * (1 + cfg.ForecastStd*r.NormFloat64())
+			if forecast < 0 {
+				forecast = 0
 			}
-		}
+			return leaf.Actual, forecast, leaf.Anomalous
+		})
 	}
 
 	if cfg.RelabelThreshold > 0 {
-		for i := range snap.Leaves {
-			leaf := &snap.Leaves[i]
-			dev := math.Abs(leaf.Forecast-leaf.Actual) / (math.Abs(leaf.Forecast) + eps)
-			leaf.Anomalous = dev >= cfg.RelabelThreshold
-		}
+		snap.Relabel(func(actual, forecast float64) bool {
+			return math.Abs(forecast-actual)/(math.Abs(forecast)+eps) >= cfg.RelabelThreshold
+		})
 	}
 
 	if cfg.Dropout > 0 {
@@ -137,9 +135,6 @@ func ApplyNoise(r *rand.Rand, c Case, cfg NoiseConfig) (Case, error) {
 			return Case{}, fmt.Errorf("inject: rebuilding after dropout: %w", err)
 		}
 		snap = rebuilt
-	} else {
-		// Values and labels were rewritten in place.
-		snap.InvalidateStructure()
 	}
 
 	return Case{Snapshot: snap, RAPs: c.RAPs}, nil

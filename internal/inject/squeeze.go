@@ -81,32 +81,28 @@ func InjectSqueeze(r *rand.Rand, background *kpi.Snapshot, cfg SqueezeConfig) (C
 	}
 
 	magnitude := cfg.MagnitudeLo + (cfg.MagnitudeHi-cfg.MagnitudeLo)*r.Float64()
-	for i := range snap.Leaves {
-		leaf := &snap.Leaves[i]
-		leaf.Actual = leaf.Forecast
+	snap.Rewrite(func(leaf kpi.Leaf) (float64, float64, bool) {
+		actual := leaf.Forecast
 		for _, rap := range raps {
 			if rap.Matches(leaf.Combo) {
 				// Vertical assumption: same relative drop everywhere
 				// under this case's RAPs.
-				leaf.Actual = leaf.Forecast * (1 - magnitude)
+				actual = leaf.Forecast * (1 - magnitude)
 				break
 			}
 		}
 		if cfg.NoiseStd > 0 {
-			leaf.Actual *= 1 + cfg.NoiseStd*r.NormFloat64()
-			if leaf.Actual < 0 {
-				leaf.Actual = 0
+			actual *= 1 + cfg.NoiseStd*r.NormFloat64()
+			if actual < 0 {
+				actual = 0
 			}
 		}
 		dev := 0.0
 		if leaf.Forecast > 0 {
-			dev = (leaf.Forecast - leaf.Actual) / leaf.Forecast
+			dev = (leaf.Forecast - actual) / leaf.Forecast
 		}
-		leaf.Anomalous = dev >= cfg.AnomalyThreshold || dev <= -cfg.AnomalyThreshold
-	}
-	// Values and labels were rewritten in place after the RAP draw read
-	// the snapshot.
-	snap.InvalidateStructure()
+		return actual, leaf.Forecast, dev >= cfg.AnomalyThreshold || dev <= -cfg.AnomalyThreshold
+	})
 	return Case{Snapshot: snap, RAPs: raps}, nil
 }
 

@@ -121,27 +121,8 @@ func newColumns(schema *Schema, frame *colFrame, n int, anomIdx []int) *Columns 
 	return c
 }
 
-// EncodeColumns builds a fresh, uncached columnar encoding of the snapshot.
-// Most callers want the cached Snapshot.Columns instead; this entry point
-// exists for tests and tools that need an encoding independent of the
-// snapshot's cache state.
-func EncodeColumns(s *Snapshot) *Columns {
-	frame := buildColFrame(s.Schema, s.Leaves)
-	var anomIdx []int
-	for i := range s.Leaves {
-		if s.Leaves[i].Anomalous {
-			anomIdx = append(anomIdx, i)
-		}
-	}
-	return newColumns(s.Schema, frame, len(s.Leaves), anomIdx)
-}
-
 // Len returns the number of encoded leaves.
 func (c *Columns) Len() int { return c.n }
-
-// Elem returns attribute a's dense element-ID column; treat it as
-// read-only.
-func (c *Columns) Elem(a int) []uint32 { return c.frame.elem[a] }
 
 // Actual returns the actual-value column; treat it as read-only.
 func (c *Columns) Actual() []float64 { return c.frame.actual }

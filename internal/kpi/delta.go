@@ -23,13 +23,13 @@ import (
 //
 // Deltas stay within one schema. A tick that changes the schema or an
 // attribute's cardinality cannot be patched — the mixed-radix strides of
-// every indexer shift — so the caller falls back to a fresh snapshot (or
-// FullRebuild on a hand-mutated one).
+// every indexer shift — so the caller falls back to a fresh snapshot.
 
 // LeafUpdate re-observes one existing leaf: the combination identifies it,
 // Actual/Forecast replace its values. The anomaly label is deliberately not
 // part of an update — labeling is the detector's job, done incrementally
-// over the touched set with anomaly.LabelDelta after the delta applies.
+// over the touched set with RelabelTouched (anomaly.LabelDelta) after the
+// delta applies.
 type LeafUpdate struct {
 	Combo    Combination
 	Actual   float64
@@ -49,11 +49,6 @@ type Delta struct {
 	// already present). Their Anomalous labels are honored, like
 	// NewSnapshot's.
 	Adds []Leaf
-}
-
-// Empty reports whether the delta carries no changes.
-func (d Delta) Empty() bool {
-	return len(d.Removes) == 0 && len(d.Updates) == 0 && len(d.Adds) == 0
 }
 
 // Size returns the number of change records in the delta.
@@ -307,33 +302,6 @@ func (s *Snapshot) addLeafLocked(l Leaf, k leafKey) int {
 	}
 	s.leafPos.set(k, int32(n))
 	return n
-}
-
-// PatchLabels patches the label-derived caches after the caller rewrote the
-// Anomalous labels of exactly the leaves in changed (each listed index must
-// have actually flipped). The anomalous leaf set, the inverted postings and
-// the columnar bitset with its cached count are updated in place — the
-// incremental counterpart of InvalidateLabels, used by anomaly.LabelDelta
-// when the detector knows which leaves a tick touched. Like InvalidateLabels
-// it bumps the snapshot's generation, so lazy builds racing the patch are
-// discarded rather than resurrected.
-func (s *Snapshot) PatchLabels(changed []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen++
-	ld := s.labeled
-	if ld == nil {
-		// Nothing built yet: the fresh labels derive lazily on next use.
-		return
-	}
-	for _, i := range changed {
-		l := &s.Leaves[i]
-		if l.Anomalous {
-			ld.insertLeaf(i, l.Combo)
-		} else {
-			ld.dropLeaf(i, l.Combo)
-		}
-	}
 }
 
 // insertLeaf records leaf i (with the given combination) as anomalous in

@@ -1,7 +1,6 @@
 package kpi
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -15,38 +14,6 @@ type deltaJSON struct {
 	Removes [][]string `json:"removes,omitempty"`
 	Updates []leafJSON `json:"updates,omitempty"`
 	Adds    []leafJSON `json:"adds,omitempty"`
-}
-
-// WriteDeltaJSON serializes the delta with element names resolved through
-// the schema.
-func WriteDeltaJSON(w io.Writer, schema *Schema, d Delta) error {
-	doc := deltaJSON{
-		Removes: make([][]string, len(d.Removes)),
-		Updates: make([]leafJSON, len(d.Updates)),
-		Adds:    make([]leafJSON, len(d.Adds)),
-	}
-	for i, c := range d.Removes {
-		doc.Removes[i] = comboNames(schema, c)
-	}
-	for i, u := range d.Updates {
-		doc.Updates[i] = leafJSON{
-			Combination: comboNames(schema, u.Combo),
-			Actual:      u.Actual,
-			Forecast:    u.Forecast,
-		}
-	}
-	for i, l := range d.Adds {
-		doc.Adds[i] = leafJSON{
-			Combination: comboNames(schema, l.Combo),
-			Actual:      l.Actual,
-			Forecast:    l.Forecast,
-			Anomalous:   l.Anomalous,
-		}
-	}
-	if err := json.NewEncoder(w).Encode(doc); err != nil {
-		return fmt.Errorf("kpi: write delta json: %w", err)
-	}
-	return nil
 }
 
 // ReadDeltaJSON parses a delta written by WriteDeltaJSON, resolving element
@@ -69,13 +36,4 @@ func ReadDeltaJSONStats(r io.Reader, schema *Schema) (Delta, WireStats, error) {
 	d, parts, err := decodeDeltaSplit(body, schema, splitOffsets)
 	st.Parts = parts
 	return d, st, err
-}
-
-// comboNames maps a fully constrained combination back to element names.
-func comboNames(schema *Schema, c Combination) []string {
-	names := make([]string, len(c))
-	for a, code := range c {
-		names[a] = schema.Value(a, code)
-	}
-	return names
 }

@@ -2,7 +2,9 @@ package kpi
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -169,7 +171,7 @@ func TestDeltaApplyPatchesWarmCaches(t *testing.T) {
 	snap.Columns()
 	snap.AnomalousPostings()
 	frameBefore := snap.colFrameCached()
-	genBefore := snap.Generation()
+	genBefore := snap.gen
 
 	res, err := snap.ApplyDelta(Delta{
 		Removes: []Combination{{2, 1, 1}, {0, 1, 0}},
@@ -190,7 +192,7 @@ func TestDeltaApplyPatchesWarmCaches(t *testing.T) {
 	if snap.colFrameCached() != frameBefore {
 		t.Fatal("columnar frame was rebuilt, not patched")
 	}
-	if snap.Generation() == genBefore {
+	if snap.gen == genBefore {
 		t.Fatal("generation did not advance across ApplyDelta")
 	}
 	assertDeltaEquivalence(t, snap)
@@ -278,38 +280,16 @@ func TestDeltaRemoveAll(t *testing.T) {
 	}
 }
 
-// TestPatchLabelsMatchesInvalidate: flipping labels through PatchLabels must
-// leave the caches exactly as a full InvalidateLabels rebuild would.
-func TestPatchLabelsMatchesInvalidate(t *testing.T) {
-	snap := deltaTestSnapshot(t)
-	snap.Columns()
-	snap.AnomalousPostings()
-
-	var changed []int
-	for i := range snap.Leaves {
-		if i%3 == 0 {
-			snap.Leaves[i].Anomalous = !snap.Leaves[i].Anomalous
-			changed = append(changed, i)
-		}
-	}
-	snap.PatchLabels(changed)
-	assertDeltaEquivalence(t, snap)
-}
-
 // TestInvalidateLabelsKeepsFrame is the granularity regression test: a
-// relabel cycle (rewrite labels + InvalidateLabels) must not discard the
-// label-independent columnar frame or the cuboid indexers — only
-// InvalidateStructure does that.
+// relabel must drop the label-derived caches but not the label-independent
+// columnar frame or the cuboid indexers.
 func TestInvalidateLabelsKeepsFrame(t *testing.T) {
 	snap := deltaTestSnapshot(t)
 	cols := snap.Columns()
 	frame := snap.colFrameCached()
 	ix := snap.Indexer(Cuboid{0, 1})
 
-	for i := range snap.Leaves {
-		snap.Leaves[i].Anomalous = i%2 == 0
-	}
-	snap.InvalidateLabels()
+	snap.Relabel(func(actual, _ float64) bool { return actual < 50 })
 
 	if snap.colFrameCached() != frame {
 		t.Fatal("colFrame pointer did not survive the relabel cycle")
@@ -318,17 +298,9 @@ func TestInvalidateLabelsKeepsFrame(t *testing.T) {
 		t.Fatal("indexer cache did not survive the relabel cycle")
 	}
 	if snap.Columns() == cols {
-		t.Fatal("label-derived columns survived InvalidateLabels")
+		t.Fatal("label-derived columns survived Relabel")
 	}
 	assertDeltaEquivalence(t, snap)
-
-	snap.InvalidateStructure()
-	if snap.colFrameCached() == frame {
-		t.Fatal("colFrame survived InvalidateStructure")
-	}
-	if snap.Indexer(Cuboid{0, 1}) != ix {
-		t.Fatal("schema-derived indexer did not survive InvalidateStructure")
-	}
 }
 
 // TestDeltaLeafPosMaintained checks the incremental leaf-position index
@@ -480,16 +452,15 @@ func FuzzDeltaVsRebuild(f *testing.F) {
 			if _, err := snap.ApplyDelta(d); err != nil {
 				t.Fatalf("step %d: generated delta rejected: %v", step, err)
 			}
-			// Occasionally flip labels through the patch path too.
+			// Occasionally relabel through the patch path too.
 			if r.Intn(2) == 0 && snap.Len() > 0 {
-				var changed []int
+				var touched []int
 				for i := range snap.Leaves {
 					if r.Intn(8) == 0 {
-						snap.Leaves[i].Anomalous = !snap.Leaves[i].Anomalous
-						changed = append(changed, i)
+						touched = append(touched, i)
 					}
 				}
-				snap.PatchLabels(changed)
+				snap.RelabelTouched(func(float64, float64) bool { return r.Intn(2) == 0 }, touched)
 			}
 			assertCountsMatchFresh(t, snap, step)
 		}
@@ -680,9 +651,9 @@ func BenchmarkFullRebuild(b *testing.B) {
 				if _, err := snap.ApplyDelta(d); err != nil {
 					b.Fatal(err)
 				}
-				// The pre-PR tick: every label/structure cache rebuilt from
+				// The tick before delta ingestion: every cache rebuilt from
 				// the leaves.
-				snap.InvalidateStructure()
+				snap = &Snapshot{Schema: snap.Schema, Leaves: snap.Leaves}
 				snap.Columns()
 				snap.AnomalousPostings()
 			}
@@ -734,4 +705,45 @@ func benchDelta(snap *Snapshot, pct int) Delta {
 		})
 	}
 	return d
+}
+
+// WriteDeltaJSON serializes the delta with element names resolved through
+// the schema.
+func WriteDeltaJSON(w io.Writer, schema *Schema, d Delta) error {
+	doc := deltaJSON{
+		Removes: make([][]string, len(d.Removes)),
+		Updates: make([]leafJSON, len(d.Updates)),
+		Adds:    make([]leafJSON, len(d.Adds)),
+	}
+	for i, c := range d.Removes {
+		doc.Removes[i] = comboNames(schema, c)
+	}
+	for i, u := range d.Updates {
+		doc.Updates[i] = leafJSON{
+			Combination: comboNames(schema, u.Combo),
+			Actual:      u.Actual,
+			Forecast:    u.Forecast,
+		}
+	}
+	for i, l := range d.Adds {
+		doc.Adds[i] = leafJSON{
+			Combination: comboNames(schema, l.Combo),
+			Actual:      l.Actual,
+			Forecast:    l.Forecast,
+			Anomalous:   l.Anomalous,
+		}
+	}
+	if err := json.NewEncoder(w).Encode(doc); err != nil {
+		return fmt.Errorf("kpi: write delta json: %w", err)
+	}
+	return nil
+}
+
+// comboNames maps a fully constrained combination back to element names.
+func comboNames(schema *Schema, c Combination) []string {
+	names := make([]string, len(c))
+	for a, code := range c {
+		names[a] = schema.Value(a, code)
+	}
+	return names
 }

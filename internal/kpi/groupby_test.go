@@ -159,7 +159,7 @@ func hasRegime(s *Snapshot, regime string) bool {
 // columnar group-by. It covers dense cuboids, sparse-map cuboids (domain
 // past the dense bound), cuboids too wide for int32 group indexes and
 // cuboids whose indexes overflow, and checks every cuboid on a fresh
-// snapshot, after relabeling through InvalidateLabels and PatchLabels, and
+// snapshot, after each writer (Relabel, RelabelTouched, Rewrite) and
 // after delta ingestion — the columns are patched in place, so they must
 // agree with Leaves after every step.
 func TestGroupByMatchesRowWiseReference(t *testing.T) {
@@ -189,23 +189,22 @@ func TestGroupByMatchesRowWiseReference(t *testing.T) {
 			}
 			checkGroupByMatchesReference(t, "fresh", snap)
 
-			for i := range snap.Leaves {
-				if r.Intn(3) == 0 {
-					snap.Leaves[i].Anomalous = !snap.Leaves[i].Anomalous
-				}
-			}
-			snap.InvalidateLabels()
-			checkGroupByMatchesReference(t, "InvalidateLabels", snap)
+			snap.Relabel(func(float64, float64) bool { return r.Intn(3) == 0 })
+			checkGroupByMatchesReference(t, "Relabel", snap)
 
-			var flipped []int
+			var touched []int
 			for i := range snap.Leaves {
 				if r.Intn(5) == 0 {
-					snap.Leaves[i].Anomalous = !snap.Leaves[i].Anomalous
-					flipped = append(flipped, i)
+					touched = append(touched, i)
 				}
 			}
-			snap.PatchLabels(flipped)
-			checkGroupByMatchesReference(t, "PatchLabels", snap)
+			snap.RelabelTouched(func(float64, float64) bool { return r.Intn(2) == 0 }, touched)
+			checkGroupByMatchesReference(t, "RelabelTouched", snap)
+
+			snap.Rewrite(func(l Leaf) (float64, float64, bool) {
+				return 2 * l.Actual, l.Forecast - 1, r.Intn(4) == 0
+			})
+			checkGroupByMatchesReference(t, "Rewrite", snap)
 
 			for tick := 0; tick < 3; tick++ {
 				var d Delta

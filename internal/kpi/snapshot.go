@@ -19,34 +19,23 @@ type Leaf struct {
 	Anomalous bool
 }
 
-// Dev returns the relative deviation (f - v) / f used by the paper's
-// failure-injection procedure (Eq. 4). eps guards the division so the
-// denominator's magnitude never falls below eps: the guard is applied on
-// the side of the forecast's own sign, so a negative forecast (derived
-// KPIs can dip below zero) keeps its sign and cannot push the denominator
-// across zero — which would flip the deviation's sign or blow it up.
-func (l Leaf) Dev(eps float64) float64 {
-	den := l.Forecast + eps
-	if l.Forecast < 0 {
-		den = l.Forecast - eps
-	}
-	return (l.Forecast - l.Actual) / den
-}
-
 // Snapshot is the basic dataset D: the leaves of Cub_{A,B,...} observed at
 // one timestamp. A snapshot may be sparse — leaves with no traffic are
 // simply absent — matching the paper's support_count semantics, which are
 // defined over the observed dataset D rather than the full Cartesian
 // product.
 //
-// A snapshot lazily caches structures derived from its leaves (cuboid
-// indexers, the anomalous leaf set and its per-attribute inverted lists);
-// the caches are safe for concurrent readers. Code that rewrites the
-// Anomalous labels in place after the snapshot has been used must call
-// InvalidateLabels or PatchLabels (the anomaly package's labelers do), and
-// mutation in general — relabeling, ApplyDelta — must not race with
-// readers: the caller serializes ticks against searches, as the pipeline's
-// continuous runner does.
+// A snapshot lazily caches structures derived from its leaves: the
+// columnar frame with its element counts, the leaf positions, the cuboid
+// indexers, and the label-derived set of anomalous leaves with its postings
+// and bitset. The caches are safe for concurrent readers. After
+// NewSnapshot, the leaves change only through this package's writers —
+// Relabel, RelabelTouched, Rewrite and ApplyDelta — and each of them drops
+// or patches exactly the caches its write affects, so no reader ever sees
+// a cache that disagrees with the leaves. Code outside package kpi reads
+// Leaves and never writes them (a source check in the module root pins
+// this). A write must not race with readers: the caller serializes writes
+// against searches, as the pipeline's continuous runner does.
 type Snapshot struct {
 	Schema *Schema
 	Leaves []Leaf
@@ -62,18 +51,17 @@ type Snapshot struct {
 	// leafPos maps each leaf (under its leafKeyer key) to its index into
 	// Leaves; built lazily and maintained incrementally by ApplyDelta.
 	leafPos *leafPositions
-	// gen stamps the snapshot's mutation generation: every label or
-	// structure mutation (InvalidateLabels, PatchLabels, ApplyDelta,
-	// InvalidateStructure) bumps it. Lazy builders that assemble a cache
-	// outside the lock re-check the stamp before storing, so a build that
-	// raced a mutation is discarded instead of resurrecting stale state —
-	// the same contract InvalidateLabels' pointer swap used to enforce.
+	// gen stamps the snapshot's mutation generation: every writer that
+	// changes a leaf bumps it. Lazy builders that assemble a cache outside
+	// the lock re-check the stamp before storing, so a build that raced a
+	// write is discarded instead of resurrecting stale state.
 	gen uint64
 }
 
 // labelDerived bundles every cache computed from the Anomalous labels, so
 // one pointer swap invalidates them together. Its fields are built lazily
-// under the snapshot's mutex and patched in place by PatchLabels.
+// under the snapshot's mutex, dropped by Relabel and Rewrite, and patched in
+// place by RelabelTouched and ApplyDelta.
 type labelDerived struct {
 	// anomIdx lists the indexes (into Leaves) of anomalous leaves,
 	// ascending.
@@ -84,7 +72,7 @@ type labelDerived struct {
 	postings [][][]int32
 	// cols is the columnar leaf store (element-ID columns plus the packed
 	// anomaly bitset and its cached count); it shares the snapshot's frame
-	// and is rebuilt — bitset and count together — after InvalidateLabels.
+	// and is rebuilt — bitset and count together — after a relabel.
 	cols *Columns
 }
 
@@ -301,9 +289,8 @@ func (p *leafPositions) len() int {
 func (s *Snapshot) Len() int { return len(s.Leaves) }
 
 // NumAnomalous returns the number of leaves labeled anomalous: the cached
-// count when the label-derived caches are built (they are kept exact by
-// InvalidateLabels, PatchLabels and ApplyDelta), a scan of the leaves
-// otherwise.
+// count when the label-derived caches are built (every writer keeps them
+// exact), a scan of the leaves otherwise.
 func (s *Snapshot) NumAnomalous() int {
 	s.mu.Lock()
 	if ld := s.labeled; ld != nil {
@@ -347,52 +334,6 @@ func (s *Snapshot) Indexer(c Cuboid) *CuboidIndexer {
 	return ix
 }
 
-// InvalidateLabels drops every cache derived from the Anomalous labels —
-// the anomalous leaf set, the inverted postings, and the columnar store's
-// anomaly bitset together with its cached count. Callers that rewrite
-// labels in place (detectors relabeling a snapshot) must invalidate before
-// the snapshot is searched again. Label-independent caches — the columnar
-// frame, the cuboid indexers and the leaf-position index — deliberately
-// survive: a relabel cycle must not force the next tick to re-encode the
-// world (PatchLabels is the cheaper alternative when the changed leaf set
-// is known).
-func (s *Snapshot) InvalidateLabels() {
-	s.mu.Lock()
-	s.gen++
-	s.labeled = nil
-	s.mu.Unlock()
-}
-
-// InvalidateStructure drops every cache derived from the leaf set itself —
-// the columnar frame, the leaf-position index and (with them necessarily)
-// the label-derived bundle. Callers that mutate Leaves directly, outside
-// ApplyDelta, must invalidate before the snapshot is used again. The
-// cuboid indexers survive: they depend only on the schema.
-func (s *Snapshot) InvalidateStructure() {
-	s.mu.Lock()
-	s.gen++
-	s.labeled = nil
-	s.frame = nil
-	s.leafPos = nil
-	s.mu.Unlock()
-}
-
-// FullRebuild is InvalidateStructure under the name the delta-ingestion
-// contract uses: the fallback when an incremental path cannot patch (the
-// schema or attribute cardinalities changed, or the caller lost track of
-// what moved). Every cache rebuilds from the Leaves on next use.
-func (s *Snapshot) FullRebuild() { s.InvalidateStructure() }
-
-// Generation returns the snapshot's mutation generation: it advances on
-// every InvalidateLabels/PatchLabels/ApplyDelta/InvalidateStructure call.
-// Observability and tests use it to assert that caches were patched rather
-// than rebuilt across a mutation.
-func (s *Snapshot) Generation() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
-}
-
 // labelCache returns the lazily built label-derived bundle.
 func (s *Snapshot) labelCache() *labelDerived {
 	s.mu.Lock()
@@ -418,7 +359,8 @@ func (s *Snapshot) labelCacheLocked() *labelDerived {
 
 // colFrameCached returns the snapshot's label-independent columns, building
 // them on first use. The frame depends only on the leaves' combinations and
-// values, so it survives InvalidateLabels; ApplyDelta patches it in place.
+// values, so it survives a relabel; Rewrite and ApplyDelta patch it in
+// place.
 func (s *Snapshot) colFrameCached() *colFrame {
 	s.mu.Lock()
 	f := s.frame
@@ -454,9 +396,9 @@ func (s *Snapshot) colFrameCached() *colFrame {
 
 // Columns returns the snapshot's columnar leaf store, building it on first
 // use. The store is cached with the other label-derived structures,
-// invalidated as a unit by InvalidateLabels and patched in place by
-// PatchLabels, so the anomaly bitset and its cached count can never go
-// stale independently of each other. Safe for concurrent use; treat the
+// dropped as a unit by Relabel and Rewrite and patched in place by
+// RelabelTouched and ApplyDelta, so the anomaly bitset and its cached count
+// can never go stale independently of each other. Safe for concurrent use; treat the
 // result as read-only.
 func (s *Snapshot) Columns() *Columns {
 	frame := s.colFrameCached()

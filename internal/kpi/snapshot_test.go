@@ -349,3 +349,17 @@ func TestGroupBySparseHugeDomain(t *testing.T) {
 		}
 	}
 }
+
+// Dev returns the relative deviation (f - v) / f used by the paper's
+// failure-injection procedure (Eq. 4). eps guards the division so the
+// denominator's magnitude never falls below eps: the guard is applied on
+// the side of the forecast's own sign, so a negative forecast (derived
+// KPIs can dip below zero) keeps its sign and cannot push the denominator
+// across zero — which would flip the deviation's sign or blow it up.
+func (l Leaf) Dev(eps float64) float64 {
+	den := l.Forecast + eps
+	if l.Forecast < 0 {
+		den = l.Forecast - eps
+	}
+	return (l.Forecast - l.Actual) / den
+}

@@ -89,24 +89,6 @@ func (t *Table) Derive(name string, from []string, fn func(vals []float64) float
 	return nil
 }
 
-// SnapshotOf pairs an actual column with a forecast column into a Snapshot
-// ready for anomaly detection and localization. Labels start false.
-func (t *Table) SnapshotOf(actualCol, forecastCol string) (*Snapshot, error) {
-	av, ok := t.columns[actualCol]
-	if !ok {
-		return nil, fmt.Errorf("kpi: no column %q", actualCol)
-	}
-	fv, ok := t.columns[forecastCol]
-	if !ok {
-		return nil, fmt.Errorf("kpi: no column %q", forecastCol)
-	}
-	leaves := make([]Leaf, t.Len())
-	for i := range leaves {
-		leaves[i] = Leaf{Combo: t.Combos[i], Actual: av[i], Forecast: fv[i]}
-	}
-	return NewSnapshot(t.Schema, leaves)
-}
-
 // AggregateBy sums every fundamental column of the table grouped by the
 // cuboid's attributes (Fig. 4 of the paper). The result maps combination
 // keys to per-column sums, in the same column order as cols.

@@ -1,6 +1,7 @@
 package kpi
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -151,4 +152,22 @@ func TestAggregateByAdditivity(t *testing.T) {
 	if _, err := tbl.AggregateBy(Cuboid{0}, []string{"nope"}); err == nil {
 		t.Error("AggregateBy accepted an unknown column")
 	}
+}
+
+// SnapshotOf pairs an actual column with a forecast column into a Snapshot
+// ready for anomaly detection and localization. Labels start false.
+func (t *Table) SnapshotOf(actualCol, forecastCol string) (*Snapshot, error) {
+	av, ok := t.columns[actualCol]
+	if !ok {
+		return nil, fmt.Errorf("kpi: no column %q", actualCol)
+	}
+	fv, ok := t.columns[forecastCol]
+	if !ok {
+		return nil, fmt.Errorf("kpi: no column %q", forecastCol)
+	}
+	leaves := make([]Leaf, t.Len())
+	for i := range leaves {
+		leaves[i] = Leaf{Combo: t.Combos[i], Actual: av[i], Forecast: fv[i]}
+	}
+	return NewSnapshot(t.Schema, leaves)
 }

@@ -103,18 +103,6 @@ func build(snap *kpi.Snapshot, attrs []int, maxLayer int, onlyAnomalous bool) (*
 	return g, nil
 }
 
-// NodesAtLayer returns the vertex count per layer, mirroring the Table V
-// vertex numbering ("1-1", "2-6", ...).
-func (g *Graph) NodesAtLayer(layer int) int {
-	n := 0
-	for _, node := range g.Nodes {
-		if node.Layer == layer {
-			n++
-		}
-	}
-	return n
-}
-
 // WriteDOT renders the graph in Graphviz DOT. Vertices whose confidence
 // exceeds tConf are filled red (the paper's anomalous vertices); vertices
 // in highlight (e.g. the localized RAPs) get a double border.

@@ -201,3 +201,15 @@ func TestBuildAnomalousFiltersCleanVertices(t *testing.T) {
 		t.Error("RAP vertex missing from anomalous sub-DAG")
 	}
 }
+
+// NodesAtLayer returns the vertex count per layer, mirroring the Table V
+// vertex numbering ("1-1", "2-6", ...).
+func (g *Graph) NodesAtLayer(layer int) int {
+	n := 0
+	for _, node := range g.Nodes {
+		if node.Layer == layer {
+			n++
+		}
+	}
+	return n
+}

@@ -77,8 +77,7 @@ func (t *Tracker) Observe(snap *kpi.Snapshot) error {
 	if snap.Schema != t.schema {
 		return errors.New("leafforecast: snapshot schema differs from tracker schema")
 	}
-	for i := range snap.Leaves {
-		l := &snap.Leaves[i]
+	for _, l := range snap.Leaves {
 		k := l.Combo.Key()
 		r, ok := t.leaves[k]
 		if !ok {
@@ -89,9 +88,6 @@ func (t *Tracker) Observe(snap *kpi.Snapshot) error {
 	}
 	return nil
 }
-
-// Tracked returns the number of leaves with any history.
-func (t *Tracker) Tracked() int { return len(t.leaves) }
 
 // Forecast returns a copy of the snapshot whose Forecast values are the
 // tracker's one-step-ahead predictions. Leaves with insufficient history
@@ -106,24 +102,21 @@ func (t *Tracker) Forecast(snap *kpi.Snapshot) (*kpi.Snapshot, int, error) {
 	}
 	out := snap.Clone()
 	forecast := 0
-	for i := range out.Leaves {
-		l := &out.Leaves[i]
+	out.Rewrite(func(l kpi.Leaf) (float64, float64, bool) {
 		r, ok := t.leaves[l.Combo.Key()]
 		if !ok || r.len() < t.cfg.MinHistory {
-			l.Forecast = l.Actual // cold start: never alarm
-			continue
+			return l.Actual, l.Actual, l.Anomalous // cold start: never alarm
 		}
 		pred, err := t.cfg.Forecaster.Forecast(r.values())
 		if err != nil {
 			// The forecaster needs more history than MinHistory
 			// guarantees (e.g. a long seasonal period): degrade to
 			// cold-start behavior rather than failing the tick.
-			l.Forecast = l.Actual
-			continue
+			return l.Actual, l.Actual, l.Anomalous
 		}
-		l.Forecast = pred
 		forecast++
-	}
+		return l.Actual, pred, l.Anomalous
+	})
 	return out, forecast, nil
 }
 

@@ -214,3 +214,6 @@ func TestEndToEndWithoutOracleForecasts(t *testing.T) {
 			res.Format(sim.Schema()))
 	}
 }
+
+// Tracked returns the number of leaves with any history.
+func (t *Tracker) Tracked() int { return len(t.leaves) }

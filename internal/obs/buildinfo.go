@@ -11,9 +11,6 @@ import (
 // enough to process start for uptime reporting.
 var processStart = time.Now()
 
-// ProcessStart returns the recorded process start time.
-func ProcessStart() time.Time { return processStart }
-
 // Uptime returns how long the process has been running.
 func Uptime() time.Duration { return time.Since(processStart) }
 

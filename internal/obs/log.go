@@ -27,14 +27,6 @@ func Logger(component string) *slog.Logger {
 	return baseLogger.Load().With(slog.String("component", component))
 }
 
-// SetLogger replaces the process-wide base logger (tests, embedders).
-func SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	baseLogger.Store(l)
-}
-
 // ConfigureLogging installs a text or JSON slog handler writing to w at the
 // given level, and returns the new base logger. Commands call this once
 // after flag parsing:

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"log/slog"
 	"strings"
 	"testing"
@@ -66,4 +67,12 @@ func TestParseLogLevel(t *testing.T) {
 	if _, err := ParseLogLevel("bogus"); err == nil {
 		t.Error("ParseLogLevel(bogus) should error")
 	}
+}
+
+// SetLogger replaces the process-wide base logger (tests, embedders).
+func SetLogger(l *slog.Logger) {
+	if l == nil {
+		l = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	baseLogger.Store(l)
 }

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"io"
+	"log/slog"
 	"testing"
 	"time"
 
@@ -38,13 +40,11 @@ func BenchmarkObserveDelta(b *testing.B) {
 	}
 	deltas := make([]kpi.Delta, tickSpec.FailEvery)
 	for t := range deltas {
-		if deltas[t], err = tickWorld.TickDelta(tickSpec, t+1); err != nil {
-			b.Fatal(err)
-		}
+		deltas[t] = tickDelta(b, tickWorld, tickSpec, t+1)
 	}
 	// Incident transitions log at info level; keep them out of the
 	// benchmark output.
-	obs.SetLogger(nil)
+	obs.ConfigureLogging(io.Discard, slog.LevelInfo, false)
 	cfg := DefaultConfig(anomaly.DefaultRelativeDeviation(), rapminer.MustNew(rapminer.DefaultConfig()))
 	cfg.AlarmThreshold = 0.01
 	cfg.Registry = obs.NewRegistry()

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -14,6 +15,25 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rapminer"
 )
+
+// tickDelta decodes tick's delta of the stream world from its wire form,
+// as the continuous endpoint receives it.
+func tickDelta(tb testing.TB, world gendata.StreamSpec, ticks gendata.TickSpec, tick int) kpi.Delta {
+	tb.Helper()
+	schema, err := world.Schema()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := world.StreamTickJSON(&body, ticks, tick); err != nil {
+		tb.Fatal(err)
+	}
+	d, err := kpi.ReadDeltaJSON(&body, schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
 
 // TestContinuousMatchesFresh drives a gendata tick stream with churn —
 // leaves removed and re-added on top of each tick's updates — through a
@@ -34,20 +54,20 @@ func TestContinuousMatchesFresh(t *testing.T) {
 	const nTicks = 24
 	deltas := make([]kpi.Delta, nTicks)
 	for i := range deltas {
-		d, err := world.TickDelta(ticks, i+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deltas[i] = d
+		deltas[i] = tickDelta(t, world, ticks, i+1)
 	}
-	miner := rapminer.MustNew(rapminer.DefaultConfig())
+	withWorkers := func(n int) *rapminer.Miner {
+		cfg := rapminer.DefaultConfig()
+		cfg.Workers = n
+		return rapminer.MustNew(cfg)
+	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			base, err := world.Background().StreamSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := DefaultConfig(anomaly.DefaultRelativeDeviation(), miner.WithWorkers(workers))
+			cfg := DefaultConfig(anomaly.DefaultRelativeDeviation(), withWorkers(workers))
 			cfg.AlarmThreshold = 0.05
 			cfg.Registry = obs.NewRegistry()
 			r, err := NewContinuous(cfg, 8)
@@ -55,7 +75,7 @@ func TestContinuousMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			refCfg := cfg
-			refCfg.Localizer = miner.WithWorkers(1)
+			refCfg.Localizer = withWorkers(1)
 			refCfg.Registry = obs.NewRegistry()
 			ref, err := New(refCfg)
 			if err != nil {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"io"
 	"log/slog"
 	"strings"
 	"sync"
@@ -263,8 +264,8 @@ func (degradedLocalizer) LocalizeContext(_ context.Context, s *kpi.Snapshot, k i
 // requests on its sampled request line.
 func TestDegradedTickLogsOnce(t *testing.T) {
 	var buf strings.Builder
-	obs.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
-	t.Cleanup(func() { obs.SetLogger(nil) })
+	obs.ConfigureLogging(&buf, slog.LevelInfo, false)
+	t.Cleanup(func() { obs.ConfigureLogging(io.Discard, slog.LevelInfo, false) })
 	if err := alarmingTicks(t, context.Background(), degradedLocalizer{}); err != nil {
 		t.Fatal(err)
 	}

@@ -217,8 +217,7 @@ func TestSelectAttributesSortedByCP(t *testing.T) {
 
 // TestClassificationPowerAfterRelabel is the stale-column regression test
 // at the consumer level: ClassificationPower reads the columnar store's
-// anomaly bitset, so relabeling a snapshot in place and calling
-// InvalidateLabels must change the CP — a stale bitset or a stale cached
+// anomaly bitset, so relabeling a snapshot in place must change the CP — a stale bitset or a stale cached
 // anomalous count would silently reproduce the old verdicts.
 func TestClassificationPowerAfterRelabel(t *testing.T) {
 	snap := fig6Snapshot(t)
@@ -228,10 +227,9 @@ func TestClassificationPowerAfterRelabel(t *testing.T) {
 
 	// Move the anomaly from (a1, *, *) to (*, b1, *): now B separates
 	// perfectly and A carries no information.
-	for i := range snap.Leaves {
-		snap.Leaves[i].Anomalous = snap.Leaves[i].Combo[1] == 0
-	}
-	snap.InvalidateLabels()
+	snap.Rewrite(func(l kpi.Leaf) (float64, float64, bool) {
+		return l.Actual, l.Forecast, l.Combo[1] == 0
+	})
 
 	if got := ClassificationPower(snap, 0); math.Abs(got) > 1e-12 {
 		t.Errorf("CP_A = %v after relabel, want 0 (stale columnar store?)", got)

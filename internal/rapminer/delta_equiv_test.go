@@ -1,6 +1,7 @@
 package rapminer
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -38,7 +39,11 @@ func TestDeltaIngestedMatchesFresh(t *testing.T) {
 	patched.Columns()
 	patched.AnomalousPostings()
 	for tick := 1; tick <= 5; tick++ {
-		d, err := spec.TickDelta(tspec, tick)
+		var body bytes.Buffer
+		if err := spec.StreamTickJSON(&body, tspec, tick); err != nil {
+			t.Fatal(err)
+		}
+		d, err := kpi.ReadDeltaJSON(&body, patched.Schema)
 		if err != nil {
 			t.Fatal(err)
 		}

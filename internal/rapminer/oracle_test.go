@@ -214,7 +214,7 @@ func checkMinerVsOracleBoth(t *testing.T, name string, snap *kpi.Snapshot, cfg C
 // postings and element counts built) without every third leaf, with every
 // fifth holding other values and the opposite label, and with up to five
 // leaves snap lacks; one delta removes those, updates the changed leaves
-// back and adds the missing ones, and PatchLabels restores the updated
+// back and adds the missing ones, and RelabelTouched restores the updated
 // leaves' labels, as a detector relabeling the touched leaves would.
 func deltaIngested(t testing.TB, snap *kpi.Snapshot) *kpi.Snapshot {
 	t.Helper()
@@ -260,14 +260,13 @@ func deltaIngested(t testing.TB, snap *kpi.Snapshot) *kpi.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var changed []int
-	for j, want := range labels {
-		if i := res.Touched[j]; ingested.Leaves[i].Anomalous != want {
-			ingested.Leaves[i].Anomalous = want
-			changed = append(changed, i)
-		}
-	}
-	ingested.PatchLabels(changed)
+	// RelabelTouched asks once per touched leaf, in order: the updated
+	// leaves come first, so the detector answers with their labels.
+	next := 0
+	ingested.RelabelTouched(func(float64, float64) bool {
+		next++
+		return labels[next-1]
+	}, res.Touched[:len(labels)])
 	if ingested.Len() != snap.Len() || ingested.NumAnomalous() != snap.NumAnomalous() {
 		t.Fatalf("delta-ingested snapshot: %d leaves, %d anomalous; want %d, %d",
 			ingested.Len(), ingested.NumAnomalous(), snap.Len(), snap.NumAnomalous())
@@ -425,12 +424,9 @@ func FuzzMinerVsOracle(f *testing.F) {
 		n := 1 + int(nRAPs%3)
 		snap := worldSnapshot(t, seed, cards, float64(density%101)/100, n, 1+r.Intn(len(cards)))
 		// Label noise: flip a share of the labels.
-		for i := range snap.Leaves {
-			if r.Intn(100) < int(noise%30) {
-				snap.Leaves[i].Anomalous = !snap.Leaves[i].Anomalous
-			}
-		}
-		snap.InvalidateLabels()
+		snap.Rewrite(func(l kpi.Leaf) (float64, float64, bool) {
+			return l.Actual, l.Forecast, l.Anomalous != (r.Intn(100) < int(noise%30))
+		})
 		cfg := DefaultConfig()
 		cfg.DisableAttributeDeletion = keepAll
 		checkMinerVsOracleBoth(t, "fuzz", snap, cfg, 5, []int{1, 2, 4, 8})

@@ -105,3 +105,15 @@ func TestWithWorkersDoesNotMutateReceiver(t *testing.T) {
 		t.Fatalf("negative worker count not normalized: %d", neg.cfg.Workers)
 	}
 }
+
+// WithWorkers returns a miner sharing m's thresholds with the per-run
+// worker count replaced; m is unchanged. The tests use it to run one
+// configuration at several worker counts.
+func (m *Miner) WithWorkers(n int) *Miner {
+	if n < 0 {
+		n = 0
+	}
+	cfg := m.cfg
+	cfg.Workers = n
+	return &Miner{cfg: cfg}
+}

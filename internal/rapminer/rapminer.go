@@ -104,19 +104,6 @@ func (m *Miner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// WithWorkers returns a miner sharing m's thresholds with the per-run
-// worker count replaced; m is unchanged. Callers that already parallelize
-// across snapshots (batch pools) use WithWorkers(1) so items do not
-// oversubscribe the CPU with nested fan-out.
-func (m *Miner) WithWorkers(n int) *Miner {
-	if n < 0 {
-		n = 0
-	}
-	cfg := m.cfg
-	cfg.Workers = n
-	return &Miner{cfg: cfg}
-}
-
 // MustNew is New that panics on error; for tests and static configurations.
 func MustNew(cfg Config) *Miner {
 	m, err := New(cfg)

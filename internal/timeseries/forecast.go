@@ -1,8 +1,28 @@
+// Package timeseries provides the KPI forecasting substrate: series
+// containers, seasonal traffic generators and simple forecasters. The
+// RAPMiner paper treats leaf-level forecasting as an external building block
+// ("we do not take the prediction methods as our primary work"); this
+// package supplies that block so the repository is a complete pipeline from
+// raw KPI streams to localized root anomaly patterns.
 package timeseries
 
 import (
+	"errors"
 	"fmt"
 )
+
+// ErrShortHistory reports that a forecaster was given fewer samples than it
+// needs.
+var ErrShortHistory = errors.New("timeseries: history too short")
+
+// Forecaster predicts the next value of a series from its history.
+type Forecaster interface {
+	// Forecast returns the one-step-ahead prediction for the sample
+	// following history.
+	Forecast(history []float64) (float64, error)
+	// Name identifies the forecaster in reports.
+	Name() string
+}
 
 // MovingAverage predicts the mean of the last Window samples.
 type MovingAverage struct {

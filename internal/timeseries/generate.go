@@ -2,7 +2,6 @@ package timeseries
 
 import (
 	"math"
-	"math/rand"
 	"time"
 )
 
@@ -48,19 +47,4 @@ func (p SeasonalProfile) ValueAt(ts time.Time) float64 {
 		v = 0
 	}
 	return v
-}
-
-// Generate produces a series of n samples starting at start with the given
-// step, adding multiplicative Gaussian noise drawn from r.
-func (p SeasonalProfile) Generate(r *rand.Rand, start time.Time, step time.Duration, n int) *Series {
-	values := make([]float64, n)
-	for i := range values {
-		v := p.ValueAt(start.Add(time.Duration(i) * step))
-		v *= 1 + p.NoiseStd*r.NormFloat64()
-		if v < 0 {
-			v = 0
-		}
-		values[i] = v
-	}
-	return &Series{Start: start, Step: step, Values: values}
 }

@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -259,4 +260,114 @@ func TestForecasterNames(t *testing.T) {
 			t.Errorf("%T has empty name", f)
 		}
 	}
+}
+
+// Series is a regularly sampled univariate KPI stream.
+type Series struct {
+	Start  time.Time
+	Step   time.Duration
+	Values []float64
+}
+
+// NewSeries validates the sampling parameters.
+func NewSeries(start time.Time, step time.Duration, values []float64) (*Series, error) {
+	if step <= 0 {
+		return nil, fmt.Errorf("timeseries: non-positive step %v", step)
+	}
+	return &Series{Start: start, Step: step, Values: values}, nil
+}
+
+// Len returns the number of samples.
+func (s *Series) Len() int { return len(s.Values) }
+
+// TimeAt returns the timestamp of sample i.
+func (s *Series) TimeAt(i int) time.Time {
+	return s.Start.Add(time.Duration(i) * s.Step)
+}
+
+// Slice returns the sub-series [from, to).
+func (s *Series) Slice(from, to int) (*Series, error) {
+	if from < 0 || to > len(s.Values) || from > to {
+		return nil, fmt.Errorf("timeseries: slice [%d, %d) out of range [0, %d)", from, to, len(s.Values))
+	}
+	return &Series{
+		Start:  s.TimeAt(from),
+		Step:   s.Step,
+		Values: s.Values[from:to],
+	}, nil
+}
+
+// Stats summarizes a sample set.
+type Stats struct {
+	Mean, Std, Min, Max float64
+	N                   int
+}
+
+// Summarize computes mean, population standard deviation and range.
+func Summarize(values []float64) Stats {
+	st := Stats{N: len(values), Min: math.Inf(1), Max: math.Inf(-1)}
+	if st.N == 0 {
+		st.Min, st.Max = 0, 0
+		return st
+	}
+	var sum float64
+	for _, v := range values {
+		sum += v
+		st.Min = math.Min(st.Min, v)
+		st.Max = math.Max(st.Max, v)
+	}
+	st.Mean = sum / float64(st.N)
+	var ss float64
+	for _, v := range values {
+		d := v - st.Mean
+		ss += d * d
+	}
+	st.Std = math.Sqrt(ss / float64(st.N))
+	return st
+}
+
+// ForecastSeries runs a forecaster over a series, producing the predicted
+// value for every index in [warmup, len). Indices before warmup are filled
+// with the actual values (no prediction available yet).
+func ForecastSeries(f Forecaster, s *Series, warmup int) ([]float64, error) {
+	if warmup < 0 || warmup > s.Len() {
+		return nil, fmt.Errorf("timeseries: warmup %d out of range", warmup)
+	}
+	out := make([]float64, s.Len())
+	copy(out, s.Values[:warmup])
+	for i := warmup; i < s.Len(); i++ {
+		p, err := f.Forecast(s.Values[:i])
+		if err != nil {
+			return nil, fmt.Errorf("timeseries: forecast at %d: %w", i, err)
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
+// Residuals returns actual - forecast for aligned slices.
+func Residuals(actual, forecast []float64) ([]float64, error) {
+	if len(actual) != len(forecast) {
+		return nil, fmt.Errorf("timeseries: residuals length mismatch %d vs %d", len(actual), len(forecast))
+	}
+	out := make([]float64, len(actual))
+	for i := range actual {
+		out[i] = actual[i] - forecast[i]
+	}
+	return out, nil
+}
+
+// Generate produces a series of n samples starting at start with the given
+// step, adding multiplicative Gaussian noise drawn from r.
+func (p SeasonalProfile) Generate(r *rand.Rand, start time.Time, step time.Duration, n int) *Series {
+	values := make([]float64, n)
+	for i := range values {
+		v := p.ValueAt(start.Add(time.Duration(i) * step))
+		v *= 1 + p.NoiseStd*r.NormFloat64()
+		if v < 0 {
+			v = 0
+		}
+		values[i] = v
+	}
+	return &Series{Start: start, Step: step, Values: values}
 }
