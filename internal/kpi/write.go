@@ -38,8 +38,20 @@ func (s *Snapshot) RelabelTouched(detect func(actual, forecast float64) bool, to
 			flipped = append(flipped, i)
 		}
 	}
-	if len(flipped) > 0 {
-		s.patchLabels(flipped)
+	if len(flipped) == 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gen++
+	if ld := s.labeled; ld != nil {
+		for _, i := range flipped {
+			if l := &s.Leaves[i]; l.Anomalous {
+				ld.insertLeaf(i, l.Combo)
+			} else {
+				ld.dropLeaf(i, l.Combo)
+			}
+		}
 	}
 	return flipped
 }
@@ -61,43 +73,17 @@ func (s *Snapshot) Rewrite(fn func(l Leaf) (actual, forecast float64, anomalous 
 			f.forecast[i] = s.Leaves[i].Forecast
 		}
 	}
-	s.gen++
-	s.labeled = nil
 	s.mu.Unlock()
+	s.invalidateLabels()
 }
 
 // invalidateLabels drops every cache derived from the Anomalous labels —
 // the anomalous leaf set, the inverted postings, and the columnar store's
-// anomaly bitset together with its cached count. Label-independent caches
-// — the columnar frame, the cuboid indexers and the leaf-position index —
-// survive.
+// anomaly bitset together with its cached count — and bumps the
+// generation, so a lazy build racing the write is discarded.
 func (s *Snapshot) invalidateLabels() {
 	s.mu.Lock()
 	s.gen++
 	s.labeled = nil
 	s.mu.Unlock()
-}
-
-// patchLabels patches the label-derived caches after the Anomalous labels
-// of exactly the leaves in changed flipped: the anomalous leaf set, the
-// inverted postings and the columnar bitset with its cached count are
-// updated in place. It bumps the generation, so lazy builds racing the
-// patch are discarded rather than resurrected.
-func (s *Snapshot) patchLabels(changed []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen++
-	ld := s.labeled
-	if ld == nil {
-		// Nothing built yet: the fresh labels derive lazily on next use.
-		return
-	}
-	for _, i := range changed {
-		l := &s.Leaves[i]
-		if l.Anomalous {
-			ld.insertLeaf(i, l.Combo)
-		} else {
-			ld.dropLeaf(i, l.Combo)
-		}
-	}
 }
