@@ -27,10 +27,10 @@ import (
 
 const benchSeed = 2022
 
-// corpora are generated once and shared across benchmarks. Generation
-// errors are captured next to the data — not panicked — so a corpus bug
-// fails the requesting benchmark with b.Fatal instead of crashing the whole
-// run (and every later caller sees the same error).
+// corpora are generated once and shared across benchmarks. Errors from
+// generating them are captured next to the data — not panicked — so a
+// corpus bug fails the requesting benchmark with b.Fatal instead of
+// crashing the whole run (and every later caller sees the same error).
 var (
 	squeezeOnce sync.Once
 	squeezeData map[string]*gendata.Corpus

@@ -79,7 +79,7 @@ type deltaResponse struct {
 
 // handleSnapshot installs (or replaces) the baseline snapshot. A snapshot
 // whose schema differs from the current one replaces the world outright —
-// the FullRebuild fallback of the delta contract — rather than erroring.
+// the fresh-snapshot fallback of the delta contract — rather than erroring.
 func (c *continuousAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	ts, ok := requestTime(w, r)
 	if !ok {

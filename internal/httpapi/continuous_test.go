@@ -204,7 +204,7 @@ func TestContinuousDeltaErrors(t *testing.T) {
 }
 
 // TestContinuousSchemaChange: a baseline with a different schema replaces the
-// world — the FullRebuild fallback — resetting ticks and incident state.
+// world — the fresh-snapshot fallback — resetting ticks and incident state.
 func TestContinuousSchemaChange(t *testing.T) {
 	srv := newContinuousServer(t)
 

@@ -10,12 +10,11 @@ import "sort"
 // labels are packed into a bitset with a cached population count.
 //
 // Columns are built lazily per snapshot (Snapshot.Columns) together with
-// the other label-derived caches, and are invalidated as a unit by
-// InvalidateLabels: relabeling a snapshot in place and invalidating yields
-// fresh columns, a fresh bitset and a fresh anomalous count on the next
-// access. The element and value columns are derived from the leaves, which
-// are immutable apart from their Anomalous labels, so they can be shared
-// across relabelings.
+// the other label-derived caches, and are dropped or patched as a unit by
+// the snapshot's writers: after Relabel or Rewrite the next access yields
+// fresh columns, a fresh bitset and a fresh anomalous count. The element
+// and value columns (the frame) are shared across relabelings; Rewrite and
+// ApplyDelta patch them in place.
 type Columns struct {
 	schema *Schema
 	n      int

@@ -9,7 +9,7 @@ import (
 // never carries a schema — it patches an existing snapshot, so element names
 // resolve against the receiver's stored schema and an unknown name is a
 // decode error, not a cardinality change (cardinality changes go through a
-// fresh snapshot, the FullRebuild fallback).
+// fresh snapshot).
 type deltaJSON struct {
 	Removes [][]string `json:"removes,omitempty"`
 	Updates []leafJSON `json:"updates,omitempty"`

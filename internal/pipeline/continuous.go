@@ -120,8 +120,8 @@ func (r *ContinuousRunner) Window() []TickStats {
 // ObserveSnapshot installs (or replaces) the long-lived snapshot and
 // processes it as one tick. The snapshot is labeled in full — it is the
 // baseline every subsequent delta patches against. A snapshot with a
-// different schema simply replaces the old world; that is the FullRebuild
-// fallback of the delta contract.
+// different schema simply replaces the old world; that is the fallback of
+// the delta contract, which cannot patch across schemas.
 func (r *ContinuousRunner) ObserveSnapshot(ctx context.Context, ts time.Time, snap *kpi.Snapshot) (Event, error) {
 	if snap == nil {
 		return Event{}, errors.New("pipeline: nil snapshot")

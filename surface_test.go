@@ -5,7 +5,6 @@ package repro_test
 // and rap/ has a caller outside tests.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -212,7 +211,7 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 		}
 	}
 	if t.Failed() {
-		t.Log(fmt.Sprintf("uncalled exports: %q", uncalled))
+		t.Logf("uncalled exports: %q", uncalled)
 	}
 }
 
