@@ -142,7 +142,8 @@ func run(w io.Writer, args []string) error {
 	}
 	cfg := pipeline.DefaultConfig(anomaly.DefaultRelativeDeviation(), miner)
 	cfg.AlarmThreshold = 0.005 // a single scope is a few percent of traffic
-	monitor, err := pipeline.New(cfg)
+	// The run prints each tick's event; it reads no tick-stats window.
+	world, err := pipeline.NewContinuous(cfg, 1)
 	if err != nil {
 		return err
 	}
@@ -182,7 +183,7 @@ func run(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "monitoring simulated CDN from %s (%d minutes)\n", start.Format("15:04"), *minutes)
 	fmt.Fprintf(w, "scheduled failure at minute %d: %s\n\n", *failureAt, failure.Format(sim.Schema()))
 
-	runner, err := pipeline.StartRunner(monitor, src, start, time.Minute, *interval, *minutes)
+	runner, err := pipeline.StartRunner(world, src, start, time.Minute, *interval, *minutes)
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,7 @@
 //	      [-exemplar-threshold 0] [-log-max-per-sec 50]
 //	      [-flight-rules ""] [-flight-cooldown 2m] [-flight-capacity 4]
 //	      [-flight-spill-dir ""] [-flight-cpu-profile 2s] [-flight-interval 5s]
-//	      [-continuous] [-window 60]
+//	      [-continuous]
 //
 // Endpoints:
 //
@@ -15,11 +15,11 @@
 //	GET  /v1/methods           available localization methods
 //	POST /v1/localize          localize a snapshot
 //	POST /v1/localize/batch    localize many snapshots over the worker pool
-//	POST /v1/observe       stream observations into the tracked monitor
-//	GET  /v1/incidents     incident lifecycle of the tracked monitor
-//	POST /v1/observe/snapshot    install the continuous baseline (-continuous)
-//	POST /v1/observe/delta       patch the baseline with one tick's delta (-continuous)
-//	GET  /v1/observe/continuous  sliding-window tick statistics (-continuous)
+//	POST /v1/observe       stream actuals-only snapshots into the world (forecasts learned)
+//	GET  /v1/incidents     incident lifecycle of the world
+//	POST /v1/observe/snapshot    install a snapshot with its own forecasts as the world (-continuous)
+//	POST /v1/observe/delta       patch the world with one tick's delta (-continuous)
+//	GET  /v1/observe/continuous  statistics of the world's last 60 ticks (-continuous)
 //	GET  /metrics          Prometheus text-format metrics
 //	GET  /debug/spans      recent trace spans (?trace=<id>, ?group=trace)
 //	GET  /debug/runs       recent localization runs (explain reports)
@@ -107,7 +107,6 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 		flightCPU       = fs.Duration("flight-cpu-profile", flight.DefaultCPUProfile, "CPU-profile window captured into each bundle")
 		flightInterval  = fs.Duration("flight-interval", flight.DefaultInterval, "trigger-rule polling period")
 		continuous      = fs.Bool("continuous", false, "mount the continuous-localization endpoints (/v1/observe/snapshot, /v1/observe/delta, /v1/observe/continuous)")
-		window          = fs.Int("window", 0, "sliding tick-statistics window for continuous mode (0 = 60 ticks)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -139,7 +138,6 @@ func run(ctx context.Context, w io.Writer, args []string) error {
 		FlightCPUProfile:  *flightCPU,
 		FlightInterval:    *flightInterval,
 		Continuous:        *continuous,
-		ContinuousWindow:  *window,
 	})
 	go apiSrv.Flight().Run(ctx)
 	mux := http.NewServeMux()

@@ -77,13 +77,7 @@ func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer body.Close()
 	var req batchRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeDecodeError(w, "request", err)
 		return
 	}
 	if len(req.Snapshots) == 0 {
@@ -157,7 +151,7 @@ func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 				deadlined++
 			}
 		} else {
-			item.Patterns = renderPatterns(snaps[i], br.Result.Patterns)
+			item.Patterns = renderPatterns(snaps[i].Schema, br.Result.Patterns)
 			item.Degraded = br.Result.Degraded
 			item.DegradedReason = br.Result.DegradedReason
 			if br.Result.Degraded {

@@ -1,8 +1,6 @@
 package httpapi
 
 import (
-	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -15,53 +13,137 @@ import (
 	"repro/internal/rapminer/explain"
 )
 
-// defaultContinuousWindow is the sliding tick-stats window when the server
-// was started without an explicit -window.
-const defaultContinuousWindow = 60
+// observeWindow is how many recent ticks GET /v1/observe/continuous
+// reports.
+const observeWindow = 60
 
-// continuousAPI holds the continuous-localization endpoints: clients POST
-// one full snapshot to establish the baseline, then stream per-tick deltas
-// to POST /v1/observe/delta. The runner patches its long-lived snapshot in
-// place, relabels only the touched leaves, and the monitor's debounce
-// machinery opens/updates incidents as usual. Unlike the /v1/observe
-// tracked monitor, snapshots here carry their own forecasts.
-type continuousAPI struct {
-	reg    *obs.Registry
-	runs   *explain.Store
-	window int
+// observeAPI holds the stateful monitoring endpoints around one world per
+// server: a pipeline.ContinuousRunner built on the first full snapshot.
+//
+//   - POST /v1/observe streams snapshots of actuals only; the runner fills
+//     in the forecasts from a baseline it learns from quiet ticks. A
+//     snapshot on another schema is refused.
+//   - POST /v1/observe/snapshot installs a full snapshot that carries its
+//     own forecasts; one on another schema replaces the world.
+//   - POST /v1/observe/delta patches the world in place with one tick's
+//     delta; the runner relabels only the touched leaves.
+//   - GET /v1/incidents and GET /v1/observe/continuous read the same
+//     monitor.
+//
+// The last three are mounted only with Options.Continuous.
+type observeAPI struct {
+	reg  *obs.Registry
+	runs *explain.Store
 
 	mu     sync.Mutex
 	runner *pipeline.ContinuousRunner
 	schema *kpi.Schema
 }
 
-func newContinuousAPI(reg *obs.Registry, runs *explain.Store, window int) *continuousAPI {
-	if window < 1 {
-		window = defaultContinuousWindow
-	}
-	return &continuousAPI{reg: reg, runs: runs, window: window}
+func newObserveAPI(reg *obs.Registry, runs *explain.Store) *observeAPI {
+	return &observeAPI{reg: reg, runs: runs}
 }
 
-// init assembles the runner on the first baseline snapshot.
-func (c *continuousAPI) init(schema *kpi.Schema) error {
+// enter prepares snap to become the world's next full snapshot. A snapshot
+// on the world's schema is re-homed onto the stored schema instance, so
+// cached indexers, interned codes and the runner's forecast tracker keep
+// working across requests. The first snapshot, or one on another schema,
+// (re)builds the runner: incident state does not survive a schema change —
+// the world it described is gone. c.mu is held.
+func (c *observeAPI) enter(snap *kpi.Snapshot) (*kpi.Snapshot, error) {
+	if c.runner != nil && sameSchema(c.schema, snap.Schema) {
+		return &kpi.Snapshot{Schema: c.schema, Leaves: snap.Leaves}, nil
+	}
 	miner, err := rapminer.New(rapminer.DefaultConfig())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cfg := pipeline.DefaultConfig(anomaly.DefaultRelativeDeviation(), miner)
 	cfg.AlarmThreshold = 0.01
 	cfg.Registry = c.reg
 	cfg.Runs = c.runs
-	runner, err := pipeline.NewContinuous(cfg, c.window)
+	runner, err := pipeline.NewContinuous(cfg, observeWindow)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c.runner = runner
-	c.schema = schema
-	return nil
+	c.schema = snap.Schema
+	return snap, nil
 }
 
-// deltaResponse is the POST /v1/observe/delta reply; snapshotResponse the
+// observeResponse is the POST /v1/observe reply.
+type observeResponse struct {
+	Event     string            `json:"event"`
+	Tick      int               `json:"tick"`
+	Deviation float64           `json:"deviation"`
+	Incident  *incidentResponse `json:"incident,omitempty"`
+}
+
+type incidentResponse struct {
+	ID         int               `json:"id"`
+	OpenedAt   time.Time         `json:"opened_at"`
+	ResolvedAt *time.Time        `json:"resolved_at,omitempty"`
+	Updates    int               `json:"updates"`
+	Scopes     []patternResponse `json:"scopes"`
+}
+
+// handleObserve processes one snapshot of actuals (JSON or CSV).
+func (c *observeAPI) handleObserve(w http.ResponseWriter, r *http.Request) {
+	ts, ok := requestTime(w, r)
+	if !ok {
+		return
+	}
+	snap := readSnapshot(r.Context(), w, r)
+	if snap == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.runner != nil && !sameSchema(c.schema, snap.Schema) {
+		writeError(w, http.StatusConflict, "observation schema differs from the monitored schema")
+		return
+	}
+	snap, err := c.enter(snap)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	// The request's trace context flows into the pipeline, so a tick
+	// that localizes journals its run under the request's trace ID.
+	ev, err := c.runner.ObserveActuals(r.Context(), ts, snap)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeJSON(w, http.StatusOK, observeResponse{
+		Event:     ev.Kind.String(),
+		Tick:      c.runner.Ticks(),
+		Deviation: ev.Deviation,
+		Incident:  c.incidentJSON(ev.Incident),
+	})
+}
+
+func (c *observeAPI) handleIncidents(w http.ResponseWriter, _ *http.Request) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	type incidentsResponse struct {
+		Ticks    int                 `json:"ticks"`
+		Current  *incidentResponse   `json:"current,omitempty"`
+		Resolved []*incidentResponse `json:"resolved"`
+	}
+	resp := incidentsResponse{Resolved: []*incidentResponse{}}
+	if c.runner != nil {
+		mon := c.runner.Monitor()
+		resp.Ticks = c.runner.Ticks()
+		resp.Current = c.incidentJSON(mon.Current())
+		for _, inc := range mon.History() {
+			resp.Resolved = append(resp.Resolved, c.incidentJSON(&inc))
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// deltaResponse is the POST /v1/observe/delta reply, and the
 // POST /v1/observe/snapshot one (same shape, no delta counters).
 type deltaResponse struct {
 	Event     string            `json:"event"`
@@ -77,10 +159,11 @@ type deltaResponse struct {
 	Incident  *incidentResponse `json:"incident,omitempty"`
 }
 
-// handleSnapshot installs (or replaces) the baseline snapshot. A snapshot
-// whose schema differs from the current one replaces the world outright —
-// the fresh-snapshot fallback of the delta contract — rather than erroring.
-func (c *continuousAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+// handleSnapshot installs (or replaces) the world from a snapshot carrying
+// its own forecasts. A snapshot whose schema differs from the current one
+// replaces the world outright — the fresh-snapshot fallback of the delta
+// contract — rather than erroring.
+func (c *observeAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	ts, ok := requestTime(w, r)
 	if !ok {
 		return
@@ -89,30 +172,15 @@ func (c *continuousAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	defer body.Close()
 	snap, err := readSnapshotJSON(r.Context(), body)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("snapshot exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeDecodeError(w, "snapshot", err)
 		return
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.runner == nil || !sameSchema(c.schema, snap.Schema) {
-		// First baseline, or a schema change: (re)build the runner. Incident
-		// state does not survive a schema change — the world it described is
-		// gone.
-		if err := c.init(snap.Schema); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-	} else {
-		// Re-home onto the stored schema instance so cached indexers and
-		// interned codes keep working across requests.
-		snap = &kpi.Snapshot{Schema: c.schema, Leaves: snap.Leaves}
+	if snap, err = c.enter(snap); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 	ev, err := c.runner.ObserveSnapshot(r.Context(), ts, snap)
 	if err != nil {
@@ -128,8 +196,8 @@ func (c *continuousAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleDelta applies one delta tick against the baseline snapshot.
-func (c *continuousAPI) handleDelta(w http.ResponseWriter, r *http.Request) {
+// handleDelta applies one delta tick to the world.
+func (c *observeAPI) handleDelta(w http.ResponseWriter, r *http.Request) {
 	ts, ok := requestTime(w, r)
 	if !ok {
 		return
@@ -137,22 +205,16 @@ func (c *continuousAPI) handleDelta(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.runner == nil {
-		writeError(w, http.StatusConflict, "no baseline snapshot; POST /v1/observe/snapshot first")
+		writeError(w, http.StatusConflict, "no baseline snapshot; POST /v1/observe/snapshot or /v1/observe first")
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	defer body.Close()
+	// Unknown element names are the client's fault (a delta cannot grow
+	// the schema), like a malformed document: both answer 400.
 	d, err := readDeltaJSON(r.Context(), body, c.schema)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("delta exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		// Unknown element names are schema conflicts (a delta cannot grow
-		// the schema); everything else is a malformed document.
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeDecodeError(w, "delta", err)
 		return
 	}
 	start := time.Now()
@@ -206,7 +268,7 @@ type tickJSON struct {
 	ApplyMS   float64   `json:"apply_ms"`
 }
 
-func (c *continuousAPI) handleStatus(w http.ResponseWriter, _ *http.Request) {
+func (c *observeAPI) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	resp := continuousStatusResponse{Window: []tickJSON{}}
@@ -229,7 +291,7 @@ func (c *continuousAPI) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (c *continuousAPI) incidentJSON(inc *pipeline.Incident) *incidentResponse {
+func (c *observeAPI) incidentJSON(inc *pipeline.Incident) *incidentResponse {
 	if inc == nil {
 		return nil
 	}
@@ -237,24 +299,32 @@ func (c *continuousAPI) incidentJSON(inc *pipeline.Incident) *incidentResponse {
 		ID:       inc.ID,
 		OpenedAt: inc.OpenedAt,
 		Updates:  inc.Updates,
-		Scopes:   []patternResponse{},
+		Scopes:   renderPatterns(c.schema, inc.Scopes),
 	}
 	if !inc.ResolvedAt.IsZero() {
 		t := inc.ResolvedAt
 		out.ResolvedAt = &t
 	}
-	for _, p := range inc.Scopes {
-		combo := make([]string, len(p.Combo))
-		for a, code := range p.Combo {
-			if code == kpi.Wildcard {
-				combo[a] = kpi.WildcardToken
-			} else {
-				combo[a] = c.schema.Value(a, code)
+	return out
+}
+
+// sameSchema compares attribute names and element domains.
+func sameSchema(a, b *kpi.Schema) bool {
+	if a.NumAttributes() != b.NumAttributes() {
+		return false
+	}
+	for i := 0; i < a.NumAttributes(); i++ {
+		aa, bb := a.Attribute(i), b.Attribute(i)
+		if aa.Name != bb.Name || len(aa.Values) != len(bb.Values) {
+			return false
+		}
+		for j := range aa.Values {
+			if aa.Values[j] != bb.Values[j] {
+				return false
 			}
 		}
-		out.Scopes = append(out.Scopes, patternResponse{Combination: combo, Score: p.Score})
 	}
-	return out
+	return true
 }
 
 // requestTime parses the optional ?ts= query parameter (RFC 3339), answering

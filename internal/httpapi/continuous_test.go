@@ -3,9 +3,11 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/kpi"
@@ -13,7 +15,7 @@ import (
 
 func newContinuousServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(New(Options{Continuous: true, ContinuousWindow: 4}))
+	srv := httptest.NewServer(New(Options{Continuous: true}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -119,7 +121,7 @@ func TestContinuousDeltaFlow(t *testing.T) {
 		t.Fatalf("localized scope %v, want [r2 *]", got)
 	}
 
-	// Status endpoint reflects the window (bounded at 4) and the incident.
+	// Status endpoint reflects the window and the incident.
 	stResp, err := http.Get(srv.URL + "/v1/observe/continuous")
 	if err != nil {
 		t.Fatal(err)
@@ -249,5 +251,118 @@ func TestContinuousDisabledNotMounted(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
+	}
+}
+
+// observeFailDelta re-observes the (L1, *) leaves of observeBody's world at
+// frac below a forecast of 100.
+func observeFailDelta(frac float64) string {
+	return fmt.Sprintf(`{"updates":[`+
+		`{"combination":["L1","Site1"],"actual":%[1]g,"forecast":100},`+
+		`{"combination":["L1","Site2"],"actual":%[1]g,"forecast":100}]}`, 100*(1-frac))
+}
+
+// getJSON decodes a GET reply into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestContinuousDeltaPatchesObservedWorld: the world POST /v1/observe
+// installs is the one POST /v1/observe/delta patches, and both status
+// endpoints read its one monitor.
+func TestContinuousDeltaPatchesObservedWorld(t *testing.T) {
+	srv := newContinuousServer(t)
+	if ev := observe(t, srv, 0, 0); ev.Event != "tick" || ev.Tick != 1 {
+		t.Fatalf("observed tick %+v", ev)
+	}
+	resp, out := postContinuous(t, srv, "/v1/observe/delta", observeFailDelta(0.6))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta on the observed world: status %d", resp.StatusCode)
+	}
+	if out.Tick != 2 || out.Event != "arming" || !out.Patched {
+		t.Fatalf("first failing delta %+v", out)
+	}
+	_, out = postContinuous(t, srv, "/v1/observe/delta", observeFailDelta(0.6))
+	if out.Event != "opened" || out.Incident == nil {
+		t.Fatalf("second failing delta %+v", out)
+	}
+	if got := strings.Join(out.Incident.Scopes[0].Combination, ","); got != "L1,*" {
+		t.Fatalf("localized scope %s, want L1,*", got)
+	}
+
+	var incidents struct {
+		Ticks   int               `json:"ticks"`
+		Current *incidentResponse `json:"current"`
+	}
+	getJSON(t, srv.URL+"/v1/incidents", &incidents)
+	var status continuousStatusResponse
+	getJSON(t, srv.URL+"/v1/observe/continuous", &status)
+	if incidents.Ticks != 3 || status.Ticks != 3 {
+		t.Fatalf("ticks: /v1/incidents %d, /v1/observe/continuous %d; want 3 and 3", incidents.Ticks, status.Ticks)
+	}
+	if incidents.Current == nil || status.Incident == nil ||
+		incidents.Current.ID != out.Incident.ID || status.Incident.ID != out.Incident.ID {
+		t.Fatalf("incident: /v1/incidents %+v, /v1/observe/continuous %+v; want ID %d in both",
+			incidents.Current, status.Incident, out.Incident.ID)
+	}
+}
+
+// TestContinuousObserveAndDeltaConcurrent sends full observations and
+// deltas to one world from many goroutines: every request is served and
+// counted exactly once (run it under -race).
+func TestContinuousObserveAndDeltaConcurrent(t *testing.T) {
+	srv := newContinuousServer(t)
+	observe(t, srv, 0, 0)
+	body := observeBody(t, 0)
+	const perKind = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*perKind)
+	for i := 0; i < perKind; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/v1/observe", "application/json", strings.NewReader(body))
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("observe: status %d", resp.StatusCode)
+				}
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/v1/observe/delta", "application/json", strings.NewReader(observeFailDelta(0)))
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("delta: status %d", resp.StatusCode)
+				}
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var status continuousStatusResponse
+	getJSON(t, srv.URL+"/v1/observe/continuous", &status)
+	if want := 1 + 2*perKind; status.Ticks != want {
+		t.Fatalf("ticks %d, want %d", status.Ticks, want)
 	}
 }

@@ -96,15 +96,13 @@ type Options struct {
 	// latency histogram does not retain trace exemplars. 0 keeps an
 	// exemplar for every bucket's most recent request.
 	ExemplarThreshold float64
-	// Continuous mounts the continuous-localization endpoints: POST
-	// /v1/observe/snapshot (baseline install), POST /v1/observe/delta
-	// (per-tick patches) and GET /v1/observe/continuous (window status).
-	// The server then holds one long-lived snapshot that deltas mutate in
-	// place; the stateless /v1/localize path is unaffected.
+	// Continuous mounts the continuous-localization endpoints next to
+	// POST /v1/observe and GET /v1/incidents: POST /v1/observe/snapshot
+	// (world install), POST /v1/observe/delta (per-tick patches) and
+	// GET /v1/observe/continuous (status of the last 60 ticks). All five
+	// share the server's one world, whose snapshot deltas mutate in place;
+	// the stateless /v1/localize path is unaffected.
 	Continuous bool
-	// ContinuousWindow bounds the sliding tick-statistics window the
-	// continuous status endpoint reports; <= 0 means 60 ticks.
-	ContinuousWindow int
 	// LogMaxPerSec caps per-request log lines emitted per second; excess
 	// requests are served silently and counted in
 	// rapminer_logs_suppressed_total, so a load test cannot drown the log
@@ -128,8 +126,8 @@ type Options struct {
 
 // New builds the service as a *Server, exposing the flight recorder and
 // the /readyz drain switch alongside the routes. The localization
-// endpoint is stateless; the observe/incidents pair shares one tracked
-// monitor per server (its schema is fixed by the first observation).
+// endpoint is stateless; the observe and incidents endpoints share one
+// world per server (see observeAPI).
 func New(o Options) *Server {
 	reg, log := o.Registry, o.Logger
 	if reg == nil {
@@ -180,14 +178,13 @@ func New(o Options) *Server {
 	mux.HandleFunc("GET /v1/methods", handleMethods)
 	mux.HandleFunc("POST /v1/localize", a.handleLocalize)
 	mux.HandleFunc("POST /v1/localize/batch", a.handleBatch)
-	monitor := newMonitorAPI(reg, runs)
-	mux.HandleFunc("POST /v1/observe", monitor.handleObserve)
-	mux.HandleFunc("GET /v1/incidents", monitor.handleIncidents)
+	world := newObserveAPI(reg, runs)
+	mux.HandleFunc("POST /v1/observe", world.handleObserve)
+	mux.HandleFunc("GET /v1/incidents", world.handleIncidents)
 	if o.Continuous {
-		cont := newContinuousAPI(reg, runs, o.ContinuousWindow)
-		mux.HandleFunc("POST /v1/observe/snapshot", cont.handleSnapshot)
-		mux.HandleFunc("POST /v1/observe/delta", cont.handleDelta)
-		mux.HandleFunc("GET /v1/observe/continuous", cont.handleStatus)
+		mux.HandleFunc("POST /v1/observe/snapshot", world.handleSnapshot)
+		mux.HandleFunc("POST /v1/observe/delta", world.handleDelta)
+		mux.HandleFunc("GET /v1/observe/continuous", world.handleStatus)
 	}
 	Debug{Registry: reg, Runs: runs, SLO: slo.handler(), Flight: srv.flight}.Mount(mux)
 	srv.handler = instrument(reg, log, slo, newLogSampler(reg, o.LogMaxPerSec), o.ExemplarThreshold, mux)
@@ -243,29 +240,8 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	defer body.Close()
-	var (
-		snap *kpi.Snapshot
-		err  error
-	)
-	switch mediaType(r.Header.Get("Content-Type")) {
-	case "text/csv":
-		snap, err = kpi.ReadCSV(body, nil)
-	case "", "application/json":
-		snap, err = readSnapshotJSON(reqCtx, body)
-	default:
-		writeError(w, http.StatusUnsupportedMediaType, "content type must be application/json or text/csv")
-		return
-	}
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("snapshot exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, err.Error())
+	snap := readSnapshot(reqCtx, w, r)
+	if snap == nil {
 		return
 	}
 
@@ -294,7 +270,7 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		Anomalous:      snap.NumAnomalous(),
 		Leaves:         snap.Len(),
 		ElapsedMS:      float64(time.Since(start).Microseconds()) / 1000,
-		Patterns:       renderPatterns(snap, res.Patterns),
+		Patterns:       renderPatterns(snap.Schema, res.Patterns),
 		Degraded:       res.Degraded,
 		DegradedReason: res.DegradedReason,
 	}
@@ -314,6 +290,45 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(DegradedHeader, degradedHeaderValue(res.DegradedReason))
 	}
 	writeJSON(w, status, resp)
+}
+
+// readSnapshot decodes the request's snapshot, CSV or JSON by
+// Content-Type, under the body limit. On failure it has answered the
+// request itself (415, 413 or 400) and returns nil.
+func readSnapshot(ctx context.Context, w http.ResponseWriter, r *http.Request) *kpi.Snapshot {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	defer body.Close()
+	var (
+		snap *kpi.Snapshot
+		err  error
+	)
+	switch mediaType(r.Header.Get("Content-Type")) {
+	case "text/csv":
+		snap, err = kpi.ReadCSV(body, nil)
+	case "", "application/json":
+		snap, err = readSnapshotJSON(ctx, body)
+	default:
+		writeError(w, http.StatusUnsupportedMediaType, "content type must be application/json or text/csv")
+		return nil
+	}
+	if err != nil {
+		writeDecodeError(w, "snapshot", err)
+		return nil
+	}
+	return snap
+}
+
+// writeDecodeError answers a request whose body failed to decode: 413
+// naming what the body held once the body limit tripped, else 400 with the
+// decoder's message.
+func writeDecodeError(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%s exceeds %d bytes", what, tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, err.Error())
 }
 
 // readSnapshotJSON decodes a JSON snapshot body under a kpi.read_json span
@@ -356,9 +371,9 @@ func degradedHeaderValue(reason string) string {
 	return strings.ReplaceAll(reason, "\n", " ")
 }
 
-// renderPatterns maps scored patterns back to the snapshot's attribute
+// renderPatterns maps scored patterns back to the schema's attribute
 // vocabulary for the wire format.
-func renderPatterns(snap *kpi.Snapshot, patterns []localize.ScoredPattern) []patternResponse {
+func renderPatterns(schema *kpi.Schema, patterns []localize.ScoredPattern) []patternResponse {
 	out := make([]patternResponse, 0, len(patterns))
 	for _, p := range patterns {
 		combo := make([]string, len(p.Combo))
@@ -366,7 +381,7 @@ func renderPatterns(snap *kpi.Snapshot, patterns []localize.ScoredPattern) []pat
 			if code == kpi.Wildcard {
 				combo[a] = kpi.WildcardToken
 			} else {
-				combo[a] = snap.Schema.Value(a, code)
+				combo[a] = schema.Value(a, code)
 			}
 		}
 		out = append(out, patternResponse{Combination: combo, Score: p.Score})

@@ -127,6 +127,8 @@ var sloRoutes = []string{
 	"POST /v1/localize",
 	"POST /v1/localize/batch",
 	"POST /v1/observe",
+	"POST /v1/observe/snapshot",
+	"POST /v1/observe/delta",
 }
 
 func newSLOState(reg *obs.Registry, batch batchSaturation) *sloState {

@@ -260,3 +260,27 @@ func TestObservabilityUnderConcurrentLoad(t *testing.T) {
 		t.Fatalf("SLO window saw %v localizations, want %d", got, loaders*rounds)
 	}
 }
+
+// TestSLOWindowsSeeDeltaRequests: the continuous write path is windowed
+// like /v1/localize, so the flight recorder's latency and error rules see
+// it.
+func TestSLOWindowsSeeDeltaRequests(t *testing.T) {
+	srv := newContinuousServer(t)
+	if resp, _ := postContinuous(t, srv, "/v1/observe/snapshot", continuousSnapshotJSON(t, 0)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot status %d", resp.StatusCode)
+	}
+	if resp, _ := postContinuous(t, srv, "/v1/observe/delta", failDelta(0)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta status %d", resp.StatusCode)
+	}
+	var rep SLOReport
+	getJSON(t, srv.URL+"/debug/slo", &rep)
+	for _, route := range []string{"POST /v1/observe/snapshot", "POST /v1/observe/delta"} {
+		v, ok := rep.Windows["1m"][route]
+		if !ok {
+			t.Fatalf("1m window lacks %s (have %v)", route, rep.Windows["1m"])
+		}
+		if v.Requests != 1 || v.ErrorRate != 0 {
+			t.Fatalf("1m window %s = %+v, want 1 request and no errors", route, v)
+		}
+	}
+}

@@ -27,13 +27,14 @@ type Config struct {
 	MinHistory int
 }
 
-// DefaultConfig tracks one day of minute samples per leaf and forecasts
-// with an EWMA after 30 observations.
+// DefaultConfig keeps the last 256 samples per leaf and forecasts with an
+// EWMA (alpha 0.3) once a leaf has 5 observations: the pipeline's
+// ContinuousRunner forecasts actuals-only ticks with it.
 func DefaultConfig() Config {
 	return Config{
 		Forecaster: timeseries.EWMA{Alpha: 0.3},
-		Window:     1440,
-		MinHistory: 30,
+		Window:     256,
+		MinHistory: 5,
 	}
 }
 

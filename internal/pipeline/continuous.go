@@ -9,15 +9,24 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/kpi"
+	"repro/internal/leafforecast"
 	"repro/internal/obs"
 )
 
-// ContinuousRunner is the sliding-window continuous-localization mode: it
-// holds one long-lived snapshot per KPI, applies per-tick deltas to it in
-// place (kpi.ApplyDelta), re-runs detection only over the touched leaves
-// (anomaly.LabelDelta) and hands the patched snapshot to the Monitor, whose
-// debounce/budget/degraded machinery decides when to localize. A bounded
-// window of recent tick statistics is retained for status reporting.
+// ContinuousRunner is the one path every tick takes to the Monitor. It
+// holds one long-lived snapshot per KPI (the world) and labels each tick
+// before the Monitor's debounce/budget/degraded machinery decides whether
+// to localize:
+//
+//   - ObserveSnapshot installs a full snapshot that carries its own
+//     forecasts and labels it in full;
+//   - ObserveActuals installs a full snapshot of actuals only, filling the
+//     forecasts from a leafforecast.Tracker that learns from quiet ticks;
+//   - ObserveDelta patches the world in place (kpi.ApplyDelta) and
+//     relabels only the touched leaves (anomaly.LabelDelta).
+//
+// A bounded window of recent tick statistics is retained for status
+// reporting.
 //
 // The runner serializes ticks internally, so it is safe for concurrent use
 // (the HTTP ingestion path calls it from request goroutines). Mutating the
@@ -28,10 +37,11 @@ type ContinuousRunner struct {
 	mx     *continuousMetrics
 	window int
 
-	mu     sync.Mutex
-	snap   *kpi.Snapshot
-	recent []TickStats
-	ticks  int
+	mu      sync.Mutex
+	snap    *kpi.Snapshot
+	tracker *leafforecast.Tracker
+	recent  []TickStats
+	ticks   int
 }
 
 // TickStats records one continuous tick for the sliding window.
@@ -56,15 +66,12 @@ type TickStats struct {
 }
 
 // NewContinuous builds a continuous runner around a Monitor configured from
-// cfg. The monitor is forced into PreLabeled mode — the runner labels
-// incrementally as deltas apply, so the full detector pass before
-// localization would be redundant work. window bounds the retained tick
+// cfg; the runner labels with cfg.Detector. window bounds the retained tick
 // statistics (how many recent ticks Window reports).
 func NewContinuous(cfg Config, window int) (*ContinuousRunner, error) {
 	if window < 1 {
 		return nil, fmt.Errorf("pipeline: continuous window %d, want >= 1", window)
 	}
-	cfg.PreLabeled = true
 	mon, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -128,7 +135,52 @@ func (r *ContinuousRunner) ObserveSnapshot(ctx context.Context, ts time.Time, sn
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.observeSnapshot(ctx, ts, snap)
+}
+
+// ObserveActuals is ObserveSnapshot for a snapshot of actuals only: its
+// forecasts are replaced by the predictions of a leafforecast.Tracker
+// (leafforecast.DefaultConfig) built on first use for that snapshot's
+// schema instance, which every later call must share. The tracker learns
+// from quiet ticks only, so arming ticks and incidents never contaminate
+// the baseline.
+func (r *ContinuousRunner) ObserveActuals(ctx context.Context, ts time.Time, snap *kpi.Snapshot) (Event, error) {
+	if snap == nil {
+		return Event{}, errors.New("pipeline: nil snapshot")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.tracker == nil {
+		tracker, err := leafforecast.New(snap.Schema, leafforecast.DefaultConfig())
+		if err != nil {
+			return Event{}, err
+		}
+		r.tracker = tracker
+	}
+	withForecasts, _, err := r.tracker.Forecast(snap)
+	if err != nil {
+		return Event{}, err
+	}
+	ev, err := r.observeSnapshot(ctx, ts, withForecasts)
+	if err != nil {
+		return ev, err
+	}
+	if ev.Kind == EventTick {
+		if err := r.tracker.Observe(snap); err != nil {
+			return ev, err
+		}
+	}
+	return ev, nil
+}
+
+// observeSnapshot labels snap in full, installs it as the world and
+// processes it; r.mu is held.
+func (r *ContinuousRunner) observeSnapshot(ctx context.Context, ts time.Time, snap *kpi.Snapshot) (Event, error) {
+	_, span := obs.StartSpan(ctx, "anomaly.label")
 	n := anomaly.Label(snap, r.det)
+	span.SetAttr("leaves", snap.Len())
+	span.SetAttr("anomalous", n)
+	span.End()
 	// Warm the columnar caches now: the baseline install is the expensive
 	// tick, and a warm frame is what lets every subsequent delta take the
 	// patch-in-place path instead of a lazy rebuild mid-incident.

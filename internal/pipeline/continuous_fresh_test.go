@@ -123,8 +123,7 @@ func compareFresh(t *testing.T, tick int, got Event, ref *Monitor, ts time.Time,
 	if err != nil {
 		t.Fatalf("tick %d: %v", tick, err)
 	}
-	anomaly.Label(fresh, ref.cfg.Detector)
-	want, err := ref.Process(ts, fresh)
+	want, err := process(ref, ts, fresh)
 	if err != nil {
 		t.Fatalf("tick %d: reference: %v", tick, err)
 	}

@@ -55,7 +55,7 @@ func TestContinuousDeltaMatchesSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refEv, err := ref.Process(t0, snapshotWithDrop(t, nil, 0))
+	refEv, err := process(ref, t0, snapshotWithDrop(t, nil, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestContinuousDeltaMatchesSnapshots(t *testing.T) {
 		if !res.PatchedFrame || !res.PatchedLabels {
 			t.Fatalf("tick %d: caches not patched: %+v", i, res)
 		}
-		refEv, err := ref.Process(ts, snapshotWithDrop(t, sc, frac))
+		refEv, err := process(ref, ts, snapshotWithDrop(t, sc, frac))
 		if err != nil {
 			t.Fatalf("tick %d: reference: %v", i, err)
 		}

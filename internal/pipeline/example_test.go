@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -10,8 +11,8 @@ import (
 	"repro/internal/rapminer"
 )
 
-// Example drives a Monitor by hand through a blip, an incident and its
-// resolution.
+// Example drives a ContinuousRunner by hand with full snapshots through a
+// quiet tick, an incident and its resolution.
 func Example() {
 	schema := kpi.MustSchema(
 		kpi.Attribute{Name: "Location", Values: []string{"L1", "L2"}},
@@ -37,16 +38,16 @@ func Example() {
 		return snap
 	}
 
+	drops := []float64{0, 0.5, 0.5, 0.5, 0}
 	miner, _ := rapminer.New(rapminer.DefaultConfig())
 	cfg := pipeline.DefaultConfig(anomaly.DefaultRelativeDeviation(), miner)
 	cfg.DebounceTicks = 2
 	cfg.ResolveTicks = 1
-	monitor, _ := pipeline.New(cfg)
+	runner, _ := pipeline.NewContinuous(cfg, len(drops))
 
 	ts := time.Date(2026, 3, 5, 12, 0, 0, 0, time.UTC)
-	drops := []float64{0, 0.5, 0.5, 0.5, 0}
 	for i, drop := range drops {
-		ev, err := monitor.Process(ts.Add(time.Duration(i)*time.Minute), snapshot(drop))
+		ev, err := runner.ObserveSnapshot(context.Background(), ts.Add(time.Duration(i)*time.Minute), snapshot(drop))
 		if err != nil {
 			fmt.Println("error:", err)
 			return

@@ -29,13 +29,13 @@ func TestPipelineCapturesExplainReports(t *testing.T) {
 	failing := func() *kpi.Snapshot { return snapshotWithDrop(t, scope, 0.5) }
 
 	// Two alarming ticks: arming (no localization), then open (localizes).
-	if _, err := m.Process(t0, failing()); err != nil {
+	if _, err := process(m, t0, failing()); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Len() != 0 {
 		t.Fatalf("arming tick recorded %d reports, want 0", runs.Len())
 	}
-	if _, err := m.Process(t0.Add(time.Minute), failing()); err != nil {
+	if _, err := process(m, t0.Add(time.Minute), failing()); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Len() != 1 {
@@ -52,7 +52,9 @@ func TestPipelineCapturesExplainReports(t *testing.T) {
 	// A caller-supplied trace keys the next report.
 	tc := obs.NewTraceContext()
 	ctx := obs.ContextWithTrace(context.Background(), tc)
-	if _, err := m.ProcessContext(ctx, t0.Add(2*time.Minute), snapshotWithDrop(t, kpi.MustParseCombination(testSchema(), "(a3, *)"), 0.5)); err != nil {
+	snap := snapshotWithDrop(t, kpi.MustParseCombination(testSchema(), "(a3, *)"), 0.5)
+	anomaly.Label(snap, cfg.Detector)
+	if _, err := m.ProcessContext(ctx, t0.Add(2*time.Minute), snap); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := runs.Get(tc.TraceID)
@@ -81,7 +83,7 @@ func TestPipelineReportsEveryMethod(t *testing.T) {
 	scope := kpi.MustParseCombination(testSchema(), "(a2, *)")
 	var ev Event
 	for i := 0; i < 2; i++ { // arming, then open (localizes)
-		if ev, err = m.Process(t0.Add(time.Duration(i)*time.Minute), snapshotWithDrop(t, scope, 0.5)); err != nil {
+		if ev, err = process(m, t0.Add(time.Duration(i)*time.Minute), snapshotWithDrop(t, scope, 0.5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,18 +100,15 @@ func TestPipelineReportsEveryMethod(t *testing.T) {
 }
 
 // TestLocalizingTickStageSpans pins the span tree of a localizing tick:
-// pipeline.detect and pipeline.localize are siblings under the tick's
-// span, so localize is never parented to a detect span that has already
+// anomaly.label, pipeline.detect and pipeline.localize are siblings under
+// the tick's span, so no stage is parented to a span that has already
 // ended.
 func TestLocalizingTickStageSpans(t *testing.T) {
-	m, err := New(DefaultConfig(anomaly.DefaultRelativeDeviation(), rapminer.MustNew(rapminer.DefaultConfig())))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := testContinuous(t, 2)
 	ctx, tick := obs.StartSpan(context.Background(), "test.tick")
 	scope := kpi.MustParseCombination(testSchema(), "(a2, *)")
 	for i := 0; i < 2; i++ { // arming, then open (localizes)
-		if _, err := m.ProcessContext(ctx, t0.Add(time.Duration(i)*time.Minute), snapshotWithDrop(t, scope, 0.5)); err != nil {
+		if _, err := r.ObserveSnapshot(ctx, t0.Add(time.Duration(i)*time.Minute), snapshotWithDrop(t, scope, 0.5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,13 +116,17 @@ func TestLocalizingTickStageSpans(t *testing.T) {
 
 	stages := map[string]obs.SpanRecord{}
 	for _, sp := range obs.RecentSpans() {
-		if sp.TraceID == tick.TraceID() && (sp.Name == "pipeline.detect" || sp.Name == "pipeline.localize") {
-			stages[sp.Name] = sp
+		switch sp.Name {
+		case "anomaly.label", "pipeline.detect", "pipeline.localize":
+			if sp.TraceID == tick.TraceID() {
+				stages[sp.Name] = sp
+			}
 		}
 	}
+	label, ok0 := stages["anomaly.label"]
 	detect, ok1 := stages["pipeline.detect"]
 	loc, ok2 := stages["pipeline.localize"]
-	if !ok1 || !ok2 {
+	if !ok0 || !ok1 || !ok2 {
 		t.Fatalf("stage spans under the tick's trace = %v", stages)
 	}
 	if detect.ParentID != loc.ParentID || loc.ParentID != tick.SpanID() {
@@ -131,5 +134,8 @@ func TestLocalizingTickStageSpans(t *testing.T) {
 	}
 	if loc.ParentID == detect.SpanID {
 		t.Errorf("pipeline.localize is a child of pipeline.detect")
+	}
+	if label.ParentID != tick.SpanID() {
+		t.Errorf("anomaly.label parent %q, want the tick span %q", label.ParentID, tick.SpanID())
 	}
 }

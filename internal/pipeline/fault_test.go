@@ -43,7 +43,7 @@ func zeroForecastSnapshot(t *testing.T, actual float64) *kpi.Snapshot {
 // instead see the maximal relative deviation and start arming.
 func TestZeroForecastOutageAlarms(t *testing.T) {
 	m := testMonitor(t)
-	ev, err := m.Process(t0, zeroForecastSnapshot(t, 100))
+	ev, err := process(m, t0, zeroForecastSnapshot(t, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestZeroForecastOutageAlarms(t *testing.T) {
 	// Zero forecast with zero actuals stays a clean tick (no traffic, no
 	// forecast — nothing to alarm about).
 	m2 := testMonitor(t)
-	ev, err = m2.Process(t0, zeroForecastSnapshot(t, 0))
+	ev, err = process(m2, t0, zeroForecastSnapshot(t, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

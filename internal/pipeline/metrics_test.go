@@ -38,7 +38,7 @@ func TestMonitorMetricsLifecycle(t *testing.T) {
 		} else {
 			snap = snapshotWithDrop(t, nil, 0)
 		}
-		if _, err := m.Process(ts, snap); err != nil {
+		if _, err := process(m, ts, snap); err != nil {
 			t.Fatal(err)
 		}
 		ts = ts.Add(time.Minute)

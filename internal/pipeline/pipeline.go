@@ -23,7 +23,9 @@ import (
 
 // Config assembles a Monitor.
 type Config struct {
-	// Detector labels the leaves before localization.
+	// Detector labels the leaves before localization. The ContinuousRunner
+	// that drives the Monitor labels with it: in full on a snapshot tick,
+	// over the touched leaves on a delta tick.
 	Detector anomaly.Detector
 	// Localizer mines the root anomaly patterns.
 	Localizer localize.Localizer
@@ -38,12 +40,6 @@ type Config struct {
 	// ResolveTicks is how many consecutive clean ticks close an open
 	// incident.
 	ResolveTicks int
-	// PreLabeled skips the full detector pass before localization: the
-	// snapshot arrives already labeled, because the caller labels
-	// incrementally over the touched leaves (the continuous runner's
-	// anomaly.LabelDelta path). The Detector is still required — the
-	// labeler that pre-labels must be the same one.
-	PreLabeled bool
 	// Registry receives the monitor's metrics (event-kind counters,
 	// incident counts and durations, stage latencies). Nil means
 	// obs.Default().
@@ -127,8 +123,12 @@ type Event struct {
 	Incident *Incident
 }
 
-// Monitor is the stateful alarm-and-localize service. It is not safe for
-// concurrent use; drive it from one goroutine (see Runner).
+// maxHistory bounds the resolved incidents a Monitor retains.
+const maxHistory = 64
+
+// Monitor is the stateful alarm-and-localize service. It reads the leaf
+// labels its snapshots already carry; the ContinuousRunner that drives it
+// labels them. It is not safe for concurrent use.
 type Monitor struct {
 	cfg     Config
 	mx      *metrics
@@ -139,6 +139,7 @@ type Monitor struct {
 	cleanStreak int
 	current     *Incident
 	nextID      int
+	history     []Incident
 }
 
 // New validates the configuration.
@@ -174,19 +175,18 @@ func New(cfg Config) (*Monitor, error) {
 // Current returns the open incident, or nil.
 func (m *Monitor) Current() *Incident { return m.current }
 
-// Process handles one tick. The snapshot is labeled in place with the
-// configured detector when localization runs. Every tick updates the
-// monitor's metrics, and incident transitions are logged through the
-// "pipeline" component logger.
-func (m *Monitor) Process(ts time.Time, snap *kpi.Snapshot) (Event, error) {
-	return m.ProcessContext(context.Background(), ts, snap)
+// History returns the resolved incidents, oldest first; at most the last
+// 64.
+func (m *Monitor) History() []Incident {
+	return append([]Incident(nil), m.history...)
 }
 
-// ProcessContext is Process under the caller's trace context: spans and
-// the explain report of a localizing tick join the trace ctx carries
-// (e.g. an HTTP request's). When ctx carries no trace, the tick that
-// localizes starts a fresh one, so every monitor-driven run is traceable
-// by its own ID.
+// ProcessContext handles one tick of a labeled snapshot. Every tick
+// updates the monitor's metrics, and incident transitions are logged
+// through the "pipeline" component logger. Spans and the explain report
+// of a localizing tick join the trace ctx carries (e.g. an HTTP
+// request's); when ctx carries no trace, the tick that localizes starts a
+// fresh one, so every monitor-driven run is traceable by its own ID.
 func (m *Monitor) ProcessContext(ctx context.Context, ts time.Time, snap *kpi.Snapshot) (Event, error) {
 	ev, err := m.process(ctx, ts, snap)
 	if err != nil {
@@ -203,6 +203,10 @@ func (m *Monitor) ProcessContext(ctx context.Context, ts time.Time, snap *kpi.Sn
 		m.log.Info("incident scope updated",
 			slog.Int("id", ev.Incident.ID), slog.Int("updates", ev.Incident.Updates))
 	case EventResolved:
+		m.history = append(m.history, *ev.Incident)
+		if len(m.history) > maxHistory {
+			m.history = m.history[len(m.history)-maxHistory:]
+		}
 		m.log.Info("incident resolved",
 			slog.Int("id", ev.Incident.ID),
 			slog.Duration("after", ev.Incident.ResolvedAt.Sub(ev.Incident.OpenedAt)))
@@ -290,16 +294,11 @@ func (m *Monitor) localize(ctx context.Context, snap *kpi.Snapshot) ([]localize.
 	}
 	// Both stage spans are children of the tick's context, not of each
 	// other: detect has ended by the time localize starts.
+	// The runner labeled the snapshot as the tick arrived; the anomalous
+	// count is already cached on it.
 	_, span := obs.StartSpan(ctx, "pipeline.detect")
 	start := time.Now()
-	var n int
-	if m.cfg.PreLabeled {
-		// Continuous mode labeled incrementally as the delta applied; the
-		// anomalous count is already cached on the snapshot.
-		n = len(snap.AnomalousLeafSet())
-	} else {
-		n = anomaly.Label(snap, m.cfg.Detector)
-	}
+	n := len(snap.AnomalousLeafSet())
 	m.mx.observeStage(stageDetect, time.Since(start))
 	span.SetAttr("anomalous", n)
 	span.End()

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -54,6 +55,15 @@ func testMonitor(t *testing.T) *Monitor {
 	return m
 }
 
+// process labels snap in full with m's detector, as ContinuousRunner does
+// before every full tick, then processes it.
+func process(m *Monitor, ts time.Time, snap *kpi.Snapshot) (Event, error) {
+	if snap != nil {
+		anomaly.Label(snap, m.cfg.Detector)
+	}
+	return m.ProcessContext(context.Background(), ts, snap)
+}
+
 func TestNewValidation(t *testing.T) {
 	miner := rapminer.MustNew(rapminer.DefaultConfig())
 	det := anomaly.DefaultRelativeDeviation()
@@ -80,7 +90,7 @@ func TestIncidentLifecycle(t *testing.T) {
 	failing := func() *kpi.Snapshot { return snapshotWithDrop(t, scope, 0.5) }
 
 	// Quiet tick.
-	ev, err := m.Process(t0, clean())
+	ev, err := process(m, t0, clean())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +99,7 @@ func TestIncidentLifecycle(t *testing.T) {
 	}
 
 	// First alarming tick: debounce (DebounceTicks = 2).
-	ev, err = m.Process(t0.Add(time.Minute), failing())
+	ev, err = process(m, t0.Add(time.Minute), failing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +108,7 @@ func TestIncidentLifecycle(t *testing.T) {
 	}
 
 	// Second alarming tick: incident opens with the localized scope.
-	ev, err = m.Process(t0.Add(2*time.Minute), failing())
+	ev, err = process(m, t0.Add(2*time.Minute), failing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +123,7 @@ func TestIncidentLifecycle(t *testing.T) {
 	}
 
 	// Same failure continues: ongoing, no update.
-	ev, err = m.Process(t0.Add(3*time.Minute), failing())
+	ev, err = process(m, t0.Add(3*time.Minute), failing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestIncidentLifecycle(t *testing.T) {
 
 	// The failure scope changes: update.
 	scope2 := kpi.MustParseCombination(testSchema(), "(a3, *)")
-	ev, err = m.Process(t0.Add(4*time.Minute), snapshotWithDrop(t, scope2, 0.5))
+	ev, err = process(m, t0.Add(4*time.Minute), snapshotWithDrop(t, scope2, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +144,7 @@ func TestIncidentLifecycle(t *testing.T) {
 	// Three clean ticks (ResolveTicks = 3): first two ongoing, third
 	// resolves.
 	for i := 0; i < 2; i++ {
-		ev, err = m.Process(t0.Add(time.Duration(5+i)*time.Minute), clean())
+		ev, err = process(m, t0.Add(time.Duration(5+i)*time.Minute), clean())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +152,7 @@ func TestIncidentLifecycle(t *testing.T) {
 			t.Fatalf("clean tick %d = %v, want ongoing", i, ev.Kind)
 		}
 	}
-	ev, err = m.Process(t0.Add(7*time.Minute), clean())
+	ev, err = process(m, t0.Add(7*time.Minute), clean())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +164,8 @@ func TestIncidentLifecycle(t *testing.T) {
 	}
 
 	// A new failure opens incident #2.
-	m.Process(t0.Add(8*time.Minute), failing())
-	ev, err = m.Process(t0.Add(9*time.Minute), failing())
+	process(m, t0.Add(8*time.Minute), failing())
+	ev, err = process(m, t0.Add(9*time.Minute), failing())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +178,10 @@ func TestBlipDoesNotOpenIncident(t *testing.T) {
 	m := testMonitor(t)
 	scope := kpi.MustParseCombination(testSchema(), "(a1, *)")
 	// One alarming tick, then clean: the debounce suppresses it.
-	if ev, _ := m.Process(t0, snapshotWithDrop(t, scope, 0.5)); ev.Kind != EventArming {
+	if ev, _ := process(m, t0, snapshotWithDrop(t, scope, 0.5)); ev.Kind != EventArming {
 		t.Fatalf("blip tick = %v", ev.Kind)
 	}
-	if ev, _ := m.Process(t0.Add(time.Minute), snapshotWithDrop(t, nil, 0)); ev.Kind != EventTick {
+	if ev, _ := process(m, t0.Add(time.Minute), snapshotWithDrop(t, nil, 0)); ev.Kind != EventTick {
 		t.Fatalf("post-blip tick = %v", ev.Kind)
 	}
 	if m.Current() != nil {
@@ -181,7 +191,7 @@ func TestBlipDoesNotOpenIncident(t *testing.T) {
 
 func TestProcessNilSnapshot(t *testing.T) {
 	m := testMonitor(t)
-	if _, err := m.Process(t0, nil); err == nil {
+	if _, err := process(m, t0, nil); err == nil {
 		t.Error("nil snapshot accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -16,7 +17,8 @@ type Source interface {
 	Schema() *kpi.Schema
 }
 
-// Runner drives a Monitor over a Source on a fixed tick, delivering events
+// Runner drives a ContinuousRunner over a Source on a fixed tick: each
+// tick's snapshot is observed in full (ObserveSnapshot), delivering events
 // on a channel. It owns one goroutine; Stop signals it and waits for exit
 // (the events channel is closed when the goroutine drains).
 type Runner struct {
@@ -28,12 +30,12 @@ type Runner struct {
 
 // StartRunner launches the monitoring loop: every interval of simulated
 // time (stepping `step` per tick starting at `start`, one tick per real
-// `interval`), it pulls a snapshot and processes it. Passing interval = 0
-// runs ticks back-to-back (useful for simulations and tests); `ticks`
-// bounds the run, 0 means run until Stop.
-func StartRunner(m *Monitor, src Source, start time.Time, step, interval time.Duration, ticks int) (*Runner, error) {
-	if m == nil || src == nil {
-		return nil, errors.New("pipeline: nil monitor or source")
+// `interval`), it pulls a snapshot and observes it through c. Passing
+// interval = 0 runs ticks back-to-back (useful for simulations and tests);
+// `ticks` bounds the run, 0 means run until Stop.
+func StartRunner(c *ContinuousRunner, src Source, start time.Time, step, interval time.Duration, ticks int) (*Runner, error) {
+	if c == nil || src == nil {
+		return nil, errors.New("pipeline: nil runner or source")
 	}
 	if step <= 0 {
 		return nil, fmt.Errorf("pipeline: step %v, want > 0", step)
@@ -47,7 +49,7 @@ func StartRunner(m *Monitor, src Source, start time.Time, step, interval time.Du
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
-	go r.loop(m, src, start, step, interval, ticks)
+	go r.loop(c, src, start, step, interval, ticks)
 	return r, nil
 }
 
@@ -77,7 +79,7 @@ func (r *Runner) Stop() {
 	<-r.done
 }
 
-func (r *Runner) loop(m *Monitor, src Source, start time.Time, step, interval time.Duration, ticks int) {
+func (r *Runner) loop(c *ContinuousRunner, src Source, start time.Time, step, interval time.Duration, ticks int) {
 	defer close(r.done)
 	defer close(r.events)
 
@@ -106,7 +108,7 @@ func (r *Runner) loop(m *Monitor, src Source, start time.Time, step, interval ti
 			r.errs <- fmt.Errorf("pipeline: snapshot at %v: %w", ts, err)
 			return
 		}
-		ev, err := m.Process(ts, snap)
+		ev, err := c.ObserveSnapshot(context.Background(), ts, snap)
 		if err != nil {
 			r.errs <- err
 			return

@@ -54,11 +54,11 @@ func TestRunnerDetectsInjectedOutage(t *testing.T) {
 	// halving it moves the aggregate by ~1%, so the production default of
 	// 2% would (correctly) not alarm. Use a tighter aggregate threshold.
 	cfg.AlarmThreshold = 0.005
-	monitor, err := New(cfg)
+	world, err := NewContinuous(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := StartRunner(monitor, src, start, time.Minute, 0 /* as fast as possible */, 12)
+	runner, err := StartRunner(world, src, start, time.Minute, 0 /* as fast as possible */, 12)
 	if err != nil {
 		t.Fatalf("StartRunner: %v", err)
 	}
@@ -87,12 +87,7 @@ func TestRunnerStopInterruptsLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &failingSource{sim: sim, scope: kpi.NewRoot(4), from: time.Now().Add(time.Hour)}
-	monitor, err := New(DefaultConfig(anomaly.DefaultRelativeDeviation(),
-		rapminer.MustNew(rapminer.DefaultConfig())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := StartRunner(monitor, src, time.Date(2026, 3, 2, 9, 0, 0, 0, time.UTC),
+	runner, err := StartRunner(testContinuous(t, 1), src, time.Date(2026, 3, 2, 9, 0, 0, 0, time.UTC),
 		time.Minute, time.Millisecond, 0 /* unbounded */)
 	if err != nil {
 		t.Fatalf("StartRunner: %v", err)
@@ -116,13 +111,8 @@ func (b *brokenSource) SnapshotAt(time.Time) (*kpi.Snapshot, error) {
 }
 
 func TestRunnerSurfacesSourceErrors(t *testing.T) {
-	monitor, err := New(DefaultConfig(anomaly.DefaultRelativeDeviation(),
-		rapminer.MustNew(rapminer.DefaultConfig())))
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := &brokenSource{schema: testSchema()}
-	runner, err := StartRunner(monitor, src, t0, time.Minute, 0, 3)
+	runner, err := StartRunner(testContinuous(t, 1), src, t0, time.Minute, 0, 3)
 	if err != nil {
 		t.Fatalf("StartRunner: %v", err)
 	}
@@ -134,19 +124,18 @@ func TestRunnerSurfacesSourceErrors(t *testing.T) {
 }
 
 func TestStartRunnerValidation(t *testing.T) {
-	monitor, _ := New(DefaultConfig(anomaly.DefaultRelativeDeviation(),
-		rapminer.MustNew(rapminer.DefaultConfig())))
+	world := testContinuous(t, 1)
 	src := &brokenSource{schema: testSchema()}
 	if _, err := StartRunner(nil, src, t0, time.Minute, 0, 1); err == nil {
-		t.Error("nil monitor accepted")
+		t.Error("nil runner accepted")
 	}
-	if _, err := StartRunner(monitor, nil, t0, time.Minute, 0, 1); err == nil {
+	if _, err := StartRunner(world, nil, t0, time.Minute, 0, 1); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := StartRunner(monitor, src, t0, 0, 0, 1); err == nil {
+	if _, err := StartRunner(world, src, t0, 0, 0, 1); err == nil {
 		t.Error("zero step accepted")
 	}
-	if _, err := StartRunner(monitor, src, t0, time.Minute, 0, -1); err == nil {
+	if _, err := StartRunner(world, src, t0, time.Minute, 0, -1); err == nil {
 		t.Error("negative ticks accepted")
 	}
 }
