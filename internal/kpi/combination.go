@@ -133,14 +133,19 @@ func (c Combination) Parents() []Combination {
 
 // Key returns a compact byte-string form of c usable as a map key.
 func (c Combination) Key() string {
+	return string(c.AppendKey(make([]byte, 0, len(c)*4)))
+}
+
+// AppendKey appends the bytes of c.Key() to b, so a caller can probe a
+// string-keyed map with m[string(b)] without building the string.
+func (c Combination) AppendKey(b []byte) []byte {
 	// 4 bytes per attribute, little endian; Wildcard (-1) encodes to
 	// 0xffffffff which cannot collide with any valid code.
-	b := make([]byte, 0, len(c)*4)
 	for _, v := range c {
 		u := uint32(v)
 		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
 	}
-	return string(b)
+	return b
 }
 
 // CompareKey compares c.Key() with other.Key() — returning -1, 0 or +1 —

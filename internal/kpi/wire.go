@@ -294,48 +294,120 @@ func (d *wireDecoder) text(start, end int, plain bool) (string, error) {
 	return s, nil
 }
 
-// number consumes a number token, validating it against the JSON grammar.
-func (d *wireDecoder) number() error {
+// maxMantDigits is how many significant digits a decimal holds: every
+// 19-digit number fits a uint64.
+const maxMantDigits = 19
+
+// decimal is a scanned number token, ±mant·10^exp with mant its first
+// maxMantDigits significant digits. inexact marks a token that value alone
+// cannot round: a nonzero digit past those, or an exponent too long to
+// hold.
+type decimal struct {
+	mant    uint64
+	exp     int
+	neg     bool
+	inexact bool
+}
+
+// scanNumber consumes a number token, validating it against the JSON
+// grammar and collecting its digits in the same loop.
+func (d *wireDecoder) scanNumber() (n decimal, err error) {
 	b, i := d.buf, d.pos
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
+	nd := 0 // significant digits in n.mant
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && isDigit(b[i]):
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if nd < maxMantDigits {
+				n.mant = n.mant*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				n.exp++
+				n.inexact = n.inexact || b[i] != '0'
+			}
 		}
 	default:
 		d.pos = i
-		return d.mismatch("a digit")
+		return n, d.mismatch("a digit")
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
 		if i >= len(b) || !isDigit(b[i]) {
 			d.pos = i
-			return d.mismatch("a digit after the decimal point")
+			return n, d.mismatch("a digit after the decimal point")
 		}
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if nd < maxMantDigits {
+				// Zeros ahead of the first nonzero digit only scale.
+				n.mant = n.mant*10 + uint64(b[i]-'0')
+				n.exp--
+				if n.mant != 0 {
+					nd++
+				}
+			} else {
+				n.inexact = n.inexact || b[i] != '0'
+			}
 		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
+		neg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			neg = b[i] == '-'
 			i++
 		}
 		if i >= len(b) || !isDigit(b[i]) {
 			d.pos = i
-			return d.mismatch("a digit in the exponent")
+			return n, d.mismatch("a digit in the exponent")
 		}
-		for i < len(b) && isDigit(b[i]) {
-			i++
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 1e5 {
+				e = e*10 + int(b[i]-'0')
+			} else {
+				n.inexact = true
+			}
 		}
+		if neg {
+			e = -e
+		}
+		n.exp += e
 	}
 	d.pos = i
-	return nil
+	return n, nil
+}
+
+// float64pow10 holds the powers of ten a float64 represents exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// round returns n correctly rounded to a float64, as strconv.ParseFloat
+// rounds it, or false when only strconv can round it: an inexact token, an
+// exponent outside the power table, or a case Eisel–Lemire declines.
+func (n decimal) round() (float64, bool) {
+	switch {
+	case n.inexact:
+		return 0, false
+	case n.mant <= 1<<53 && -22 <= n.exp && n.exp <= 22:
+		// Clinger's fast path: mant and the power are exact float64s, so
+		// one IEEE multiply or divide rounds the product correctly.
+		f := float64(n.mant)
+		if n.neg {
+			f = -f
+		}
+		if n.exp >= 0 {
+			return f * float64pow10[n.exp], true
+		}
+		return f / float64pow10[-n.exp], true
+	}
+	return eiselLemire64(n.mant, n.exp, n.neg)
 }
 
 // literal consumes the keyword word (true, false or null).
@@ -395,7 +467,7 @@ func (d *wireDecoder) skip() error {
 				return err
 			}
 		case c == '-' || isDigit(c):
-			if err := d.number(); err != nil {
+			if _, err := d.scanNumber(); err != nil {
 				return err
 			}
 		default:
@@ -450,6 +522,14 @@ func (d *wireDecoder) key(names []string) (int, error) {
 		return -1, d.mismatch("a string key")
 	}
 	start := d.pos
+	// Most keys are a name verbatim, closed and followed by the colon.
+	for i, name := range names {
+		if end := start + 1 + len(name); end+1 < len(d.buf) && d.buf[end] == '"' && d.buf[end+1] == ':' &&
+			string(d.buf[start+1:end]) == name {
+			d.pos = end + 2
+			return i, nil
+		}
+	}
 	plain, high, err := d.str()
 	if err != nil {
 		return -1, err
@@ -505,12 +585,15 @@ func (d *wireDecoder) float(f *float64) error {
 		return d.literal("null")
 	case c == '-' || isDigit(c):
 		start := d.pos
-		if err := d.number(); err != nil {
+		n, err := d.scanNumber()
+		if err != nil {
 			return err
 		}
-		v, err := strconv.ParseFloat(string(d.buf[start:d.pos]), 64)
-		if err != nil {
-			return &wireError{msg: "number " + string(d.buf[start:d.pos]) + " does not fit a float64", off: start}
+		v, ok := n.round()
+		if !ok {
+			if v, err = strconv.ParseFloat(string(d.buf[start:d.pos]), 64); err != nil {
+				return &wireError{msg: "number " + string(d.buf[start:d.pos]) + " does not fit a float64", off: start}
+			}
 		}
 		*f = v
 		return nil
@@ -837,6 +920,16 @@ func (d *wireDecoder) combo(r *wireRow) error {
 // comboOf reports if it is still there when decoding ends.
 func (d *wireDecoder) element(a int) (int32, error) {
 	start := d.pos
+	if a < len(d.last) {
+		// The cached name is a plain token's bytes, so the same bytes
+		// followed by the closing quote are that token again.
+		last := &d.last[a]
+		if end := start + 1 + len(last.name); len(last.name) > 0 && end < len(d.buf) && d.buf[end] == '"' &&
+			string(d.buf[start+1:end]) == string(last.name) {
+			d.pos = end + 1
+			return last.code, nil
+		}
+	}
 	plain, _, err := d.str()
 	if err != nil || a >= len(d.last) {
 		// Past the schema's arity the code is never read: the row fails
@@ -847,9 +940,6 @@ func (d *wireDecoder) element(a int) (int32, error) {
 	if plain {
 		content := d.buf[start+1 : d.pos-1]
 		last := &d.last[a]
-		if len(last.name) > 0 && string(last.name) == string(content) {
-			return last.code, nil
-		}
 		if code, ok := codes[string(content)]; ok {
 			last.name, last.code = content, code
 			return code, nil

@@ -195,6 +195,17 @@ func snapshotParitySeeds(tb testing.TB) []string {
 		`{"attributeſ":[{"name":"A","valueſ":["x"]}],"leaveſ":[{"combination":["x"],"actual":1,"forecast":1}]}`,
 		`{"attributes":[{"name":"A","values":["x"]}],"leaves":[],"K":1,"\u212aey":[1]}`,
 		`{"le\u0061ves":[{"combination":["x"],"actual":1,"forecast":1}],"attributes":[{"name":"A","values":["x"]}]}`,
+		// Keys verbatim, case-folded, with a Kelvin sign, spaced before the
+		// colon, or one byte too long; element names that extend or cut
+		// short the previous row's, or spell it with an escape.
+		`{"attributes":[{"name":"A","values":["Site1","Site12"]},{"name":"B","values":["p","q","r"]}],"leaves":[` +
+			`{"combination":["Site12","p"],"Actual":1,"ACTUAL":2,"forecast" :3,"actualx":4,"actualx:":9,"K":5},` +
+			`{"combination":["Site1","p"],"actual":6,"forecast":7},{"combination":["Site12","q"],"actual" : 8},` +
+			`{"combination":["Site\u0031","q"]},{"combination":["Site1","r"]},{"combination" :["Site12","r"]}]}`,
+		`{"attributes":[{"name":"A","values":["Site1","Site12"]}],"leaves":[{"combination":["Site1"]},{"combination":["Site12"]},` +
+			`{"combination":["Site123"]}]}`,
+		`{"attributes":[{"name":"A","values":["Site1","Site12"]}],"leaves":[{"combination":["Site12"]},{"combination":["Site1"]},` +
+			`{"combination":["Site"]}]}`,
 		// Repeated keys decode into the value already there.
 		"{" + paritySchema + "," + parityLeaves + `,"leaves":[{"combination":["y","p"]}]}`,
 		"{" + paritySchema + `,"leaves":[{"combination":["x","p","q"],"combination":["y"],"combination":[null,null]}]}`,
@@ -248,6 +259,12 @@ func deltaParitySeeds(tb testing.TB) []string {
 		`{"removes":[["x","p"],["y","q"]],"removes":[["y"]]}`,
 		`{"removes":[["x","p"],["y","q"]],"removes":[[null,"q"],null]}`,
 		`{"UPDATES":[{"combination":["x","p"],"actual":1,"forecast":2,"anomalous":true}]}`,
+		// The key and element fast paths' near misses (see the snapshot
+		// seeds); U+FFFD cached raw, then escaped, then as invalid UTF-8.
+		`{"updates":[{"combination":["x","p"],"Actual":1,"ACTUAL":2,"forecast" :3,"actualx":4,"actualx:":9,"K":5},` +
+			`{"combination":["y","p"]},{"combination":["\u0079","q"]},{"combination" : ["x","q"]}],"adds" :[]}`,
+		"{\"adds\":[{\"combination\":[\"\uFFFD\",\"p\"]},{\"combination\":[\"\\ufffd\",\"q\"]}],\"removes\":[[\"\xff\",\"q\"]]}",
+		`{"updates":[{"combination":["x","p"]},{"combination":["xy","p"]}]}`,
 		`{"addſ":[{"combination":["x","zz"]},{"combination":["x","p"]}],"adds":[{"combination":[null,"q"]}]}`,
 		`{"adds":[{"combination":["x","p"],"actual":1}],"adds":[{"anomalous":true},{"combination":["y","q"]}]}`,
 		"{\"updates\":[{\"combination\":[\"\xff\",\"p\"],\"actual\":1}]}",

@@ -290,6 +290,42 @@ func TestParallelDecodeMatchesSerial(t *testing.T) {
 	})
 }
 
+// TestSplitPartsRepeatNames splits where the same element name runs on
+// both sides of the boundary: each part starts with an empty name cache,
+// and the row after the boundary may spell the name with an escape, extend
+// it, or cut it short.
+func TestSplitPartsRepeatNames(t *testing.T) {
+	schema := MustSchema(
+		Attribute{Name: "A", Values: []string{"n1", "n12"}},
+		Attribute{Name: "B", Values: elems("c", 40)},
+	)
+	var leaves []Leaf
+	for _, a := range []int32{1, 0} {
+		for b := int32(0); b < 40; b++ {
+			leaves = append(leaves, Leaf{Combo: Combination{a, b}, Actual: float64(b), Forecast: 1})
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, &Snapshot{Schema: schema, Leaves: leaves}); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.Bytes()
+	starts := elementStarts(t, doc)
+	for _, at := range []int{20, 39, 40, 41, 60} {
+		name, respells := `"n12"`, []string{`"n12"`, `"n\u00312"`, `"n1"`, `"n123"`}
+		if at >= 40 {
+			name, respells = `"n1"`, []string{`"n1"`, `"n\u0031"`, `"n12"`, `"n"`}
+		}
+		for _, to := range respells {
+			i := starts[at] + bytes.Index(doc[starts[at]:], []byte(name))
+			data := append(append(bytes.Clone(doc[:i]), to...), doc[i+len(name):]...)
+			if parts := checkSplitMatchesSerial(t, data, []int{starts[at]}); parts != 2 {
+				t.Errorf("row %d spelled %s: kept %d parts, want 2", at, to, parts)
+			}
+		}
+	}
+}
+
 // TestSplitCandidates checks how split offsets snap to candidates: the
 // first '{' at or after the offset whose previous non-whitespace byte is
 // ',', wherever it is — inside a string (8) or a nested array (21) too.

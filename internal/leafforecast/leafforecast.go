@@ -19,6 +19,8 @@ import (
 // Config assembles a Tracker.
 type Config struct {
 	// Forecaster predicts the next value from a leaf's history window.
+	// The window is scratch the Tracker reuses for every leaf, so a
+	// Forecaster must not keep it past the call.
 	Forecaster timeseries.Forecaster
 	// Window is the per-leaf history capacity (ring buffer length).
 	Window int
@@ -44,6 +46,10 @@ type Tracker struct {
 	cfg    Config
 	schema *kpi.Schema
 	leaves map[string]*ring
+	// key holds the leaf key being looked up and window the history handed
+	// to the forecaster: scratch reused across leaves and ticks.
+	key    []byte
+	window []float64
 }
 
 // New validates the configuration.
@@ -79,15 +85,21 @@ func (t *Tracker) Observe(snap *kpi.Snapshot) error {
 		return errors.New("leafforecast: snapshot schema differs from tracker schema")
 	}
 	for _, l := range snap.Leaves {
-		k := l.Combo.Key()
-		r, ok := t.leaves[k]
-		if !ok {
+		r := t.ring(l.Combo)
+		if r == nil {
 			r = newRing(t.cfg.Window)
-			t.leaves[k] = r
+			t.leaves[string(t.key)] = r
 		}
 		r.push(l.Actual)
 	}
 	return nil
+}
+
+// ring returns the history of leaf c, or nil, leaving c's key in t.key.
+// The map is probed with the key bytes, so no string is built.
+func (t *Tracker) ring(c kpi.Combination) *ring {
+	t.key = c.AppendKey(t.key[:0])
+	return t.leaves[string(t.key)]
 }
 
 // Forecast returns a copy of the snapshot whose Forecast values are the
@@ -104,11 +116,12 @@ func (t *Tracker) Forecast(snap *kpi.Snapshot) (*kpi.Snapshot, int, error) {
 	out := snap.Clone()
 	forecast := 0
 	out.Rewrite(func(l kpi.Leaf) (float64, float64, bool) {
-		r, ok := t.leaves[l.Combo.Key()]
-		if !ok || r.len() < t.cfg.MinHistory {
+		r := t.ring(l.Combo)
+		if r == nil || r.len() < t.cfg.MinHistory {
 			return l.Actual, l.Actual, l.Anomalous // cold start: never alarm
 		}
-		pred, err := t.cfg.Forecaster.Forecast(r.values())
+		t.window = r.appendValues(t.window[:0])
+		pred, err := t.cfg.Forecaster.Forecast(t.window)
 		if err != nil {
 			// The forecaster needs more history than MinHistory
 			// guarantees (e.g. a long seasonal period): degrade to
@@ -144,11 +157,8 @@ func (r *ring) push(v float64) {
 
 func (r *ring) len() int { return r.n }
 
-// values returns the window oldest-first as a fresh slice.
-func (r *ring) values() []float64 {
-	out := make([]float64, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
-	return out
+// appendValues appends the window to out, oldest first: start stays 0
+// until the ring is full, and a full window wraps at start.
+func (r *ring) appendValues(out []float64) []float64 {
+	return append(append(out, r.buf[r.start:r.n]...), r.buf[:r.start]...)
 }

@@ -2,6 +2,7 @@ package leafforecast
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,11 +42,73 @@ func TestRingWindow(t *testing.T) {
 	if r.len() != 3 {
 		t.Fatalf("ring len = %d, want 3", r.len())
 	}
-	got := r.values()
+	got := r.appendValues(nil)
 	want := []float64{3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("values = %v, want %v", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("values = %v, want %v", got, want)
+	}
+	// Appended after what the slice holds, at every fill and wrap.
+	r = newRing(3)
+	for i := 1; i <= 7; i++ {
+		r.push(float64(i))
+		got := r.appendValues([]float64{-1})
+		want := []float64{-1}
+		for v := max(1, i-2); v <= i; v++ {
+			want = append(want, float64(v))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %d pushes: values = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestForecastRefoldsEachLeafsWindow holds Forecast to the EWMA of each
+// leaf's own last Window actuals, computed here from a plain record: leaves
+// joining on different ticks give windows of every length, full and
+// wrapped ones included, one after another through the shared scratch.
+func TestForecastRefoldsEachLeafsWindow(t *testing.T) {
+	schema := kpi.MustSchema(kpi.Attribute{Name: "A", Values: []string{"a1", "a2", "a3", "a4"}})
+	ewma := timeseries.EWMA{Alpha: 0.3}
+	tr, err := New(schema, Config{Forecaster: ewma, Window: 6, MinHistory: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := make(map[int32][]float64)
+	for tick := 0; tick < 12; tick++ {
+		var leaves []kpi.Leaf
+		for code := int32(0); code < 4; code++ {
+			// Leaf k joins on tick 3k, so a4 has 3 samples at the end.
+			if tick >= 3*int(code) {
+				leaves = append(leaves, kpi.Leaf{Combo: kpi.Combination{code}, Actual: float64(tick*10+int(code)) + 0.1*float64(tick%3)})
+			}
+		}
+		snap, err := kpi.NewSnapshot(schema, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, n, err := tr.Forecast(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forecast := 0
+		for i, l := range out.Leaves {
+			want := l.Actual
+			if h := history[l.Combo[0]]; len(h) >= 2 {
+				want, _ = ewma.Forecast(h[max(0, len(h)-6):])
+				forecast++
+			}
+			if math.Float64bits(l.Forecast) != math.Float64bits(want) {
+				t.Fatalf("tick %d leaf %d: forecast %v, want %v", tick, i, l.Forecast, want)
+			}
+		}
+		if n != forecast {
+			t.Fatalf("tick %d: %d leaves forecast, want %d", tick, n, forecast)
+		}
+		if err := tr.Observe(snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range snap.Leaves {
+			history[l.Combo[0]] = append(history[l.Combo[0]], l.Actual)
 		}
 	}
 }
