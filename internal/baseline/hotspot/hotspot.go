@@ -171,6 +171,8 @@ type run struct {
 	epoch uint32
 	// members lists S's leaves in first-seen order.
 	members []int32
+	// groups numbers the current cuboid's groups, reused across cuboids.
+	groups kpi.Grouping
 }
 
 func newRun(snapshot *kpi.Snapshot) *run {
@@ -234,7 +236,8 @@ func (l *Localizer) searchCuboid(r *run, cuboid kpi.Cuboid, rng *rand.Rand, poll
 // break on Combination.Key order.
 func (l *Localizer) cuboidElements(r *run, cuboid kpi.Cuboid) []element {
 	ix := r.snapshot.Indexer(cuboid)
-	of, names := groupLeaves(r.snapshot, ix)
+	r.snapshot.Group(ix, &r.groups, nil)
+	of, names := r.groups.Of, r.groups.Names
 	devs := make([]float64, len(names))
 	for i, g := range of {
 		devs[g] += r.dev[i]
@@ -267,26 +270,6 @@ func (l *Localizer) cuboidElements(r *run, cuboid kpi.Cuboid) []element {
 		}
 	}
 	return elements
-}
-
-// groupLeaves numbers the leaves' groups in ix's cuboid: of[i] is leaf i's
-// group, and names[g] names group g for Snapshot.DecodeGroup.
-func groupLeaves(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer) (of []int32, names []int) {
-	if size := ix.Size(); size < 0 || size > math.MaxInt32 {
-		of, names, _ = snapshot.GroupLeaves(ix, nil)
-		return of, names
-	}
-	of = snapshot.Columns().GroupIndexes(ix, nil)
-	index := slices.Compact(slices.Sorted(slices.Values(of)))
-	names = make([]int, len(index))
-	for g, x := range index {
-		names[g] = int(x)
-	}
-	for i, x := range of {
-		g, _ := slices.BinarySearch(index, x)
-		of[i] = int32(g)
-	}
-	return of, names
 }
 
 // potentialScore computes ps(S) for the element subset marked in setBits.

@@ -138,9 +138,8 @@ type partition struct {
 	// AW and totalDelta are the snapshot totals.
 	AW         float64
 	totalDelta float64
-	// keys is accumulate's per-leaf group index scratch, reused across
-	// the run's cuboids.
-	keys []int32
+	// groups is accumulate's grouping, reused across the run's cuboids.
+	groups kpi.Grouping
 }
 
 // buildPartition computes deviations, picks the dominant direction, splits
@@ -425,69 +424,15 @@ func (l *Localizer) searchCuboid(snapshot *kpi.Snapshot, cuboid kpi.Cuboid, p *p
 	return selection{combos: combos, risk: bestRisk}, true
 }
 
-// accumulate sums the per-element partition weights over the leaves'
-// group indexes (kpi.Columns.GroupIndexes), using a dense array for compact
-// cuboid domains and a map for huge sparse ones; a cuboid too wide for
-// int32 group indexes is grouped by projected combination instead.
+// accumulate sums the per-element partition weights over the groups
+// kpi.Snapshot.Group numbers, in ascending group index.
 func accumulate(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, covered []bool) []groupAcc {
-	size := ix.Size()
-	if size < 0 || size > math.MaxInt32 {
-		return accumulateWide(snapshot, ix, p, covered)
-	}
-	p.keys = snapshot.Columns().GroupIndexes(ix, p.keys)
-	keys := p.keys
-	denseLimit := 64 * snapshot.Len()
-	if denseLimit < 1<<16 {
-		denseLimit = 1 << 16
-	}
-	var out []groupAcc
-	if size <= denseLimit {
-		dense := make([]groupAcc, size)
-		for i, g := range keys {
-			acc := &dense[g]
-			acc.group = int(g)
-			if p.aw[i] > 0 && !covered[i] {
-				acc.aw += p.aw[i]
-			}
-			acc.nw += p.nw[i]
-			acc.delta += p.delta[i]
-		}
-		for g := range dense {
-			if dense[g].aw > 0 || dense[g].nw > 0 || dense[g].delta != 0 {
-				out = append(out, dense[g])
-			}
-		}
-		return out
-	}
-	pos := make(map[int32]int, 64)
-	for i, g := range keys {
-		j, seen := pos[g]
-		if !seen {
-			j = len(out)
-			pos[g] = j
-			out = append(out, groupAcc{group: int(g)})
-		}
-		acc := &out[j]
-		if p.aw[i] > 0 && !covered[i] {
-			acc.aw += p.aw[i]
-		}
-		acc.nw += p.nw[i]
-		acc.delta += p.delta[i]
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].group < out[j].group })
-	return out
-}
-
-// accumulateWide is accumulate's path for a cuboid too wide for int32
-// group indexes: the groups of kpi.Snapshot.GroupLeaves, in group index
-// order.
-func accumulateWide(snapshot *kpi.Snapshot, ix *kpi.CuboidIndexer, p *partition, covered []bool) []groupAcc {
-	groupOf, names, _ := snapshot.GroupLeaves(ix, nil)
-	out := make([]groupAcc, len(names))
-	for g, name := range names {
+	snapshot.Group(ix, &p.groups, nil)
+	out := make([]groupAcc, len(p.groups.Names))
+	for g, name := range p.groups.Names {
 		out[g].group = name
 	}
-	for i, g := range groupOf {
+	for i, g := range p.groups.Of {
 		acc := &out[g]
 		if p.aw[i] > 0 && !covered[i] {
 			acc.aw += p.aw[i]

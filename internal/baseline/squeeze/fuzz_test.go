@@ -213,7 +213,9 @@ func FuzzSqueezeMatchesReference(f *testing.F) {
 
 // TestMatchesReferenceOnSparseWorld runs the reference comparison on a
 // sparse 20×16×12×10×8×6 world, whose deeper cuboids exceed the dense
-// numbering bound and are numbered by sorting their distinct indexes.
+// numbering bound and are numbered by sorting their distinct indexes
+// (kpi's TestGroupByMatchesRowWiseReference checks that premise against
+// the bound).
 func TestMatchesReferenceOnSparseWorld(t *testing.T) {
 	cards := []int{20, 16, 12, 10, 8, 6}
 	schema := fuzzSchema(cards)
@@ -244,9 +246,6 @@ func TestMatchesReferenceOnSparseWorld(t *testing.T) {
 	snap, err := kpi.NewSnapshot(schema, leaves)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if full := snap.Indexer(kpi.Cuboid{0, 1, 2, 3, 4, 5}).Size(); full <= denseRankLimit(snap.Len()) {
-		t.Fatalf("full cuboid domain %d within the dense bound; the sparse numbering is untested", full)
 	}
 	checkMatchesReference(t, snap, DefaultConfig())
 }

@@ -208,7 +208,7 @@ func newUniverse(snapshot *kpi.Snapshot, clusters []cluster) *universe {
 // mixed-radix indexes of its groups and its GPS. An empty index means no
 // prefix scored.
 type prefix struct {
-	index []int32
+	index []int
 	gps   float64
 }
 
@@ -280,26 +280,17 @@ func (l *Localizer) locateClusters(ctx context.Context, snapshot *kpi.Snapshot, 
 }
 
 // cuboidGroups partitions the leaves by their projection onto one cuboid.
-// Groups are numbered compactly in ascending mixed-radix index, so group
-// numbers compare exactly as the indexes do. Every slice is O(leaves) —
-// rank has at most denseRankLimit entries — and reused across cuboids.
+// Its kpi.Grouping numbers the groups compactly in ascending mixed-radix
+// index, so group numbers compare exactly as the indexes do, and
+// Grouping.Names holds each group's index. Every slice is reused across
+// cuboids.
 type cuboidGroups struct {
+	kpi.Grouping
 	ix *kpi.CuboidIndexer
-	// of holds each leaf's group.
-	of []int32
-	// index holds each group's mixed-radix index.
-	index []int32
 	// Group g's leaves are members[start[g]:start[g+1]], ascending.
 	start, members []int32
-	// rank and next are scratch for build.
-	rank, next []int32
-}
-
-// denseRankLimit is kpi's dense group-by bound, max(64·leaves, 65536): up
-// to it a flat index-to-group table numbers the groups, past it sorting
-// the distinct indexes does.
-func denseRankLimit(leaves int) int {
-	return max(64*leaves, 1<<16)
+	// next is scratch for build.
+	next []int32
 }
 
 // build groups the snapshot's leaves by cuboid. It reports false, leaving
@@ -307,40 +298,16 @@ func denseRankLimit(leaves int) int {
 // domain.
 func (g *cuboidGroups) build(snapshot *kpi.Snapshot, cuboid kpi.Cuboid) bool {
 	ix := snapshot.Indexer(cuboid)
-	size := ix.Size()
-	if size < 0 || size > math.MaxInt32 {
+	if size := ix.Size(); size < 0 || size > math.MaxInt32 {
 		return false
 	}
 	g.ix = ix
-	g.of = snapshot.Columns().GroupIndexes(ix, g.of)
-	n := len(g.of)
-	g.index = g.index[:0]
-	if size <= denseRankLimit(n) {
-		g.rank = resize(g.rank, size)
-		clear(g.rank)
-		for _, x := range g.of {
-			g.rank[x] = 1
-		}
-		for x, seen := range g.rank {
-			if seen != 0 {
-				g.index = append(g.index, int32(x))
-				g.rank[x] = int32(len(g.index) - 1)
-			}
-		}
-		for i, x := range g.of {
-			g.of[i] = g.rank[x]
-		}
-	} else {
-		g.index = slices.Compact(slices.Sorted(slices.Values(g.of)))
-		for i, x := range g.of {
-			grp, _ := slices.BinarySearch(g.index, x)
-			g.of[i] = int32(grp)
-		}
-	}
-	numGroups := len(g.index)
+	snapshot.Group(ix, &g.Grouping, nil)
+	n := len(g.Of)
+	numGroups := len(g.Names)
 	g.start = resize(g.start, numGroups+1)
 	clear(g.start)
-	for _, grp := range g.of {
+	for _, grp := range g.Of {
 		g.start[grp+1]++
 	}
 	for grp := 1; grp <= numGroups; grp++ {
@@ -348,7 +315,7 @@ func (g *cuboidGroups) build(snapshot *kpi.Snapshot, cuboid kpi.Cuboid) bool {
 	}
 	g.next = append(g.next[:0], g.start[:numGroups]...)
 	g.members = resize(g.members, n)
-	for i, grp := range g.of {
+	for i, grp := range g.Of {
 		g.members[g.next[grp]] = int32(i)
 		g.next[grp]++
 	}
@@ -360,23 +327,23 @@ func (g *cuboidGroups) size(grp int32) int32 { return g.start[grp+1] - g.start[g
 
 // indexes returns the ranked groups' mixed-radix indexes, or nil for an
 // empty ranking.
-func (g *cuboidGroups) indexes(order []ranked) []int32 {
+func (g *cuboidGroups) indexes(order []ranked) []int {
 	if len(order) == 0 {
 		return nil
 	}
-	index := make([]int32, len(order))
+	index := make([]int, len(order))
 	for j, r := range order {
-		index[j] = g.index[r.group]
+		index[j] = g.Names[r.group]
 	}
 	return index
 }
 
 // combos decodes the combinations of a cuboid's groups from their
 // mixed-radix indexes.
-func combos(ix *kpi.CuboidIndexer, index []int32) []kpi.Combination {
+func combos(ix *kpi.CuboidIndexer, index []int) []kpi.Combination {
 	set := make([]kpi.Combination, len(index))
 	for j, x := range index {
-		set[j] = ix.Combination(int(x))
+		set[j] = ix.Combination(x)
 	}
 	return set
 }
@@ -417,14 +384,14 @@ func (l *Localizer) locateInCuboid(g *cuboidGroups, u *universe, c int, sc *pref
 	if totalDev < l.cfg.Eps {
 		return 0, math.Inf(-1)
 	}
-	if numGroups := len(g.index); cap(sc.count) < numGroups {
+	if numGroups := len(g.Names); cap(sc.count) < numGroups {
 		sc.count = make([]int32, numGroups)
 	} else {
 		sc.count = sc.count[:numGroups]
 	}
 	sc.order = sc.order[:0]
 	for _, i := range u.clusters[c].leafIdx {
-		grp := g.of[i]
+		grp := g.Of[i]
 		if sc.count[grp] == 0 {
 			sc.order = append(sc.order, ranked{group: grp})
 		}

@@ -3,6 +3,7 @@ package kpi
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -129,47 +130,84 @@ func bigScanSnapshot(t *testing.T) *Snapshot {
 	return snap
 }
 
-// TestScanCuboidHalt pins the Halt contract at every worker count: a
-// tripped hook aborts the scan with (dst[:0], false) — never a partial
-// result mistakable for a complete one — while a never-tripping hook
-// reproduces the unhalted scan exactly.
+// haltSnapshot builds a random snapshot over schema with more leaves than
+// two halt strides, so a scan polls its hook mid-pass.
+func haltSnapshot(t *testing.T, schema *Schema) *Snapshot {
+	t.Helper()
+	r := rand.New(rand.NewSource(int64(schema.NumAttributes())))
+	seen := make(map[string]bool)
+	leaves := make([]Leaf, 2*haltStride+100)
+	for i := range leaves {
+		leaves[i] = randomLeaf(r, schema, seen)
+	}
+	snap, err := NewSnapshot(schema, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestScanCuboidHalt pins the Halt contract in every regime, at every
+// worker count: a tripped hook aborts the scan with (dst[:0], false) —
+// never a partial result mistakable for a complete one — while a
+// never-tripping hook reproduces the unhalted scan exactly. The dense
+// regime runs the chunked dense scan; the sparse and overflow regimes run
+// Group's sort numbering and byte-key pass.
 func TestScanCuboidHalt(t *testing.T) {
-	snap := bigScanSnapshot(t)
-	if snap.Len() <= 2*haltStride {
-		t.Fatalf("snapshot has %d leaves, need more than two halt strides (%d)", snap.Len(), haltStride)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		for _, cuboid := range []Cuboid{{0}, {1}, {0, 1}} {
-			want, _ := snap.ScanCuboid(cuboid, nil, workers, nil)
-			got, ok := snap.ScanCuboid(cuboid, nil, workers, func() bool { return false })
-			if !ok {
-				t.Fatalf("workers %d cuboid %v: never-tripping halt aborted the scan", workers, cuboid)
+	for _, tc := range []struct {
+		regime  string
+		snap    *Snapshot
+		cuboids []Cuboid
+	}{
+		{"dense", bigScanSnapshot(t), []Cuboid{{0}, {1}, {0, 1}}},
+		{"sparse", haltSnapshot(t, groupBySchema(1000, 1000)), []Cuboid{{0, 1}}},
+		{"overflow", haltSnapshot(t, overflowSchema()), []Cuboid{{0, 1, 2, 3, 4}}},
+	} {
+		t.Run(tc.regime, func(t *testing.T) {
+			snap := tc.snap
+			if snap.Len() <= 2*haltStride {
+				t.Fatalf("snapshot has %d leaves, need more than two halt strides (%d)", snap.Len(), haltStride)
 			}
-			if !sameCounts(got, want) {
-				t.Fatalf("workers %d cuboid %v: halt variant %v, want %v", workers, cuboid, got, want)
+			for _, cuboid := range tc.cuboids {
+				if r := regimeOf(snap.Indexer(cuboid).Size(), snap.Len()); r != tc.regime {
+					t.Fatalf("cuboid %v is %s, want %s", cuboid, r, tc.regime)
+				}
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, cuboid := range tc.cuboids {
+					want, _ := snap.ScanCuboid(cuboid, nil, workers, nil)
+					got, ok := snap.ScanCuboid(cuboid, nil, workers, func() bool { return false })
+					if !ok {
+						t.Fatalf("workers %d cuboid %v: never-tripping halt aborted the scan", workers, cuboid)
+					}
+					if !sameCounts(got, want) {
+						t.Fatalf("workers %d cuboid %v: halt variant %v, want %v", workers, cuboid, got, want)
+					}
+
+					got, ok = snap.ScanCuboid(cuboid, got, workers, func() bool { return true })
+					if ok {
+						t.Fatalf("workers %d cuboid %v: tripped halt reported a complete scan", workers, cuboid)
+					}
+					if len(got) != 0 {
+						t.Fatalf("workers %d cuboid %v: aborted scan returned %d groups, want none", workers, cuboid, len(got))
+					}
+				}
 			}
 
-			got, ok = snap.ScanCuboid(cuboid, got, workers, func() bool { return true })
+			// A hook tripping partway through still yields a clean abort, and
+			// the scan stops promptly: the hook is not polled for the whole
+			// leaf count.
+			polls := 0
+			_, ok := snap.ScanCuboid(tc.cuboids[0], nil, 1, func() bool {
+				polls++
+				return polls >= 2
+			})
 			if ok {
-				t.Fatalf("workers %d cuboid %v: tripped halt reported a complete scan", workers, cuboid)
+				t.Fatal("mid-scan trip reported a complete scan")
 			}
-			if len(got) != 0 {
-				t.Fatalf("workers %d cuboid %v: aborted scan returned %d groups, want none", workers, cuboid, len(got))
+			if polls != 2 {
+				t.Fatalf("hook polled %d times after tripping on poll 2", polls)
 			}
-		}
-	}
-
-	// A hook tripping partway through still yields a clean abort, and the
-	// scan stops promptly: the hook is not polled for the whole leaf count.
-	polls := 0
-	_, ok := snap.ScanCuboid(Cuboid{0}, nil, 1, func() bool {
-		polls++
-		return polls >= 2
-	})
-	if ok {
-		t.Fatal("mid-scan trip reported a complete scan")
-	}
-	if polls != 2 {
-		t.Fatalf("hook polled %d times after tripping on poll 2", polls)
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -12,17 +13,19 @@ import (
 // it reads every leaf's Combination and struct fields, keys the groups by
 // projected combination (collision-free at any cuboid width) and returns
 // them in ascending key order, each named as GroupBy names it. Sums add in
-// ascending leaf order.
-func referenceGroupBy(s *Snapshot, c Cuboid) []GroupStats {
+// ascending leaf order. of[i] is leaf i's position in that order, the
+// group Snapshot.Group gives it.
+func referenceGroupBy(s *Snapshot, c Cuboid) (stats []GroupStats, of []int32) {
 	ix := s.Indexer(c)
 	pos := make(map[string]int)
 	var (
 		out  []GroupStats
 		keys []string
 	)
+	of = make([]int32, len(s.Leaves))
 	for i := range s.Leaves {
 		l := &s.Leaves[i]
-		k := string(ix.appendKey(nil, l.Combo))
+		k := rowKey(ix, l.Combo)
 		j, ok := pos[k]
 		if !ok {
 			j = len(out)
@@ -34,6 +37,7 @@ func referenceGroupBy(s *Snapshot, c Cuboid) []GroupStats {
 			out = append(out, GroupStats{Group: group})
 			keys = append(keys, k)
 		}
+		of[i] = int32(j)
 		st := &out[j]
 		st.Total++
 		if l.Anomalous {
@@ -48,10 +52,28 @@ func referenceGroupBy(s *Snapshot, c Cuboid) []GroupStats {
 	}
 	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 	sorted := make([]GroupStats, len(out))
+	rank := make([]int32, len(out))
 	for r, j := range order {
 		sorted[r] = out[j]
+		rank[j] = int32(r)
 	}
-	return sorted
+	for i, j := range of {
+		of[i] = rank[j]
+	}
+	return sorted, of
+}
+
+// rowKey is a collision-free key of the leaf combination's projection onto
+// ix's cuboid: each cuboid attribute's code as four big-endian bytes, so
+// keys compare bytewise as the group indexes of a cuboid that does not
+// overflow do.
+func rowKey(ix *CuboidIndexer, leaf Combination) string {
+	var key []byte
+	for _, a := range ix.cuboid {
+		c := uint32(leaf[a])
+		key = append(key, byte(c>>24), byte(c>>16), byte(c>>8), byte(c))
+	}
+	return string(key)
 }
 
 // groupCombo decodes a GroupBy group of cuboid c into a fresh combination.
@@ -63,17 +85,34 @@ func groupCombo(s *Snapshot, c Cuboid, g GroupStats) Combination {
 
 // checkGroupByMatchesReference compares GroupBy with the row-wise reference
 // on every cuboid of the snapshot's lattice, sums bit for bit, and checks
-// each group decodes to the projection of its leaves.
+// each group decodes to the projection of its leaves. It holds Group's
+// numbering (Of and Names, on one Grouping reused across cuboids) to the
+// reference's as well.
 func checkGroupByMatchesReference(t *testing.T, step string, s *Snapshot) {
 	t.Helper()
 	attrs := make([]int, s.Schema.NumAttributes())
 	for a := range attrs {
 		attrs[a] = a
 	}
-	var got []GroupStats
+	var (
+		got      []GroupStats
+		grouping Grouping
+	)
 	for _, c := range AllCuboids(attrs) {
 		got = s.GroupByAppend(c, got)
-		want := referenceGroupBy(s, c)
+		want, wantOf := referenceGroupBy(s, c)
+		if !s.Group(s.Indexer(c), &grouping, nil) {
+			t.Fatalf("%s: cuboid %v: Group aborted without a halt", step, c)
+		}
+		if len(grouping.Names) != len(want) || !slices.Equal(grouping.Of, wantOf) {
+			t.Fatalf("%s: cuboid %v: Group numbers %d groups, leaf groups %v; reference %d, %v",
+				step, c, len(grouping.Names), grouping.Of, len(want), wantOf)
+		}
+		for j, name := range grouping.Names {
+			if name != want[j].Group {
+				t.Fatalf("%s: cuboid %v: Group names group %d %d, reference %d", step, c, j, name, want[j].Group)
+			}
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: cuboid %v: %d groups, reference %d", step, c, len(got), len(want))
 		}
@@ -128,27 +167,34 @@ func randomLeaf(r *rand.Rand, s *Schema, seen map[string]bool) Leaf {
 	}
 }
 
+// regimeOf names the way Group numbers the groups of a cuboid of the given
+// size over the given number of leaves: a rank table ("dense"), sorted
+// distinct indexes ("sparse"), or byte keys for a cuboid too wide for int32
+// indexes ("wide") or whose indexes overflow ("overflow"). GroupByAppend
+// and ScanCuboid take their flat-array kernels in the dense regime and
+// Group in the others.
+func regimeOf(size, leaves int) string {
+	switch {
+	case size < 0:
+		return "overflow"
+	case size > math.MaxInt32:
+		return "wide"
+	case size > denseGroupByLimit(leaves):
+		return "sparse"
+	default:
+		return "dense"
+	}
+}
+
 // hasRegime reports whether some cuboid of the snapshot's lattice takes
-// the named GroupByAppend path.
+// the named regime.
 func hasRegime(s *Snapshot, regime string) bool {
 	attrs := make([]int, s.Schema.NumAttributes())
 	for a := range attrs {
 		attrs[a] = a
 	}
 	for _, c := range AllCuboids(attrs) {
-		size := s.Indexer(c).Size()
-		var r string
-		switch {
-		case size < 0:
-			r = "overflow"
-		case size > math.MaxInt32:
-			r = "wide"
-		case size > denseGroupByLimit(s.Len()):
-			r = "sparse"
-		default:
-			r = "dense"
-		}
-		if r == regime {
+		if regimeOf(s.Indexer(c).Size(), s.Len()) == regime {
 			return true
 		}
 	}
@@ -156,13 +202,20 @@ func hasRegime(s *Snapshot, regime string) bool {
 }
 
 // TestGroupByMatchesRowWiseReference is the differential test of the
-// columnar group-by. It covers dense cuboids, sparse-map cuboids (domain
-// past the dense bound), cuboids too wide for int32 group indexes and
-// cuboids whose indexes overflow, and checks every cuboid on a fresh
-// snapshot, after each writer (Relabel, RelabelTouched, Rewrite) and
-// after delta ingestion — the columns are patched in place, so they must
-// agree with Leaves after every step.
+// columnar group-by and of Group's numbering. It covers dense cuboids,
+// sparse cuboids (domain past the dense bound), cuboids too wide for int32
+// group indexes and cuboids whose indexes overflow, and checks every
+// cuboid on a fresh snapshot, after each writer (Relabel, RelabelTouched,
+// Rewrite) and after delta ingestion — the columns are patched in place,
+// so they must agree with Leaves after every step.
 func TestGroupByMatchesRowWiseReference(t *testing.T) {
+	// Squeeze's TestMatchesReferenceOnSparseWorld holds Squeeze to its
+	// reference on a 2000-leaf 20×16×12×10×8×6 world; it covers Group's
+	// sort numbering only while that world's full cuboid is sparse.
+	world := NewCuboidIndexer(groupBySchema(20, 16, 12, 10, 8, 6), Cuboid{0, 1, 2, 3, 4, 5})
+	if r := regimeOf(world.Size(), 2000); r != "sparse" {
+		t.Fatalf("Squeeze's sparse world (domain %d, 2000 leaves) is %s; its reference test misses the sort numbering", world.Size(), r)
+	}
 	for _, tc := range []struct {
 		name   string
 		schema *Schema

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,19 +60,35 @@ const haltStride = 4096
 // over the columnar leaf store, partitioned across workers goroutines by
 // contiguous leaf range; the per-range counts merge by integer addition, so
 // the result is identical at any worker count. Sparse and overflowing
-// domains take a map-based pass on the calling goroutine. halt (when
-// non-nil) is polled every haltStride leaves, and a scan it aborts returns
-// (dst[:0], false) so callers never mistake a partial scan for a complete
-// one. A panic on a scan worker is rethrown on the calling goroutine as a
-// *ScanPanic carrying the worker's stack. The accumulators come from a
-// sync.Pool, so steady-state scans allocate only when dst grows. Safe for
-// concurrent use on one snapshot.
+// domains are numbered by Group and counted on the calling goroutine.
+// halt (when non-nil) is polled every haltStride leaves, and a scan it
+// aborts returns (dst[:0], false) so callers never mistake a partial scan
+// for a complete one. A panic on a scan worker is rethrown on the calling
+// goroutine as a *ScanPanic carrying the worker's stack. The accumulators
+// come from a sync.Pool, so steady-state scans allocate only when dst
+// grows. Safe for concurrent use on one snapshot.
 func (s *Snapshot) ScanCuboid(c Cuboid, dst []GroupCount, workers int, halt Halt) ([]GroupCount, bool) {
 	dst = dst[:0]
 	ix := s.Indexer(c)
 	size := ix.Size()
 	if size < 0 || size > denseGroupByLimit(len(s.Leaves)) {
-		return s.scanSparse(ix, dst, halt)
+		g := groupingPool.Get().(*Grouping)
+		defer groupingPool.Put(g)
+		if !s.Group(ix, g, halt) {
+			return dst, false
+		}
+		for _, name := range g.Names {
+			dst = append(dst, GroupCount{Group: name})
+		}
+		for _, grp := range g.Of {
+			dst[grp].Total++
+		}
+		for w, word := range s.Columns().AnomalousBits() {
+			for ; word != 0; word &= word - 1 {
+				dst[g.Of[w<<6|bits.TrailingZeros64(word)]].Anomalous++
+			}
+		}
+		return dst, true
 	}
 	buf, ok := s.scanDense(ix, workers, halt)
 	if !ok {
@@ -221,22 +238,144 @@ func (c *Columns) accumulate(ix *CuboidIndexer, cs, ce int, tot, anm, keys []int
 	}
 }
 
-// GroupIndexes returns each leaf's mixed-radix group index within ix's
-// cuboid — the value ix.Index gives the leaf's combination — in leaf
-// order, computed from the element columns rather than from the leaves'
-// Combinations. It writes into dst, resized to Len() (reusing its
-// capacity). ix's Size must lie in [0, math.MaxInt32]: wider cuboids are
-// grouped with Snapshot.GroupLeaves.
-func (c *Columns) GroupIndexes(ix *CuboidIndexer, dst []int32) []int32 {
-	if size := ix.Size(); size < 0 || size > math.MaxInt32 {
-		panic(fmt.Sprintf("kpi: GroupIndexes on a cuboid of size %d", size))
+// Grouping numbers the leaves' groups in one cuboid; Snapshot.Group fills
+// it, reusing its slices across calls.
+type Grouping struct {
+	// Of[i] is leaf i's group. Groups are numbered from 0 in ascending
+	// group index, or in ascending projected combination when the cuboid's
+	// indexer overflows.
+	Of []int32
+	// Names[g] names group g as Snapshot.DecodeGroup takes it: by its
+	// mixed-radix group index, or by the index of its first leaf when the
+	// cuboid's indexer overflows (Size() < 0).
+	Names []int
+	// seen is Group's scratch: the rank table of a dense domain, or the
+	// sorted distinct group indexes of a sparse one.
+	seen []int32
+}
+
+// groupingPool recycles the Groupings of the non-dense scans and group-bys.
+var groupingPool = sync.Pool{New: func() any { return new(Grouping) }}
+
+// Group numbers the leaves' groups in ix's cuboid into g, in ascending
+// group index — the order of GroupBy and ScanCuboid. The group indexes come
+// from the element columns; a domain within denseGroupByLimit is renumbered
+// through a flat rank table, a wider one by sorting its distinct indexes.
+// A cuboid too wide for int32 group indexes, or whose indexes overflow, is
+// keyed by its leaves' projected elements instead (groupByKey). halt (when
+// non-nil) is polled every haltStride leaves; a pass it aborts returns
+// false and leaves g's contents unspecified. Safe for concurrent use on one
+// snapshot, each caller with its own Grouping.
+func (s *Snapshot) Group(ix *CuboidIndexer, g *Grouping, halt Halt) bool {
+	cols := s.Columns()
+	n, size := cols.n, ix.Size()
+	if size < 0 || size > math.MaxInt32 {
+		return cols.groupByKey(ix, g, halt)
 	}
-	if cap(dst) < c.n {
-		dst = make([]int32, c.n)
+	g.Of = resize(g.Of, n)
+	for lo := 0; lo < n; lo += haltStride {
+		if halt != nil && halt() {
+			return false
+		}
+		cols.groupKeys(ix, lo, g.Of[lo:min(lo+haltStride, n)])
 	}
-	dst = dst[:c.n]
-	c.groupKeys(ix, 0, dst)
-	return dst
+	g.Names = slices.Grow(g.Names[:0], min(n, size))
+	if size <= denseGroupByLimit(n) {
+		rank := resize(g.seen, size)
+		clear(rank)
+		for _, x := range g.Of {
+			rank[x] = 1
+		}
+		for x, seen := range rank {
+			if seen != 0 {
+				rank[x] = int32(len(g.Names))
+				g.Names = append(g.Names, x)
+			}
+		}
+		for i, x := range g.Of {
+			g.Of[i] = rank[x]
+		}
+		g.seen = rank
+		return true
+	}
+	index := append(g.seen[:0], g.Of...)
+	slices.Sort(index)
+	index = slices.Compact(index)
+	for _, x := range index {
+		g.Names = append(g.Names, int(x))
+	}
+	for i, x := range g.Of {
+		grp, _ := slices.BinarySearch(index, x)
+		g.Of[i] = int32(grp)
+	}
+	g.seen = index
+	return true
+}
+
+// groupByKey is Group for a cuboid too wide for int32 group indexes, or
+// whose indexes overflow and collide: it keys each leaf's group by its
+// projected elements, four big-endian bytes per cuboid attribute. Keys
+// compare bytewise in the order of the group indexes of a cuboid that does
+// not overflow, so sorting the groups by key keeps ascending group order.
+func (c *Columns) groupByKey(ix *CuboidIndexer, g *Grouping, halt Halt) bool {
+	var (
+		first []int
+		keys  []string
+		buf   []byte
+	)
+	pos := make(map[string]int32, 64)
+	g.Of = resize(g.Of, c.n)
+	for i := range g.Of {
+		if halt != nil && i%haltStride == 0 && halt() {
+			return false
+		}
+		buf = buf[:0]
+		for _, a := range ix.cuboid {
+			e := c.frame.elem[a][i]
+			buf = append(buf, byte(e>>24), byte(e>>16), byte(e>>8), byte(e))
+		}
+		grp, seen := pos[string(buf)]
+		if !seen {
+			k := string(buf)
+			grp = int32(len(keys))
+			pos[k] = grp
+			keys = append(keys, k)
+			first = append(first, i)
+		}
+		g.Of[i] = grp
+	}
+	// Renumber the groups, numbered so far in first-seen order, by key.
+	byKey := make([]int32, len(keys))
+	for grp := range byKey {
+		byKey[grp] = int32(grp)
+	}
+	sort.Slice(byKey, func(a, b int) bool { return keys[byKey[a]] < keys[byKey[b]] })
+	rank := make([]int32, len(keys))
+	g.Names = g.Names[:0]
+	for r, grp := range byKey {
+		rank[grp] = int32(r)
+		name := first[grp]
+		if ix.Size() >= 0 {
+			name = 0
+			for t, a := range ix.cuboid {
+				name += int(c.frame.elem[a][first[grp]]) * ix.strides[t]
+			}
+		}
+		g.Names = append(g.Names, name)
+	}
+	for i, grp := range g.Of {
+		g.Of[i] = rank[grp]
+	}
+	return true
+}
+
+// resize returns s with length n, reusing its capacity; the contents are
+// unspecified.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // groupKeys writes the group index of leaves [lo, lo+len(keys)) into keys,
@@ -351,101 +490,4 @@ func (s *Snapshot) DecodeGroup(ix *CuboidIndexer, group int, dst Combination) {
 	for _, a := range ix.cuboid {
 		dst[a] = leaf[a]
 	}
-}
-
-// scanSparse is the map-based scan used for huge sparse domains.
-func (s *Snapshot) scanSparse(ix *CuboidIndexer, dst []GroupCount, halt Halt) ([]GroupCount, bool) {
-	if ix.Size() < 0 {
-		return s.scanOverflow(ix, dst, halt)
-	}
-	pos := make(map[int]int32, 64)
-	for i := range s.Leaves {
-		if halt != nil && i%haltStride == 0 && i > 0 && halt() {
-			return dst[:0], false
-		}
-		l := &s.Leaves[i]
-		g := ix.Index(l.Combo)
-		p, ok := pos[g]
-		if !ok {
-			p = int32(len(dst))
-			pos[g] = p
-			dst = append(dst, GroupCount{Group: g})
-		}
-		gc := &dst[p]
-		gc.Total++
-		if l.Anomalous {
-			gc.Anomalous++
-		}
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i].Group < dst[j].Group })
-	return dst, true
-}
-
-// scanOverflow is scanSparse for a cuboid whose group indexes overflow:
-// groups come from GroupLeaves, each reported by its first leaf.
-func (s *Snapshot) scanOverflow(ix *CuboidIndexer, dst []GroupCount, halt Halt) ([]GroupCount, bool) {
-	groupOf, names, ok := s.GroupLeaves(ix, halt)
-	if !ok {
-		return dst[:0], false
-	}
-	for _, name := range names {
-		dst = append(dst, GroupCount{Group: name})
-	}
-	for i, g := range groupOf {
-		dst[g].Total++
-		if s.Leaves[i].Anomalous {
-			dst[g].Anomalous++
-		}
-	}
-	return dst, true
-}
-
-// GroupLeaves groups the leaves by their projection onto ix's cuboid, keyed
-// by the projected combination — the keying for cuboids too wide for int32
-// group indexes, and for those whose Size() < 0, where Index wraps and
-// distinct groups collide. Groups are numbered in ascending key order, the
-// order their group indexes would have: groupOf[i] is leaf i's group, and
-// names[g] names group g as DecodeGroup expects — by its group index, or
-// by the index of its first leaf when Size() < 0. halt, when non-nil, is
-// polled every haltStride leaves; a pass it aborts returns ok=false.
-func (s *Snapshot) GroupLeaves(ix *CuboidIndexer, halt Halt) (groupOf []int32, names []int, ok bool) {
-	var first []int
-	pos := make(map[string]int32, 64)
-	var keys []string
-	var buf []byte
-	groupOf = make([]int32, len(s.Leaves))
-	for i := range s.Leaves {
-		if halt != nil && i%haltStride == 0 && i > 0 && halt() {
-			return nil, nil, false
-		}
-		buf = ix.appendKey(buf[:0], s.Leaves[i].Combo)
-		g, seen := pos[string(buf)]
-		if !seen {
-			k := string(buf)
-			g = int32(len(keys))
-			pos[k] = g
-			keys = append(keys, k)
-			first = append(first, i)
-		}
-		groupOf[i] = g
-	}
-	// Renumber the groups, numbered so far in first-seen order, by key.
-	byKey := make([]int32, len(keys))
-	for g := range byKey {
-		byKey[g] = int32(g)
-	}
-	sort.Slice(byKey, func(a, b int) bool { return keys[byKey[a]] < keys[byKey[b]] })
-	rank := make([]int32, len(keys))
-	names = make([]int, len(keys))
-	for r, g := range byKey {
-		rank[g] = int32(r)
-		names[r] = first[g]
-		if ix.Size() >= 0 {
-			names[r] = ix.Index(s.Leaves[first[g]].Combo)
-		}
-	}
-	for i, g := range groupOf {
-		groupOf[i] = rank[g]
-	}
-	return groupOf, names, true
 }

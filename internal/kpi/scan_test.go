@@ -44,7 +44,8 @@ func scanTestSnapshot(t testing.TB, seed int64) *Snapshot {
 // by their first leaf, as ScanCuboid names them.
 func wantCounts(s *Snapshot, c Cuboid) []GroupCount {
 	var out []GroupCount
-	for _, g := range referenceGroupBy(s, c) {
+	stats, _ := referenceGroupBy(s, c)
+	for _, g := range stats {
 		out = append(out, GroupCount{Group: g.Group, Total: g.Total, Anomalous: g.Anomalous})
 	}
 	return out
@@ -459,25 +460,30 @@ func TestInvalidateLabelsRefreshesCaches(t *testing.T) {
 }
 
 // TestScanCuboidConcurrent exercises the snapshot caches and pooled
-// accumulators from many goroutines (run with -race).
+// accumulators from many goroutines (run with -race), on a dense snapshot
+// and on one whose two-attribute cuboid is numbered by Group.
 func TestScanCuboidConcurrent(t *testing.T) {
-	snap := scanTestSnapshot(t, 11)
-	attrs := []int{0, 1, 2}
-	cuboids := AllCuboids(attrs)
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			var buf []GroupCount
-			for rep := 0; rep < 50; rep++ {
-				for _, c := range cuboids {
-					buf, _ = snap.ScanCuboid(c, buf, 1+rep%3, nil)
-					_ = snap.AnomalousPostings()
+	for _, snap := range []*Snapshot{scanTestSnapshot(t, 11), hugeDomainSnapshot(t)} {
+		attrs := make([]int, snap.Schema.NumAttributes())
+		for a := range attrs {
+			attrs[a] = a
+		}
+		cuboids := AllCuboids(attrs)
+		done := make(chan struct{})
+		for w := 0; w < 8; w++ {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				var buf []GroupCount
+				for rep := 0; rep < 50; rep++ {
+					for _, c := range cuboids {
+						buf, _ = snap.ScanCuboid(c, buf, 1+rep%3, nil)
+						_ = snap.AnomalousPostings()
+					}
 				}
-			}
-		}()
-	}
-	for w := 0; w < 8; w++ {
-		<-done
+			}()
+		}
+		for w := 0; w < 8; w++ {
+			<-done
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 )
 
@@ -581,12 +580,11 @@ func (sc *statsScratch) grow(n int) {
 // group's Actual and Forecast add its leaves' values in ascending leaf
 // order.
 //
-// The leaves are grouped from the columnar store (Columns.GroupIndexes).
-// Dense cuboids are accumulated in flat arrays indexed by group; when the
-// cuboid's Cartesian size dwarfs the observed leaf count (very sparse data
-// over a huge domain) a map-based path avoids allocating the full domain,
-// and a cuboid too wide for int32 group indexes is grouped by
-// GroupLeaves.
+// The leaves are grouped from the columnar store. Dense cuboids are
+// accumulated in flat arrays indexed by group; a cuboid whose Cartesian
+// size dwarfs the observed leaf count (very sparse data over a huge
+// domain), or is too wide for int32 group indexes, is numbered by Group and
+// accumulated over its compact groups.
 func (s *Snapshot) GroupBy(c Cuboid) []GroupStats {
 	return s.GroupByAppend(c, nil)
 }
@@ -598,18 +596,33 @@ func (s *Snapshot) GroupBy(c Cuboid) []GroupStats {
 func (s *Snapshot) GroupByAppend(c Cuboid, dst []GroupStats) []GroupStats {
 	dst = dst[:0]
 	ix := s.Indexer(c)
-	size := ix.Size()
-	if size < 0 || size > math.MaxInt32 {
-		return s.groupByLeaves(ix, dst)
-	}
 	cols := s.Columns()
-	sc := statsScratchPool.Get().(*statsScratch)
-	sc.keys = cols.GroupIndexes(ix, sc.keys)
-	if size > denseGroupByLimit(len(s.Leaves)) {
-		dst = groupBySparse(cols, sc.keys, dst)
-	} else {
-		dst = sc.groupByDense(cols, size, dst)
+	size := ix.Size()
+	if size < 0 || size > denseGroupByLimit(cols.n) {
+		g := groupingPool.Get().(*Grouping)
+		defer groupingPool.Put(g)
+		s.Group(ix, g, nil)
+		for _, name := range g.Names {
+			dst = append(dst, GroupStats{Group: name})
+		}
+		actual, forecast := cols.Actual(), cols.Forecast()
+		for i, grp := range g.Of {
+			st := &dst[grp]
+			st.Total++
+			st.Actual += actual[i]
+			st.Forecast += forecast[i]
+		}
+		for w, word := range cols.AnomalousBits() {
+			for ; word != 0; word &= word - 1 {
+				dst[g.Of[w<<6|bits.TrailingZeros64(word)]].Anomalous++
+			}
+		}
+		return dst
 	}
+	sc := statsScratchPool.Get().(*statsScratch)
+	sc.keys = resize(sc.keys, cols.n)
+	cols.groupKeys(ix, 0, sc.keys)
+	dst = sc.groupByDense(cols, size, dst)
 	statsScratchPool.Put(sc)
 	return dst
 }
@@ -645,59 +658,11 @@ func (sc *statsScratch) groupByDense(cols *Columns, size int, dst []GroupStats) 
 }
 
 // denseGroupByLimit bounds the flat-array domain size relative to the
-// observed leaf count: past it the dense path wastes more memory zeroing
-// empty groups than the map path costs in hashing.
+// observed leaf count: past it the dense paths waste more memory zeroing
+// empty groups than sorting the distinct group indexes costs. It never
+// exceeds math.MaxInt32, so a domain within it has int32 group indexes.
 func denseGroupByLimit(leaves int) int {
-	const floor = 1 << 16
-	if limit := 64 * leaves; limit > floor {
-		return limit
-	}
-	return floor
-}
-
-// groupBySparse is the map-based group-by used for huge sparse domains:
-// keys holds each leaf's group index.
-func groupBySparse(cols *Columns, keys []int32, dst []GroupStats) []GroupStats {
-	actual, forecast := cols.Actual(), cols.Forecast()
-	pos := make(map[int32]int32, 64)
-	for i, g := range keys {
-		p, ok := pos[g]
-		if !ok {
-			p = int32(len(dst))
-			pos[g] = p
-			dst = append(dst, GroupStats{Group: int(g)})
-		}
-		st := &dst[p]
-		st.Total++
-		if cols.Anomalous(i) {
-			st.Anomalous++
-		}
-		st.Actual += actual[i]
-		st.Forecast += forecast[i]
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i].Group < dst[j].Group })
-	return dst
-}
-
-// groupByLeaves is the group-by of a cuboid too wide for int32 group
-// indexes, over the groups of GroupLeaves.
-func (s *Snapshot) groupByLeaves(ix *CuboidIndexer, dst []GroupStats) []GroupStats {
-	groupOf, names, _ := s.GroupLeaves(ix, nil)
-	for _, name := range names {
-		dst = append(dst, GroupStats{Group: name})
-	}
-	cols := s.Columns()
-	actual, forecast := cols.Actual(), cols.Forecast()
-	for i, g := range groupOf {
-		st := &dst[g]
-		st.Total++
-		if cols.Anomalous(i) {
-			st.Anomalous++
-		}
-		st.Actual += actual[i]
-		st.Forecast += forecast[i]
-	}
-	return dst
+	return min(max(64*leaves, 1<<16), math.MaxInt32)
 }
 
 // Clone returns a deep copy of the snapshot (leaves and combinations).
