@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -73,10 +72,12 @@ func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	decodeStart := time.Now()
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	defer body.Close()
+	body, err := readBody(reqCtx, w, r)
 	var req batchRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		writeDecodeError(w, "request", err)
 		return
 	}
@@ -92,7 +93,7 @@ func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 	relabel := r.URL.Query().Get("relabel") == "true"
 	snaps := make([]*kpi.Snapshot, len(req.Snapshots))
 	for i, raw := range req.Snapshots {
-		snap, err := kpi.ReadJSON(bytes.NewReader(raw))
+		snap, _, err := kpi.ReadJSONStats(raw)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("snapshot %d: %v", i, err))
 			return

@@ -168,9 +168,11 @@ func (c *observeAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	defer body.Close()
-	snap, err := readSnapshotJSON(r.Context(), body)
+	body, err := readBody(r.Context(), w, r)
+	var snap *kpi.Snapshot
+	if err == nil {
+		snap, err = readSnapshotJSON(r.Context(), body)
+	}
 	if err != nil {
 		writeDecodeError(w, "snapshot", err)
 		return
@@ -196,10 +198,18 @@ func (c *observeAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleDelta applies one delta tick to the world.
+// handleDelta applies one delta tick to the world. The body is read before
+// c.mu is taken, so a client that sends its delta slowly holds up no other
+// request; only the decode, which resolves names against the world's
+// schema, runs under the lock.
 func (c *observeAPI) handleDelta(w http.ResponseWriter, r *http.Request) {
 	ts, ok := requestTime(w, r)
 	if !ok {
+		return
+	}
+	body, err := readBody(r.Context(), w, r)
+	if err != nil {
+		writeDecodeError(w, "delta", err)
 		return
 	}
 	c.mu.Lock()
@@ -208,8 +218,6 @@ func (c *observeAPI) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "no baseline snapshot; POST /v1/observe/snapshot or /v1/observe first")
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	defer body.Close()
 	// Unknown element names are the client's fault (a delta cannot grow
 	// the schema), like a malformed document: both answer 400.
 	d, err := readDeltaJSON(r.Context(), body, c.schema)

@@ -6,6 +6,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -29,9 +30,57 @@ import (
 	"repro/internal/rapminer/explain"
 )
 
-// maxBodyBytes bounds request snapshots (a dense Table I CDN snapshot in
-// JSON is ~2 MB).
+// maxBodyBytes bounds request bodies (a dense Table I CDN snapshot in JSON
+// is ~2 MB).
 const maxBodyBytes = 64 << 20
+
+// maxPreallocBytes caps the buffer readBody reserves from a declared
+// Content-Length before the bytes arrive: a client that declares a large
+// body and sends little pins at most this much until the server's
+// ReadTimeout. A longer body grows its buffer as it arrives. The cap also
+// keeps a large body's first allocation small: a 13 MB world install read
+// in one piece set off GC cycles that counted the body and the decoded
+// rows live, doubling the heap goal and the server's peak RSS (DESIGN.md,
+// "One read per body").
+const maxPreallocBytes = 4 << 20
+
+// readBody reads the request body whole, under the maxBodyBytes limit and
+// an httpapi.read_body span recording its bytes. A body that declares its
+// length within the limit is read into one buffer of that length plus one
+// byte (at most maxPreallocBytes), so it is never copied; one of unknown
+// length starts at 64 KiB and doubles. Any read error fails the body, even
+// after a complete document: past the limit the error wraps
+// *http.MaxBytesError (writeDecodeError answers 413), and a body cut short
+// of its declared length wraps io.ErrUnexpectedEOF (400).
+func readBody(ctx context.Context, w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	_, span := obs.StartSpan(ctx, "httpapi.read_body")
+	defer span.End()
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	defer body.Close()
+	size := 64 << 10
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		size = int(min(n+1, maxPreallocBytes))
+	}
+	b := make([]byte, 0, size)
+	var err error
+	for err == nil {
+		if len(b) == cap(b) {
+			// Double, but to no more than the one byte past the limit
+			// that MaxBytesReader needs to report it.
+			grown := make([]byte, len(b), len(b)+min(cap(b), maxBodyBytes+1-len(b)))
+			copy(grown, b)
+			b = grown
+		}
+		var n int
+		n, err = body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+	}
+	span.SetAttr("bytes", len(b))
+	if err != io.EOF {
+		return nil, fmt.Errorf("read body: %w", err)
+	}
+	return b, nil
+}
 
 // lookupMethod resolves a ?method= value against the method table; it is a
 // variable so tests can put a stub method in front of the table.
@@ -230,7 +279,7 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	// The per-request deadline covers the whole handler: body read, decode
 	// and labeling included, so a slow or large body spends the budget the
 	// localization would otherwise get. Decode is not interruptible (the
-	// body read is bounded by MaxBytesReader and the server's ReadTimeout);
+	// body read is bounded by maxBodyBytes and the server's ReadTimeout);
 	// a localizer that starts after the deadline returns its first unit's
 	// best-so-far result, answered below as 504 + partial result.
 	reqCtx := r.Context()
@@ -292,24 +341,27 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// readSnapshot decodes the request's snapshot, CSV or JSON by
-// Content-Type, under the body limit. On failure it has answered the
-// request itself (415, 413 or 400) and returns nil.
+// readSnapshot reads the request's body and decodes its snapshot, CSV or
+// JSON by Content-Type. On failure it has answered the request itself (415,
+// 413 or 400) and returns nil.
 func readSnapshot(ctx context.Context, w http.ResponseWriter, r *http.Request) *kpi.Snapshot {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	defer body.Close()
-	var (
-		snap *kpi.Snapshot
-		err  error
-	)
+	csv := false
 	switch mediaType(r.Header.Get("Content-Type")) {
 	case "text/csv":
-		snap, err = kpi.ReadCSV(body, nil)
+		csv = true
 	case "", "application/json":
-		snap, err = readSnapshotJSON(ctx, body)
 	default:
 		writeError(w, http.StatusUnsupportedMediaType, "content type must be application/json or text/csv")
 		return nil
+	}
+	body, err := readBody(ctx, w, r)
+	var snap *kpi.Snapshot
+	switch {
+	case err != nil:
+	case csv:
+		snap, err = kpi.ReadCSV(bytes.NewReader(body), nil)
+	default:
+		snap, err = readSnapshotJSON(ctx, body)
 	}
 	if err != nil {
 		writeDecodeError(w, "snapshot", err)
@@ -331,10 +383,10 @@ func writeDecodeError(w http.ResponseWriter, what string, err error) {
 	writeError(w, http.StatusBadRequest, err.Error())
 }
 
-// readSnapshotJSON decodes a JSON snapshot body under a kpi.read_json span
-// recording the body's bytes, the leaves decoded and the parts the leaves
-// array was decoded in.
-func readSnapshotJSON(ctx context.Context, body io.Reader) (*kpi.Snapshot, error) {
+// readSnapshotJSON decodes a JSON snapshot body, already read, under a
+// kpi.read_json span recording the body's bytes, the leaves decoded and
+// the parts the leaves array was decoded in.
+func readSnapshotJSON(ctx context.Context, body []byte) (*kpi.Snapshot, error) {
 	_, span := obs.StartSpan(ctx, "kpi.read_json")
 	defer span.End()
 	snap, st, err := kpi.ReadJSONStats(body)
@@ -348,7 +400,7 @@ func readSnapshotJSON(ctx context.Context, body io.Reader) (*kpi.Snapshot, error
 
 // readDeltaJSON decodes a JSON delta body under a kpi.read_delta_json
 // span; its leaves are the delta's removes, updates and adds.
-func readDeltaJSON(ctx context.Context, body io.Reader, schema *kpi.Schema) (kpi.Delta, error) {
+func readDeltaJSON(ctx context.Context, body []byte, schema *kpi.Schema) (kpi.Delta, error) {
 	_, span := obs.StartSpan(ctx, "kpi.read_delta_json")
 	defer span.End()
 	d, st, err := kpi.ReadDeltaJSONStats(body, schema)

@@ -284,9 +284,10 @@ func TestEveryMethodLeavesExplainReport(t *testing.T) {
 // server does — the localize, monitor and continuous snapshot routes, and
 // the continuous delta route — runs in a kpi.read_json or
 // kpi.read_delta_json span under the request's http.request span, carrying
-// the body's bytes, the leaves decoded and the decode parts. The delta
-// route's pipeline.apply span (ApplyDelta plus LabelDelta) is a child of
-// http.request too.
+// the body's bytes, the leaves decoded and the decode parts. The body read
+// before it is an httpapi.read_body span under http.request carrying the
+// same bytes, and so is the delta route's pipeline.apply span (ApplyDelta
+// plus LabelDelta).
 func TestDecodeSpansAreChildrenOfRequest(t *testing.T) {
 	plain := newServer(t)
 	continuous := newContinuousServer(t)
@@ -299,11 +300,11 @@ func TestDecodeSpansAreChildrenOfRequest(t *testing.T) {
 		// stages are further spans that must be children of http.request.
 		stages []string
 	}{
-		{plain, "/v1/localize", snapshot, "kpi.read_json", 6, http.StatusOK, nil},
-		{plain, "/v1/observe?ts=2026-01-01T00:00:00Z", snapshot, "kpi.read_json", 6, http.StatusOK, nil},
-		{continuous, "/v1/observe/snapshot", snapshot, "kpi.read_json", 6, http.StatusOK, nil},
-		{continuous, "/v1/observe/delta", failDelta(0.5), "kpi.read_delta_json", 2, http.StatusOK, []string{"pipeline.apply"}},
-		{plain, "/v1/localize", `{"attributes":[`, "kpi.read_json", 0, http.StatusBadRequest, nil},
+		{plain, "/v1/localize", snapshot, "kpi.read_json", 6, http.StatusOK, []string{"httpapi.read_body"}},
+		{plain, "/v1/observe?ts=2026-01-01T00:00:00Z", snapshot, "kpi.read_json", 6, http.StatusOK, []string{"httpapi.read_body"}},
+		{continuous, "/v1/observe/snapshot", snapshot, "kpi.read_json", 6, http.StatusOK, []string{"httpapi.read_body"}},
+		{continuous, "/v1/observe/delta", failDelta(0.5), "kpi.read_delta_json", 2, http.StatusOK, []string{"httpapi.read_body", "pipeline.apply"}},
+		{plain, "/v1/localize", `{"attributes":[`, "kpi.read_json", 0, http.StatusBadRequest, []string{"httpapi.read_body"}},
 	} {
 		traceID := fmt.Sprintf("4bf92f3577b34da6a3ce929d0e0e47%02d", i)
 		req, err := http.NewRequest("POST", tt.srv.URL+tt.path, strings.NewReader(tt.body))
@@ -348,6 +349,9 @@ func TestDecodeSpansAreChildrenOfRequest(t *testing.T) {
 			if sp.ParentID != root.SpanID {
 				t.Errorf("%s: %s parent = %q, want http.request span %q", tt.path, name, sp.ParentID, root.SpanID)
 			}
+		}
+		if got := fmt.Sprint(spans["httpapi.read_body"].Attrs["bytes"]); got != want["bytes"] {
+			t.Errorf("%s: httpapi.read_body attribute bytes = %s, want %s", tt.path, got, want["bytes"])
 		}
 	}
 }

@@ -20,20 +20,19 @@ type deltaJSON struct {
 // names against the given schema. It shares ReadJSON's one-pass decoder and
 // accepts exactly the documents encoding/json would decode into deltaJSON.
 func ReadDeltaJSON(r io.Reader, schema *Schema) (Delta, error) {
-	d, _, err := ReadDeltaJSONStats(r, schema)
+	body, err := readDocument(r)
+	if err != nil {
+		return Delta{}, fmt.Errorf("kpi: read delta json: %w", err)
+	}
+	d, _, err := ReadDeltaJSONStats(body, schema)
 	return d, err
 }
 
-// ReadDeltaJSONStats is ReadDeltaJSON, also reporting how the document was
-// decoded. A long first updates array is decoded on several goroutines,
-// as a snapshot's leaves array is; removes and adds are decoded serially.
-func ReadDeltaJSONStats(r io.Reader, schema *Schema) (Delta, WireStats, error) {
-	body, err := readDocument(r)
-	st := WireStats{Bytes: len(body), Parts: 1}
-	if err != nil {
-		return Delta{}, st, fmt.Errorf("kpi: read delta json: %w", err)
-	}
+// ReadDeltaJSONStats is ReadDeltaJSON on a document already in memory,
+// also reporting how it was decoded. A long first updates array is decoded
+// on several goroutines, as a snapshot's leaves array is; removes and adds
+// are decoded serially. The decoder neither writes to body nor keeps it.
+func ReadDeltaJSONStats(body []byte, schema *Schema) (Delta, WireStats, error) {
 	d, parts, err := decodeDeltaSplit(body, schema, splitOffsets)
-	st.Parts = parts
-	return d, st, err
+	return d, WireStats{Bytes: len(body), Parts: parts}, err
 }

@@ -61,7 +61,11 @@ func WriteJSON(w io.Writer, s *Snapshot) error {
 // documents encoding/json would decode into the wire form above; bytes
 // after the document's first JSON value are ignored.
 func ReadJSON(r io.Reader) (*Snapshot, error) {
-	snap, _, err := ReadJSONStats(r)
+	body, err := readDocument(r)
+	if err != nil {
+		return nil, fmt.Errorf("kpi: read json: %w", err)
+	}
+	snap, _, err := ReadJSONStats(body)
 	return snap, err
 }
 
@@ -74,14 +78,10 @@ type WireStats struct {
 	Parts int
 }
 
-// ReadJSONStats is ReadJSON, also reporting how the document was decoded.
-func ReadJSONStats(r io.Reader) (*Snapshot, WireStats, error) {
-	body, err := readDocument(r)
-	st := WireStats{Bytes: len(body), Parts: 1}
-	if err != nil {
-		return nil, st, fmt.Errorf("kpi: read json: %w", err)
-	}
+// ReadJSONStats is ReadJSON on a document already in memory, also
+// reporting how it was decoded. The decoder neither writes to body nor
+// keeps it: every name in the result is a copy.
+func ReadJSONStats(body []byte) (*Snapshot, WireStats, error) {
 	snap, parts, err := decodeSnapshotSplit(body, splitOffsets)
-	st.Parts = parts
-	return snap, st, err
+	return snap, WireStats{Bytes: len(body), Parts: parts}, err
 }

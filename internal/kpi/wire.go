@@ -45,12 +45,18 @@ const (
 // below it, one per token, so the row check can report them by name.
 const missingName int32 = -2
 
-// readDocument reads r to EOF into a buffer of its own. The buffer is not
-// pooled: a pool would pin request-sized buffers between requests (and a
-// 115k-leaf baseline's between ticks), raising peak memory for little gain.
-// A read error is reported only when the document's first JSON value is
-// incomplete without the unread bytes: json.Decoder likewise stops reading
-// once that value is complete.
+// readDocument reads r to EOF into a buffer of its own for ReadJSON and
+// ReadDeltaJSON. A reader that reports the bytes it has left (bytes.Reader,
+// strings.Reader) fills one buffer of that size plus one byte; any other
+// starts at 64 KiB and doubles, copying what it has read at each step. The
+// HTTP server does not come here: it reads each body once into a buffer
+// sized from Content-Length and hands the bytes to ReadJSONStats or
+// ReadDeltaJSONStats. The buffer is not pooled: a pool would pin
+// request-sized buffers between requests (and a 115k-leaf baseline's
+// between ticks), raising peak memory for little gain. A read error is
+// reported only when the document's first JSON value is incomplete without
+// the unread bytes: json.Decoder likewise stops reading once that value is
+// complete.
 func readDocument(r io.Reader) ([]byte, error) {
 	size := 64 << 10
 	if l, ok := r.(interface{ Len() int }); ok {

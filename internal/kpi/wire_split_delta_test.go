@@ -219,7 +219,7 @@ func TestParallelDecodeSplitsLongUpdates(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			got, st, err := ReadDeltaJSONStats(bytes.NewReader(body), schema)
+			got, st, err := ReadDeltaJSONStats(body, schema)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -381,7 +381,7 @@ func TestParallelDecodeSplitsLongArrays(t *testing.T) {
 				}
 				data = append(bytes.Clone(doc[:starts[n-1]-1]), "]}"...)
 			}
-			got, st, err := ReadJSONStats(bytes.NewReader(data))
+			got, st, err := ReadJSONStats(data)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -103,7 +103,7 @@ func TestReadJSONCostIsLinear(t *testing.T) {
 				for i, size := range []int{small, large} {
 					doc := body.doc(size)
 					times[i] = fastest(func() {
-						snap, st, err := ReadJSONStats(bytes.NewReader(doc))
+						snap, st, err := ReadJSONStats(doc)
 						if err != nil || snap.Len() != body.leaves || st.Parts != 1 {
 							t.Fatalf("%d-byte document: %v (%+v)", size, err, st)
 						}
