@@ -16,7 +16,9 @@
 //
 // Its safe point is the cuboid: once a run's context ends, each worker
 // stops before claiming its next cuboid, and the run answers from the
-// cuboids searched so far.
+// cuboids searched so far. The workers check the context directly with
+// localize.StopReason rather than through a localize.Poll, the check the
+// sequential methods share, because a Poll belongs to one goroutine.
 package squeeze
 
 import (

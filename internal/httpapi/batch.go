@@ -43,7 +43,7 @@ type batchItemResponse struct {
 	Patterns  []patternResponse `json:"patterns,omitempty"`
 	Error     string            `json:"error,omitempty"`
 	// Degraded marks an item whose run was cut off by the request deadline
-	// or budget; Patterns holds its best-so-far candidates.
+	// or cancellation; Patterns holds its best-so-far candidates.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
 }
@@ -169,9 +169,8 @@ func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Deadline expiry answers 504 with the partial per-item results; no
 	// Retry-After, since a retry under the same deadline fares no better
 	// (the 503 busy path above is the transient, retryable condition). Items
-	// record the deadline themselves — the miner's budget can observe the
-	// wall deadline before the context timer fires, so reqCtx.Err() alone
-	// would race the timer.
+	// record the deadline their runs saw in their degraded reasons, which
+	// decide the status along with reqCtx.Err().
 	status := http.StatusOK
 	if deadlined > 0 ||
 		errors.Is(reqCtx.Err(), context.DeadlineExceeded) && (failed > 0 || degraded > 0) {

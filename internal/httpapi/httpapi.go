@@ -258,9 +258,9 @@ type localizeResponse struct {
 	Leaves    int               `json:"leaves"`
 	ElapsedMS float64           `json:"elapsed_ms"`
 	Patterns  []patternResponse `json:"patterns"`
-	// Degraded marks a run cut off by the request deadline or the miner's
-	// budget: Patterns holds the best-so-far candidates only. A deadline
-	// expiry additionally answers with status 504.
+	// Degraded marks a run cut off by the request deadline or
+	// cancellation: Patterns holds the best-so-far candidates only. A
+	// deadline expiry additionally answers with status 504.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
 }
@@ -326,10 +326,9 @@ func (a *api) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	// An expired request deadline is a gateway timeout, but the reply still
 	// carries the partial result the deadline's worth of search produced.
 	// (No Retry-After: unlike the batch queue's 503, retrying the same
-	// request under the same deadline would degrade the same way.) The
-	// miner's budget can observe the wall deadline slightly before the
-	// context timer fires, so the degraded reason — not reqCtx.Err()
-	// alone — decides the status.
+	// request under the same deadline would degrade the same way.) A run
+	// reports the deadline it saw in its degraded reason, which decides
+	// the status along with reqCtx.Err().
 	status := http.StatusOK
 	if res.Degraded && (a.timeout > 0 && res.DegradedReason == localize.DegradedDeadline ||
 		errors.Is(reqCtx.Err(), context.DeadlineExceeded)) {

@@ -16,8 +16,8 @@ import (
 const TraceparentHeader = "traceparent"
 
 // DegradedHeader marks responses whose localization result was cut off by a
-// deadline or budget; the value is the degraded reason. Handlers set it,
-// the middleware folds it into the SLO windows, and clients get a cheap
+// deadline or cancellation; the value is the degraded reason. Handlers set
+// it, the middleware folds it into the SLO windows, and clients get a cheap
 // header-level signal without parsing the body.
 const DegradedHeader = "X-Rapminer-Degraded"
 

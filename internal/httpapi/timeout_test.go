@@ -101,8 +101,8 @@ func TestRequestTimeoutAnswers504WithPartialResult(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if !out.Degraded || out.DegradedReason != rapminer.DegradedDeadline {
-		t.Fatalf("degraded=%v reason=%q, want true/%q", out.Degraded, out.DegradedReason, rapminer.DegradedDeadline)
+	if !out.Degraded || out.DegradedReason != localize.DegradedDeadline {
+		t.Fatalf("degraded=%v reason=%q, want true/%q", out.Degraded, out.DegradedReason, localize.DegradedDeadline)
 	}
 	if len(out.Patterns) == 0 {
 		t.Fatal("504 body carries no best-so-far patterns")

@@ -29,12 +29,12 @@ type ScoredPattern struct {
 type Result struct {
 	// Patterns is sorted by descending score.
 	Patterns []ScoredPattern
-	// Degraded reports that the run stopped early — cancellation, an
-	// expired deadline, or an exhausted per-run budget — and Patterns
-	// holds only the best-so-far candidates found up to the stop point.
+	// Degraded reports that the run stopped early because its context
+	// ended — cancellation or an expired deadline — and Patterns holds
+	// only the best-so-far candidates found up to the stop point.
 	Degraded bool
-	// DegradedReason says why a degraded run stopped ("canceled",
-	// "deadline exceeded", "max cuboids"); empty on complete runs.
+	// DegradedReason says why a degraded run stopped (DegradedCanceled or
+	// DegradedDeadline, from StopReason); empty on complete runs.
 	DegradedReason string
 }
 

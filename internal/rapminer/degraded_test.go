@@ -4,11 +4,46 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/kpi"
+	"repro/internal/localize"
 )
+
+// countedCtx is a context whose Err turns Canceled after n live reads; its
+// Done channel closes only at that moment. localize.Poll reads Err once at
+// every safe point but the first, and the scan workers only watch Done, so
+// a run under newCountedCtx(n) merges exactly n+1 cuboids and then stops,
+// whatever the worker count or the machine's speed.
+type countedCtx struct {
+	context.Context // Background: no deadline, no values
+	mu              sync.Mutex
+	left            int
+	err             error
+	done            chan struct{}
+}
+
+func newCountedCtx(n int) *countedCtx {
+	return &countedCtx{Context: context.Background(), left: n, done: make(chan struct{})}
+}
+
+func (c *countedCtx) Done() <-chan struct{} { return c.done }
+
+func (c *countedCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		if c.left > 0 {
+			c.left--
+			return nil
+		}
+		c.err = context.Canceled
+		close(c.done)
+	}
+	return c.err
+}
 
 // TestCanceledContextReturnsDeterministicPartial pins the degraded-result
 // contract: a context canceled before the run still yields the first
@@ -25,11 +60,11 @@ func TestCanceledContextReturnsDeterministicPartial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canceled run errored: %v", err)
 	}
-	if !wantRes.Degraded || wantRes.DegradedReason != DegradedCanceled {
+	if !wantRes.Degraded || wantRes.DegradedReason != localize.DegradedCanceled {
 		t.Fatalf("Degraded=%v reason=%q, want true/%q",
-			wantRes.Degraded, wantRes.DegradedReason, DegradedCanceled)
+			wantRes.Degraded, wantRes.DegradedReason, localize.DegradedCanceled)
 	}
-	if !wantDiag.Degraded || wantDiag.DegradedReason != DegradedCanceled {
+	if !wantDiag.Degraded || wantDiag.DegradedReason != localize.DegradedCanceled {
 		t.Fatalf("diag Degraded=%v reason=%q", wantDiag.Degraded, wantDiag.DegradedReason)
 	}
 	if len(wantRes.Patterns) == 0 {
@@ -54,56 +89,53 @@ func TestCanceledContextReturnsDeterministicPartial(t *testing.T) {
 	}
 }
 
-// TestMaxCuboidsBudget pins the deterministic cuboid budget: the run merges
-// exactly MaxCuboids cuboids, returns the candidate prefix those cuboids
-// produced, and the cut-off is identical at every worker count.
-func TestMaxCuboidsBudget(t *testing.T) {
+// TestCountedStopCutoff pins the deterministic cut-off: a context that
+// ends after n safe-point reads merges exactly n+1 cuboids, returns the
+// candidate prefix those cuboids produced, and the cut-off is identical at
+// every worker count.
+func TestCountedStopCutoff(t *testing.T) {
 	snap := benchCase(t)
-	cfg := DefaultConfig()
-	cfg.MaxCuboids = 3
-	cfg.Workers = 1
-	wantRes, wantDiag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
+	const n = 2
+	base := MustNew(DefaultConfig())
+	wantRes, wantDiag, err := base.WithWorkers(1).LocalizeWithDiagnosticsContext(newCountedCtx(n), snap, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wantRes.Degraded || wantRes.DegradedReason != DegradedMaxCuboids {
+	if !wantRes.Degraded || wantRes.DegradedReason != localize.DegradedCanceled {
 		t.Fatalf("Degraded=%v reason=%q, want true/%q",
-			wantRes.Degraded, wantRes.DegradedReason, DegradedMaxCuboids)
+			wantRes.Degraded, wantRes.DegradedReason, localize.DegradedCanceled)
 	}
-	if wantDiag.CuboidsVisited != 3 {
-		t.Fatalf("visited %d cuboids, want exactly MaxCuboids=3", wantDiag.CuboidsVisited)
+	if wantDiag.CuboidsVisited != n+1 {
+		t.Fatalf("visited %d cuboids, want exactly n+1=%d", wantDiag.CuboidsVisited, n+1)
 	}
 	if len(wantRes.Patterns) == 0 {
-		t.Fatal("budgeted run returned no candidates")
+		t.Fatal("cut-off run returned no candidates")
 	}
-	for _, workers := range []int{2, 8} {
-		cfg.Workers = workers
-		gotRes, gotDiag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
+	for _, workers := range []int{2, 4, 8} {
+		gotRes, gotDiag, err := base.WithWorkers(workers).LocalizeWithDiagnosticsContext(newCountedCtx(n), snap, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(gotRes, wantRes) || !reflect.DeepEqual(gotDiag, wantDiag) {
-			t.Errorf("workers %d: MaxCuboids cut-off not deterministic", workers)
+			t.Errorf("workers %d: counted cut-off not deterministic", workers)
 		}
 	}
 
-	// A budget larger than the search never degrades and changes nothing.
-	cfg.Workers = 1
-	cfg.MaxCuboids = 0
-	full, fullDiag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
+	// A context that outlives the search never degrades and changes
+	// nothing.
+	full, fullDiag, err := base.WithWorkers(1).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.MaxCuboids = fullDiag.CuboidsVisited + 100
-	loose, looseDiag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
+	loose, looseDiag, err := base.WithWorkers(1).LocalizeWithDiagnosticsContext(newCountedCtx(fullDiag.CuboidsVisited+100), snap, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loose.Degraded || looseDiag.Degraded {
-		t.Fatal("un-exhausted budget reported degraded")
+		t.Fatal("a context that never ended reported degraded")
 	}
 	if !reflect.DeepEqual(full, loose) {
-		t.Fatal("loose budget changed the result")
+		t.Fatal("a live context changed the result")
 	}
 }
 
@@ -171,8 +203,8 @@ func TestTightDeadlineReturnsPartialFast(t *testing.T) {
 	if !res.Degraded {
 		t.Skip("snapshot localized inside 1ms; machine too fast to degrade")
 	}
-	if res.DegradedReason != DegradedDeadline {
-		t.Fatalf("reason %q, want %q", res.DegradedReason, DegradedDeadline)
+	if res.DegradedReason != localize.DegradedDeadline {
+		t.Fatalf("reason %q, want %q", res.DegradedReason, localize.DegradedDeadline)
 	}
 	if len(res.Patterns) == 0 {
 		t.Fatal("deadline-expired run returned no best-so-far candidates")
@@ -184,21 +216,51 @@ func TestTightDeadlineReturnsPartialFast(t *testing.T) {
 	}
 }
 
-// TestMaxDurationBudget checks the config-side wall budget degrades the
-// same way without any context.
-func TestMaxDurationBudget(t *testing.T) {
-	snap := benchCase(t)
-	cfg := DefaultConfig()
-	cfg.MaxDuration = time.Nanosecond
-	res, diag, err := MustNew(cfg).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
+// TestCountedStopLargeCase is TestTightDeadlineReturnsPartialFast without
+// the wall clock: on the same large corpus, a run cut off after its first
+// safe points answers degraded with non-empty best-so-far candidates, the
+// same at every worker count, on any machine.
+func TestCountedStopLargeCase(t *testing.T) {
+	snap := largeCase(t)
+	base := MustNew(DefaultConfig())
+	want, err := base.WithWorkers(1).LocalizeContext(newCountedCtx(1), snap, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || res.DegradedReason != DegradedDeadline {
-		t.Fatalf("Degraded=%v reason=%q, want true/%q", res.Degraded, res.DegradedReason, DegradedDeadline)
+	if !want.Degraded || want.DegradedReason != localize.DegradedCanceled {
+		t.Fatalf("Degraded=%v reason=%q, want true/%q", want.Degraded, want.DegradedReason, localize.DegradedCanceled)
+	}
+	if len(want.Patterns) == 0 {
+		t.Fatal("cut-off run returned no best-so-far candidates")
+	}
+	for _, workers := range []int{2, 4, 8} {
+		got, err := base.WithWorkers(workers).LocalizeContext(newCountedCtx(1), snap, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers %d: cut-off result diverges\n got %+v\nwant %+v", workers, got, want)
+		}
+	}
+}
+
+// TestExpiredDeadlineDegrades checks a context whose deadline has passed
+// degrades the run with the deadline reason and keeps the guaranteed
+// first cuboid's work.
+func TestExpiredDeadlineDegrades(t *testing.T) {
+	snap := benchCase(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	res, diag, err := MustNew(DefaultConfig()).LocalizeWithDiagnosticsContext(ctx, snap, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded || res.DegradedReason != localize.DegradedDeadline {
+		t.Fatalf("Degraded=%v reason=%q, want true/%q", res.Degraded, res.DegradedReason, localize.DegradedDeadline)
 	}
 	if len(res.Patterns) == 0 || diag.CuboidsVisited == 0 {
-		t.Fatal("budget-expired run dropped its best-so-far work")
+		t.Fatal("deadline-expired run dropped its best-so-far work")
 	}
 }
 
@@ -262,19 +324,5 @@ func TestPanicIsolatedToError(t *testing.T) {
 		if len(res.Patterns) != 0 {
 			t.Fatalf("workers %d: panicked run returned patterns", workers)
 		}
-	}
-}
-
-// TestBudgetConfigValidation checks New rejects negative budgets.
-func TestBudgetConfigValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxDuration = -time.Second
-	if _, err := New(cfg); err == nil {
-		t.Error("negative MaxDuration accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.MaxCuboids = -1
-	if _, err := New(cfg); err == nil {
-		t.Error("negative MaxCuboids accepted")
 	}
 }

@@ -61,7 +61,7 @@ type Report struct {
 	EarlyStopped   bool `json:"early_stopped"`
 	EarlyStopLayer int  `json:"early_stop_layer,omitempty"`
 
-	// Degraded reports a run cut off by cancellation, deadline, or budget;
+	// Degraded reports a run cut off by cancellation or deadline;
 	// the candidate set is the best-so-far prefix of the search.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`

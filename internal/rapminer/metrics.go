@@ -69,7 +69,7 @@ func minerInstruments(reg *obs.Registry) minerMetrics {
 		earlyStops: reg.Counter(MetricEarlyStops,
 			"Runs ended early by candidate coverage (Criteria 3 early stop)."),
 		runsDegraded: reg.Counter(MetricRunsDegraded,
-			"Runs cut off by cancellation, deadline, or budget, returning best-so-far partial results."),
+			"Runs cut off by cancellation or deadline, returning best-so-far partial results."),
 	}
 }
 

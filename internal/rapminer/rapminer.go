@@ -22,7 +22,6 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/kpi"
 	"repro/internal/localize"
@@ -49,16 +48,6 @@ type Config struct {
 	// per-cuboid scans) fan out across this many workers. The result is bit-identical for every worker count. 0 means
 	// GOMAXPROCS; 1 runs fully sequential on the caller's goroutine.
 	Workers int
-	// MaxDuration is the per-run wall-clock budget: a search that is still
-	// running when it expires stops at the next cuboid boundary and
-	// returns the best-so-far candidates as a degraded partial result
-	// (Diagnostics.Degraded). 0 means unlimited. Context deadlines compose
-	// with it — the earlier of the two wins.
-	MaxDuration time.Duration
-	// MaxCuboids bounds how many cuboids one run may scan before it is cut
-	// off the same way; unlike MaxDuration the cut-off is deterministic.
-	// 0 means unlimited.
-	MaxCuboids int
 }
 
 // DefaultConfig returns the thresholds used in the paper's experiments:
@@ -86,12 +75,6 @@ func New(cfg Config) (*Miner, error) {
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("rapminer: workers %d, want >= 0", cfg.Workers)
-	}
-	if cfg.MaxDuration < 0 {
-		return nil, fmt.Errorf("rapminer: max duration %v, want >= 0", cfg.MaxDuration)
-	}
-	if cfg.MaxCuboids < 0 {
-		return nil, fmt.Errorf("rapminer: max cuboids %d, want >= 0", cfg.MaxCuboids)
 	}
 	return &Miner{cfg: cfg}, nil
 }
@@ -156,10 +139,10 @@ type Diagnostics struct {
 	// stop fired on (0 when the search ran to completion).
 	EarlyStopped   bool
 	EarlyStopLayer int
-	// Degraded reports that the run was cut off — context cancellation, an
-	// expired deadline, or an exhausted MaxDuration/MaxCuboids budget —
-	// and the candidate set holds only the best-so-far prefix of the
-	// search. DegradedReason is one of the Degraded* constants.
+	// Degraded reports that the run was cut off because its context ended
+	// (cancellation or an expired deadline), and the candidate set holds
+	// only the best-so-far prefix of the search. DegradedReason is
+	// localize.DegradedCanceled or localize.DegradedDeadline.
 	Degraded       bool
 	DegradedReason string
 }
@@ -251,8 +234,7 @@ func (m *Miner) LocalizeWithDiagnosticsContext(ctx context.Context, snapshot *kp
 
 // localize runs both stages. diag, when non-nil, accumulates the run
 // journal; ctx, when non-nil, traces the stages as spans and bounds the run
-// (cancellation and deadline), composing with the configured
-// MaxDuration/MaxCuboids budget. A panic anywhere in the run — including on
+// (cancellation and deadline). A panic anywhere in the run — including on
 // a search worker goroutine — is recovered into the run's error with the
 // stack logged, so one poisoned snapshot fails one call, not the process.
 func (m *Miner) localize(ctx context.Context, snapshot *kpi.Snapshot, k int, diag *Diagnostics) (res localize.Result, out Diagnostics, err error) {
@@ -325,8 +307,7 @@ func (m *Miner) localize(ctx context.Context, snapshot *kpi.Snapshot, k int, dia
 	if ctx != nil {
 		_, span = obs.StartSpan(ctx, "rapminer.search")
 	}
-	budget := newRunBudget(ctx, m.cfg)
-	patterns, degraded := m.search(snapshot, attrs, diag, budget) // already ranked
+	patterns, degraded := m.search(ctx, snapshot, attrs, diag) // already ranked
 	if span != nil {
 		span.SetAttr("candidates", len(patterns))
 		if degraded != "" {

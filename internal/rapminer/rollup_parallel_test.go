@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gendata"
 	"repro/internal/kpi"
+	"repro/internal/localize"
 )
 
 // TestRollupEngineMatchesFused pins the roll-up's cost model: on dense
@@ -50,36 +51,35 @@ func TestRollupEngineMatchesFused(t *testing.T) {
 	}
 }
 
-// TestRollupBudgetCutoffMatchesFused pins the degraded semantics whether
+// TestRollupCountedCutoffMatchesFused pins the degraded semantics whether
 // the cut-off cuboids were rolled up (benchCase) or scanned (the sparse
-// world): a deterministic MaxCuboids budget cuts the run off at the same
-// cuboid boundary with identical partial results at any worker count.
-func TestRollupBudgetCutoffMatchesFused(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxCuboids = 3
-	m := MustNew(cfg)
+// world): a context that ends after n safe-point reads cuts the run off
+// after n+1 cuboids with identical partial results at any worker count.
+func TestRollupCountedCutoffMatchesFused(t *testing.T) {
+	const n = 2
+	m := MustNew(DefaultConfig())
 	sparse := worldSnapshot(t, 3, []int{20, 16, 12, 10, 8, 6}, 0.015, 2, 2)
 	for name, snap := range map[string]*kpi.Snapshot{"bench": benchCase(t), "sparse": sparse} {
 		var want Diagnostics
 		for i, workers := range []int{1, 2, 4, 8} {
-			res, diag, err := m.WithWorkers(workers).LocalizeWithDiagnosticsContext(context.Background(), snap, 10)
+			res, diag, err := m.WithWorkers(workers).LocalizeWithDiagnosticsContext(newCountedCtx(n), snap, 10)
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", name, workers, err)
 			}
-			if !res.Degraded || res.DegradedReason != DegradedMaxCuboids {
-				t.Fatalf("%s workers %d: degraded = %v (%q), want max-cuboids cutoff",
+			if !res.Degraded || res.DegradedReason != localize.DegradedCanceled {
+				t.Fatalf("%s workers %d: degraded = %v (%q), want a canceled cut-off",
 					name, workers, res.Degraded, res.DegradedReason)
 			}
-			if diag.CuboidsVisited != cfg.MaxCuboids {
+			if diag.CuboidsVisited != n+1 {
 				t.Fatalf("%s workers %d: visited %d cuboids, want %d",
-					name, workers, diag.CuboidsVisited, cfg.MaxCuboids)
+					name, workers, diag.CuboidsVisited, n+1)
 			}
 			if i == 0 {
 				want = diag
 				continue
 			}
 			if !reflect.DeepEqual(diag, want) {
-				t.Errorf("%s workers %d: budgeted diagnostics diverge from workers=1", name, workers)
+				t.Errorf("%s workers %d: cut-off diagnostics diverge from workers=1", name, workers)
 			}
 		}
 		scanned := 0

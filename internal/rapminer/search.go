@@ -31,9 +31,9 @@ type candidate struct {
 // The result is ranked by RAPScore (Eq. 3); ties are broken toward coarser
 // candidates and then toward larger anomalous support, so a genuine RAP
 // always precedes a stray false-alarm leaf that happens to share its score.
-// diag, when non-nil, accumulates search statistics. budget bounds the run;
-// when it trips the search stops at the next cuboid boundary and returns
-// the best-so-far candidates with a non-empty degraded reason.
+// diag, when non-nil, accumulates search statistics. Once ctx ends the
+// search stops at the next cuboid boundary and returns the best-so-far
+// candidates with a non-empty degraded reason.
 //
 // Concurrency model: the expensive part of a run — the count-only
 // group-bys of its cuboids — is driven toward a single pass over the
@@ -55,25 +55,25 @@ type candidate struct {
 // coverage) are touched only by the merging goroutine, so the parallel
 // path needs no locks beyond the snapshot's internal caches.
 //
-// Cancellation model: the budget is polled between cuboids by the merging
-// goroutine and inside scans (every few thousand leaves) by the workers, so
-// every stop lands on the cuboid boundary — Algorithm 2's own layer barrier
-// is never split, and the candidate set at the stop point is a prefix of
-// the sequential run's candidate stream. The first cuboid of the run is
-// always merged before the budget is consulted, so even an
-// already-expired deadline yields the coarsest layer's best-so-far
-// candidates instead of an empty answer.
-func (m *Miner) search(snapshot *kpi.Snapshot, attrs []int, diag *Diagnostics, budget *runBudget) ([]localize.ScoredPattern, string) {
+// Cancellation model: the merging goroutine checks ctx through one
+// localize.Poll at the top of each cuboid — the safe point every
+// sequential method shares — and the scan workers check ctx.Done() inside
+// scans (every few thousand leaves), so every stop lands on the cuboid
+// boundary: Algorithm 2's own layer barrier is never split, and the
+// candidate set at the stop point is a prefix of the sequential run's
+// candidate stream. The Poll's first Stop never stops, so the first cuboid
+// of the run is always merged and even an already-expired deadline yields
+// the coarsest layer's best-so-far candidates.
+func (m *Miner) search(ctx context.Context, snapshot *kpi.Snapshot, attrs []int, diag *Diagnostics) ([]localize.ScoredPattern, string) {
 	var (
 		candidates []candidate
-		degraded   string
-		merged     int
+		poll       = localize.NewPoll(ctx)
 		anc        = newAncestorIndex(snapshot.Schema)
 		covered    = newCoverage(snapshot)
 		scanner    = layerScanner{
 			snap:    snapshot,
 			workers: m.workers(),
-			halt:    budget.halt(),
+			halt:    doneHalt(ctx),
 			plan:    snapshot.NewRollupPlan(attrs),
 			mx:      layerScanInstruments(),
 		}
@@ -89,13 +89,12 @@ layers:
 		var stats *LayerStats
 		cuboids := kpi.CuboidsAtLayer(attrs, layer)
 		for ci, cuboid := range cuboids {
-			// The budget is enforced on the cuboid boundary: the merge
-			// replay is sequential, so stopping here is deterministic for
-			// deterministic budgets (pre-canceled context, MaxCuboids) and
-			// never splits a cuboid's group stream. The first cuboid is
-			// exempt so a degraded run still carries best-so-far work.
-			if merged > 0 && budget.exceeded() {
-				degraded = budget.reason
+			// The safe point is the cuboid boundary: the merge replay is
+			// sequential, so a pre-canceled context stops here
+			// deterministically and a cuboid's group stream is never split.
+			// The first Stop never stops, so a degraded run still carries
+			// best-so-far work.
+			if poll.Stop() {
 				break layers
 			}
 			if ci == 0 {
@@ -108,18 +107,13 @@ layers:
 					}
 				}
 			}
-			groups, rolled, ok := scanner.groups(cuboid, layer, merged == 0)
+			groups, rolled, ok := scanner.groups(cuboid, layer, layer == 1 && ci == 0)
 			if !ok {
-				// The scan itself aborted mid-pass (budget tripped inside a
-				// large snapshot); its partial counts are discarded.
-				budget.exceeded()
-				if degraded = budget.reason; degraded == "" {
-					degraded = DegradedDeadline
-				}
+				// The scan aborted mid-pass because ctx ended; its partial
+				// counts are discarded and the Poll records why.
+				poll.Stop()
 				break layers
 			}
-			merged++
-			budget.noteCuboid()
 			if diag != nil {
 				diag.CuboidsVisited++
 				stats.Cuboids++
@@ -184,9 +178,9 @@ layers:
 	scanner.mx.passes.Add(float64(scanner.passes))
 	if diag != nil {
 		diag.Candidates = len(candidates)
-		if degraded != "" {
+		if poll.Reason != "" {
 			diag.Degraded = true
-			diag.DegradedReason = degraded
+			diag.DegradedReason = poll.Reason
 		}
 	}
 	for i := range candidates {
@@ -224,7 +218,7 @@ layers:
 			}
 		}
 	}
-	return out, degraded
+	return out, poll.Reason
 }
 
 // rapScore computes Eq. 3: Confidence / sqrt(Layer). Coarser candidates win
@@ -238,7 +232,7 @@ func rapScore(conf float64, layer int) float64 {
 // layer 1, into the base cuboid's flat accumulators, and every cuboid the
 // base refines is answered by mixed-radix roll-up over that array. Any
 // other cuboid — its attributes too wide to materialize, or the base pass
-// abandoned by a tripped budget — is scanned on its own when the merge
+// abandoned because ctx ended — is scanned on its own when the merge
 // loop reaches it, so a search that stops early never pays for the scans
 // it skips. The run's first cuboid scans without the halt hook, so a
 // degraded run always merges at least one cuboid. A panic on a scan
@@ -247,7 +241,9 @@ func rapScore(conf float64, layer int) float64 {
 type layerScanner struct {
 	snap    *kpi.Snapshot
 	workers int
-	halt    kpi.Halt
+	// halt is the scan workers' stop hook (doneHalt); nil when ctx can
+	// never end.
+	halt kpi.Halt
 	// plan is the run-level roll-up; nil when no base is materializable or
 	// after an aborted base pass.
 	plan *kpi.RollupPlan
@@ -258,7 +254,7 @@ type layerScanner struct {
 	passes int
 }
 
-// runBase runs the roll-up base pass, dropping the plan when the budget
+// runBase runs the roll-up base pass, dropping the plan when ctx ending
 // aborts it. The scan workers carry pprof labels so CPU profiles
 // attribute the pass to the run's base cuboid.
 func (ls *layerScanner) runBase() {
@@ -295,7 +291,7 @@ func (ls *layerScanner) enterLayer(cuboids []kpi.Cuboid) {
 }
 
 // groups returns cuboid c's counts, reporting whether the roll-up served
-// them and ok=false when the budget aborted the scan. first marks the
+// them and ok=false when ctx ending aborted the scan. first marks the
 // run's guaranteed cuboid, which scans without the halt hook.
 func (ls *layerScanner) groups(c kpi.Cuboid, layer int, first bool) (groups []kpi.GroupCount, rolled, ok bool) {
 	if ls.plan != nil && ls.plan.Serves(c) {
@@ -315,6 +311,27 @@ func (ls *layerScanner) groups(c kpi.Cuboid, layer int, first bool) (groups []kp
 		ls.mx.seconds.Observe(time.Since(start).Seconds())
 	}
 	return ls.buf, false, ok
+}
+
+// doneHalt is the scan workers' stop hook: a non-blocking receive on
+// ctx.Done(). It is nil when ctx is nil or can never end, so those scans
+// keep no halt-polling branch.
+func doneHalt(ctx context.Context) kpi.Halt {
+	if ctx == nil {
+		return nil
+	}
+	done := ctx.Done()
+	if done == nil {
+		return nil
+	}
+	return func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
 }
 
 // close releases the base accumulators; the scanner must not be used
