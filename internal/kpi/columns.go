@@ -37,6 +37,10 @@ type colFrame struct {
 	// a; built on first use (Snapshot.ElemCounts) and patched in place by
 	// ApplyDelta.
 	count [][]int32
+	// totals holds the roll-up's per-group leaf counts of one base cuboid
+	// and their marginals; seeded by a RollupPlan's base pass and patched
+	// in place by ApplyDelta.
+	totals *rollupTotals
 }
 
 // elemCounts returns the frame's per-element leaf counts, building them

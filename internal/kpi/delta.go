@@ -72,12 +72,13 @@ type ApplyResult struct {
 }
 
 // ApplyDelta applies the delta to the snapshot in place, patching the
-// columnar frame, the anomaly bitset (with its cached count), the anomalous
-// leaf set, the inverted postings and the leaf-position index rather than
-// dropping them. The delta is validated in full before anything mutates, so
-// a returned error leaves the snapshot untouched. Like every snapshot
-// mutation, ApplyDelta must not race with concurrent readers: the caller
-// serializes ticks against searches.
+// columnar frame (element counts and roll-up totals included), the anomaly
+// bitset (with its cached count), the anomalous leaf set, the inverted
+// postings and the leaf-position index rather than dropping them. The
+// delta is validated in full before anything mutates, so a returned error
+// leaves the snapshot untouched. Like every snapshot mutation, ApplyDelta
+// must not race with concurrent readers: the caller serializes ticks
+// against searches.
 //
 // Removed leaves are swap-removed (the last leaf moves into the hole), so
 // leaf order after a remove differs from insertion order — the equivalence
@@ -255,6 +256,9 @@ func (s *Snapshot) removeLeafLocked(i32 int32, k leafKey) {
 				f.count[a][code]--
 			}
 		}
+		if f.totals != nil {
+			f.totals.patch(removed.Combo, -1)
+		}
 		for a := range f.elem {
 			f.elem[a][i] = f.elem[a][last]
 			f.elem[a] = f.elem[a][:last]
@@ -288,6 +292,9 @@ func (s *Snapshot) addLeafLocked(l Leaf, k leafKey) int {
 			for a, code := range l.Combo {
 				f.count[a][code]++
 			}
+		}
+		if f.totals != nil {
+			f.totals.patch(l.Combo, 1)
 		}
 		f.actual = append(f.actual, l.Actual)
 		f.forecast = append(f.forecast, l.Forecast)

@@ -1,19 +1,38 @@
 package kpi
 
-// RollupPlan serves a whole search's cuboid schedule from one pass over
-// the leaves: it scans the leaves ONCE into the flat (total, anomalous)
-// accumulators of a single base cuboid — the finest materializable cuboid
-// of the search's surviving attributes — and then serves every cuboid that
-// coarsens the base by memoized marginalization over that array: pure
-// integer arithmetic, zero further leaf reads.
+import "slices"
+
+// RollupPlan serves a whole search's cuboid schedule from the counts of a
+// single base cuboid — the finest materializable cuboid of the search's
+// surviving attributes — by memoized marginalization: pure integer
+// arithmetic, no further leaf reads.
+//
+// The two counts of Criteria 2 live apart, split by lifetime:
+//
+//   - The totals, support_count(ac), depend only on which leaves exist.
+//     They are kept on the snapshot's label-independent side
+//     (rollupTotals): the base's per-group leaf counts and every marginal
+//     derived from them, for one base at a time. Relabel, RelabelTouched,
+//     Rewrite and an update-only ApplyDelta leave them as they are; an
+//     ApplyDelta that adds or removes leaves patches each kept slot by ±1.
+//   - The anomalous counts, support_count(ac, Anomaly), belong to one run.
+//     A run that reuses the kept totals counts them from the A anomalous
+//     leaves (AnomalousLeafSet) through the element columns: per served
+//     cuboid, O(A·|c|) instead of O(N), or — for a large incident — once
+//     for the base and then by marginalization (see countAnomalous).
+//
+// A run on a snapshot without kept totals for its base makes one fused
+// pass over the leaves that counts both and, once a writer has changed the
+// snapshot, seeds the store (see Run).
 //
 // The roll-up is exact, not approximate. A cuboid c ⊆ base partitions the
 // base's Cartesian groups — every base group projects onto exactly one
 // group of c — and the counts are plain integers, so summing base slots
-// into c's slots reproduces precisely the counts a direct scan of c would
-// have produced, in the same ascending group order. Integer addition
-// commutes, so the result is also independent of how the base pass itself
-// was partitioned across workers: the search's determinism contract
+// into c's slots, or counting c's anomalous leaves directly, reproduces
+// precisely the counts a direct scan of c would have produced, in the same
+// ascending group order. Integer addition commutes, so the result is also
+// independent of how the base pass was partitioned across workers and of
+// which source served a count: the search's determinism contract
 // (bit-identical results at any worker count) carries over unchanged.
 //
 // The base pass is the dense kernel behind ScanCuboid — chunked halt
@@ -23,7 +42,8 @@ package kpi
 // served; callers scan those with ScanCuboid.
 //
 // A RollupPlan is built and consumed by one goroutine (the search's merge
-// goroutine); it is not safe for concurrent use.
+// goroutine); it is not safe for concurrent use. Plans on one snapshot may
+// run concurrently: they share the snapshot's totals under its mutex.
 type RollupPlan struct {
 	snap *Snapshot
 	// base is the materialized cuboid, a subsequence of the attrs given to
@@ -32,21 +52,56 @@ type RollupPlan struct {
 	base  Cuboid
 	cards []int
 	size  int
-	// buf is the base pass's pooled accumulator buffer (totals then
-	// anomalous counts), nil until Run succeeds.
-	buf *[]int32
-	// marg memoizes the marginal accumulators computed so far, keyed by the
-	// bitmask of retained base positions. The full mask aliases the base
-	// accumulators; coarser masks are derived on demand (see marginal) and
-	// reused across every cuboid of every later layer that refines them.
-	marg map[uint32]*marginal
+	// totals is the store entry serving this run: the snapshot's kept
+	// one, or the one Run's base pass seeded. nil until Run succeeds.
+	totals *rollupTotals
+	// scanned reports that Run read the leaves.
+	scanned bool
+	// anomIdx lists the snapshot's anomalous leaves and elem its element
+	// columns, from which a run that reused the totals counts anomalous
+	// groups; direct reports that it counts each cuboid's directly.
+	anomIdx []int
+	elem    [][]uint32
+	direct  bool
+	// anm memoizes this run's anomalous-count marginals, keyed like the
+	// totals by the bitmask of retained base positions. The full mask holds
+	// the base's anomalous counts, from the base pass or from the anomalous
+	// leaves; it is empty when direct.
+	anm map[uint32][]int32
+	// buf backs anm's full mask (and, on a snapshot no writer has
+	// changed, the totals) and scratch the direct counts; both are pooled
+	// and nil until used.
+	buf, scratch *[]int32
 }
 
-// marginal is one materialized projection of the base accumulators onto a
-// subset of its attributes, laid out in the projection's own mixed-radix
-// group order (identical to the CuboidIndexer layout for that cuboid).
-type marginal struct {
-	tot, anm []int32
+// rollupTotals is the label-independent half of the roll-up: the per-group
+// leaf counts of one base cuboid and the marginals derived from them.
+type rollupTotals struct {
+	base  Cuboid
+	cards []int
+	// gen is the snapshot generation the base pass counted.
+	gen uint64
+	// marg maps a bitmask of retained base positions to that marginal's
+	// counts, in the projection's own mixed-radix group order (identical
+	// to the CuboidIndexer layout for that cuboid). The full mask holds
+	// the base pass's counts. Guarded by the snapshot's mutex; readers
+	// read an array outside it, which only ApplyDelta patches.
+	marg map[uint32][]int32
+}
+
+// patch adds d to the slot of the leaf combo in every marginal; the
+// snapshot's mutex must be held.
+func (t *rollupTotals) patch(combo Combination, d int32) {
+	for mask, m := range t.marg {
+		k, stride := 0, 1
+		for pos := len(t.base) - 1; pos >= 0; pos-- {
+			if mask&(1<<pos) != 0 {
+				k += int(combo[t.base[pos]]) * stride
+				stride *= t.cards[pos]
+			}
+		}
+		m[k] += d
+	}
 }
 
 // defaultRollupLimit bounds the base accumulator size relative to the
@@ -147,34 +202,107 @@ func (p *RollupPlan) Serves(c Cuboid) bool {
 	return q == len(c)
 }
 
-// Run executes the base pass across workers goroutines, polling halt every
-// few thousand leaves. It returns false — and the plan must be discarded —
-// when the halt tripped mid-pass; partial counts are never served. A panic
-// on a scan worker is rethrown on the calling goroutine as a *ScanPanic.
+// Run makes the plan's counts available, reporting false — and the plan
+// must be discarded — when halt tripped mid-pass; partial counts are never
+// served. When the snapshot keeps the totals of this base from an earlier
+// generation, Run reads no leaf. Otherwise it executes the fused base pass
+// across workers goroutines, polling halt every few thousand leaves. A
+// panic on a scan worker is rethrown on the calling goroutine as a
+// *ScanPanic.
+//
+// The pass seeds the snapshot's totals once a writer has changed the
+// snapshot (its generation is past 0): such a snapshot lives across
+// writes, as a continuous world does. One searched as it was built — a
+// one-shot request, a fresh clone — counts into pooled arrays and keeps
+// nothing. Totals counted in the snapshot's current generation are not
+// reused: every search of one generation reads the leaves, or every one
+// reuses, so repeated searches of an unchanged snapshot journal the same
+// Diagnostics.
 func (p *RollupPlan) Run(workers int, halt Halt) bool {
-	buf, ok := p.snap.scanDense(p.snap.Indexer(p.base), workers, halt)
-	if !ok {
+	s := p.snap
+	s.mu.Lock()
+	var t *rollupTotals
+	if f := s.frame; f != nil && f.totals != nil && f.totals.gen != s.gen && slices.Equal(f.totals.base, p.base) {
+		t = f.totals
+	}
+	gen := s.gen
+	s.mu.Unlock()
+	if t != nil {
+		return p.countAnomalous(t, halt)
+	}
+	// A seeding pass counts its totals straight into the array the store
+	// keeps; the anomalous counts are this run's alone.
+	buf := getAcc(2 * p.size)
+	tot, anm := (*buf)[:p.size], (*buf)[p.size:]
+	if gen > 0 {
+		tot = make([]int32, p.size)
+	}
+	if !s.scanDense(s.Indexer(p.base), tot, anm, workers, halt) {
+		accPool.Put(buf)
 		return false
 	}
-	p.buf = buf
-	full := uint32(1)<<len(p.base) - 1
-	p.marg = map[uint32]*marginal{full: {tot: (*buf)[:p.size], anm: (*buf)[p.size : 2*p.size]}}
+	full := p.fullMask()
+	t = &rollupTotals{base: p.base, cards: p.cards, gen: gen, marg: map[uint32][]int32{full: tot}}
+	// Stored only when no write landed during the pass (the same re-check
+	// colFrameCached makes); the run serves from t either way.
+	s.mu.Lock()
+	if gen > 0 && s.gen == gen && s.frame != nil {
+		s.frame.totals = t
+	}
+	s.mu.Unlock()
+	p.totals, p.scanned, p.buf = t, true, buf
+	p.anm = map[uint32][]int32{full: anm}
 	return true
 }
 
+// countAnomalous prepares a run that reuses the totals t to count its
+// anomalous groups from the A anomalous leaves. Counting one cuboid's
+// directly reads A·|c| elements, so the base's whole schedule of cuboids
+// costs A·|base|·2^(|base|-1) reads. While that stays within the base's
+// size, each cuboid counts its own (direct). A larger incident counts the
+// base's anomalous groups once, A·|base| reads polling halt every
+// haltStride leaves, and derives every cuboid's from them, as after a base
+// pass; it returns false when halt tripped.
+func (p *RollupPlan) countAnomalous(t *rollupTotals, halt Halt) bool {
+	s := p.snap
+	p.anomIdx = s.AnomalousLeafSet()
+	p.elem = s.colFrameCached().elem
+	p.direct = len(p.anomIdx)*len(p.base)<<(len(p.base)-1) <= p.size
+	if !p.direct {
+		buf := getAcc(p.size)
+		ix := s.Indexer(p.base)
+		for lo := 0; lo < len(p.anomIdx); lo += haltStride {
+			if halt != nil && halt() {
+				accPool.Put(buf)
+				return false
+			}
+			countLeaves(p.elem, ix, p.anomIdx[lo:min(lo+haltStride, len(p.anomIdx))], *buf)
+		}
+		p.buf = buf
+		p.anm = map[uint32][]int32{p.fullMask(): *buf}
+	}
+	p.totals = t
+	return true
+}
+
+// Scanned reports whether Run read the leaves: false when it reused the
+// totals the snapshot kept.
+func (p *RollupPlan) Scanned() bool { return p.scanned }
+
+func (p *RollupPlan) fullMask() uint32 { return uint32(1)<<len(p.base) - 1 }
+
 // Groups appends cuboid c's non-empty groups into dst (reusing its
 // capacity after truncation to zero length), in ascending group index —
-// byte-for-byte the output ScanCuboid would produce — by rolling the base
-// accumulators up into c's domain. Valid only after Run returned true and
-// when Serves(c) is true.
+// byte-for-byte the output ScanCuboid would produce. Valid only after Run
+// returned true and when Serves(c) is true.
 //
-// Serving is memoized marginalization: c maps to the bitmask of base
-// positions it retains, and the marginal for that mask is computed once per
-// run by summing one attribute at a time out of the nearest already-cached
-// finer marginal (contiguous strided loops, no leaf reads), then reused by
-// every later cuboid that refines it. Because the counts are exact integers
-// the marginalization order is irrelevant to the result, so the output is
-// independent of both the call order and the worker count of the base pass.
+// c's totals are the marginal of the base's totals for the base positions
+// c retains, computed once per snapshot by summing one attribute at a time
+// out of the nearest finer marginal (contiguous strided loops, no leaf
+// reads) and reused by every later cuboid and run that refines it. c's
+// anomalous counts come from anomalous, below. Because the counts are
+// exact integers, neither the marginalization order nor the source of a
+// count changes the result.
 func (p *RollupPlan) Groups(c Cuboid, dst []GroupCount) []GroupCount {
 	dst = dst[:0]
 	if p.snap.Len() == 0 {
@@ -191,31 +319,91 @@ func (p *RollupPlan) Groups(c Cuboid, dst []GroupCount) []GroupCount {
 			q++
 		}
 	}
-	m := p.marginal(mask)
-	return appendGroups(dst, m.tot, m.anm)
+	return appendGroups(dst, p.total(mask), p.anomalous(c, mask))
 }
 
-// marginal returns the accumulators projected onto the base positions in
-// mask, computing and caching them on first use. A missing marginal is
-// derived from the parent one attribute finer — the missing position with
-// the smallest cardinality is summed out first, which keeps every parent in
-// the chain as small as possible — so the total arithmetic for a whole
-// layer schedule is a few strided passes over arrays no larger than the
-// base, instead of one full base walk per cuboid.
-func (p *RollupPlan) marginal(mask uint32) *marginal {
-	if m, ok := p.marg[mask]; ok {
+// total returns the totals marginal for mask, deriving and storing it on
+// the snapshot on first use. The derivation runs outside the lock;
+// concurrent runs derive identical arrays and the first store wins.
+func (p *RollupPlan) total(mask uint32) []int32 {
+	s := p.snap
+	s.mu.Lock()
+	m, ok := p.totals.marg[mask]
+	gen := s.gen
+	s.mu.Unlock()
+	if ok {
 		return m
 	}
+	drop := p.dropFrom(p.fullMask() &^ mask)
+	m = p.project(p.total(mask|1<<drop), mask, drop)
+	s.mu.Lock()
+	if prior, ok := p.totals.marg[mask]; ok {
+		m = prior
+	} else if s.gen == gen {
+		p.totals.marg[mask] = m
+	}
+	s.mu.Unlock()
+	return m
+}
+
+// anomalous returns cuboid c's anomalous counts, laid out as its totals
+// marginal (mask): counted directly into pooled scratch, valid until the
+// next call, or derived from the base's anomalous counts like the totals
+// and memoized for the run.
+func (p *RollupPlan) anomalous(c Cuboid, mask uint32) []int32 {
+	if p.direct {
+		ix := p.snap.Indexer(c)
+		p.scratch = getAccInto(p.scratch, ix.Size())
+		countLeaves(p.elem, ix, p.anomIdx, *p.scratch)
+		return *p.scratch
+	}
+	return p.anomalousMarginal(mask)
+}
+
+// anomalousMarginal returns the anomalous marginal for mask, summing one
+// base position at a time out of the base's counts and memoizing each step.
+func (p *RollupPlan) anomalousMarginal(mask uint32) []int32 {
+	if m, ok := p.anm[mask]; ok {
+		return m
+	}
+	drop := p.dropFrom(p.fullMask() &^ mask)
+	m := p.project(p.anomalousMarginal(mask|1<<drop), mask, drop)
+	p.anm[mask] = m
+	return m
+}
+
+// countLeaves adds one to cnt, the dense domain of ix's cuboid, at the
+// group of each leaf in idx, reading the leaves' elements from elem.
+func countLeaves(elem [][]uint32, ix *CuboidIndexer, idx []int, cnt []int32) {
+	attrs, strides := ix.cuboid, ix.strides
+	for _, i := range idx {
+		k := 0
+		for t, a := range attrs {
+			k += int(elem[a][i]) * strides[t]
+		}
+		cnt[k]++
+	}
+}
+
+// dropFrom picks the position to sum out next among those in missing: the
+// one with the smallest cardinality, which keeps every parent in a
+// derivation chain as small as possible.
+func (p *RollupPlan) dropFrom(missing uint32) int {
 	drop := -1
 	for pos, card := range p.cards {
-		if mask&(1<<pos) != 0 {
+		if missing&(1<<pos) == 0 {
 			continue
 		}
 		if drop < 0 || card < p.cards[drop] {
 			drop = pos
 		}
 	}
-	parent := p.marginal(mask | 1<<uint(drop))
+	return drop
+}
+
+// project sums base position drop out of parent, the marginal for
+// mask|1<<drop, into a new marginal for mask.
+func (p *RollupPlan) project(parent []int32, mask uint32, drop int) []int32 {
 	// The parent's layout splits around the dropped position as
 	// (P, C, Q): P groups of C runs of Q contiguous slots, where slot
 	// (i, j, q) of the parent folds into slot (i, q) of the child.
@@ -230,33 +418,39 @@ func (p *RollupPlan) marginal(mask uint32) *marginal {
 			post *= card
 		}
 	}
-	m := &marginal{
-		tot: make([]int32, pre*post),
-		anm: make([]int32, pre*post),
+	m := make([]int32, pre*post)
+	if post == 1 {
+		// The dropped position is the last: each child slot sums one
+		// contiguous run of the parent.
+		for i := range m {
+			var sum int32
+			for _, v := range parent[i*mid : (i+1)*mid] {
+				sum += v
+			}
+			m[i] = sum
+		}
+		return m
 	}
 	for i := 0; i < pre; i++ {
 		src := i * mid * post
-		dt := m.tot[i*post : (i+1)*post]
-		da := m.anm[i*post : (i+1)*post]
+		dst := m[i*post : (i+1)*post]
 		for j := 0; j < mid; j++ {
-			st := parent.tot[src : src+post]
-			sa := parent.anm[src : src+post]
-			for q := range st {
-				dt[q] += st[q]
-				da[q] += sa[q]
+			for q, v := range parent[src : src+post] {
+				dst[q] += v
 			}
 			src += post
 		}
 	}
-	p.marg[mask] = m
 	return m
 }
 
-// Close returns the base accumulators to their pool and drops the cached
-// marginals. The plan must not be used afterwards.
+// Close returns the pooled arrays and drops the run's marginals; the
+// snapshot keeps its totals. The plan must not be used afterwards.
 func (p *RollupPlan) Close() {
-	if p.buf != nil {
-		accPool.Put(p.buf)
+	for _, b := range []*[]int32{p.buf, p.scratch} {
+		if b != nil {
+			accPool.Put(b)
+		}
 	}
-	p.buf, p.marg = nil, nil
+	p.buf, p.scratch, p.anm, p.totals = nil, nil, nil, nil
 }

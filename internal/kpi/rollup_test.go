@@ -1,6 +1,7 @@
 package kpi
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -106,7 +107,8 @@ func TestRollupGroupsMatchScanCuboid(t *testing.T) {
 }
 
 // TestRollupHaltAborts checks a tripped halt abandons the base pass: Run
-// reports false and the plan holds no accumulators to serve from.
+// reports false, the plan holds no accumulators to serve from and the
+// snapshot caches no totals.
 func TestRollupHaltAborts(t *testing.T) {
 	snap := scanTestSnapshot(t, 0)
 	plan := snap.NewRollupPlan([]int{0, 1, 2})
@@ -117,8 +119,11 @@ func TestRollupHaltAborts(t *testing.T) {
 	if plan.Run(1, func() bool { return true }) {
 		t.Fatal("Run completed under an always-tripped halt")
 	}
-	if plan.buf != nil || plan.marg != nil {
+	if plan.buf != nil || plan.totals != nil || plan.anm != nil {
 		t.Fatal("aborted base pass left accumulators behind")
+	}
+	if snap.frame != nil && snap.frame.totals != nil {
+		t.Fatal("aborted base pass seeded the snapshot's totals")
 	}
 }
 
@@ -164,4 +169,212 @@ func TestRollupDefaultLimit(t *testing.T) {
 	if got := defaultRollupLimit(10_000); got != 20_000 {
 		t.Fatalf("defaultRollupLimit(10000) = %d, want 20000", got)
 	}
+}
+
+// allAttrs lists every attribute of s's schema.
+func allAttrs(s *Snapshot) []int {
+	attrs := make([]int, s.Schema.NumAttributes())
+	for a := range attrs {
+		attrs[a] = a
+	}
+	return attrs
+}
+
+// rewriteUnchanged rewrites every leaf with its own values and label: a
+// write that changes nothing but the generation.
+func rewriteUnchanged(s *Snapshot) {
+	s.Rewrite(func(l Leaf) (float64, float64, bool) { return l.Actual, l.Forecast, l.Anomalous })
+}
+
+// seedTotals runs a roll-up plan over attrs that reads the leaves, and asks
+// it for every cuboid, so the snapshot — which a writer must have changed —
+// keeps the base's totals with every marginal memoized.
+func seedTotals(t testing.TB, s *Snapshot, attrs []int) {
+	t.Helper()
+	plan := s.NewRollupPlan(attrs)
+	if plan == nil {
+		t.Fatalf("no roll-up plan over %v", attrs)
+	}
+	defer plan.Close()
+	if !plan.Run(1, nil) {
+		t.Fatal("base pass aborted without a halt")
+	}
+	if !plan.Scanned() {
+		t.Fatal("seeding plan reused totals instead of reading the leaves")
+	}
+	for _, c := range AllCuboids(attrs) {
+		if plan.Serves(c) {
+			plan.Groups(c, nil)
+		}
+	}
+}
+
+// assertRollupReusesTotals runs a roll-up plan over attrs on a snapshot a
+// writer changed since its totals were seeded, and checks that the plan
+// reads no leaf and that every cuboid it serves matches ScanCuboid on a
+// fresh snapshot of the same leaves. It returns the plan's direct flag.
+func assertRollupReusesTotals(t *testing.T, s *Snapshot, attrs []int, workers int) bool {
+	t.Helper()
+	plan := s.NewRollupPlan(attrs)
+	if plan == nil {
+		t.Fatalf("no roll-up plan over %v", attrs)
+	}
+	defer plan.Close()
+	if !plan.Run(workers, nil) {
+		t.Fatal("run aborted without a halt")
+	}
+	if plan.Scanned() {
+		t.Fatal("run after a write read the leaves instead of the kept totals")
+	}
+	fresh := freshOf(t, s)
+	var got []GroupCount
+	for _, c := range AllCuboids(attrs) {
+		if !plan.Serves(c) {
+			continue
+		}
+		want, _ := fresh.ScanCuboid(c, nil, 1, nil)
+		if got = plan.Groups(c, got); !sameCounts(got, want) {
+			t.Fatalf("cuboid %v from kept totals:\n got %v\nwant %v", c, got, want)
+		}
+	}
+	return plan.direct
+}
+
+// rollupTotalsWorld is a dense 12·10·8 = 960-leaf snapshot whose leaves are
+// anomalous with probability rate.
+func rollupTotalsWorld(t testing.TB, rate float64) *Snapshot {
+	t.Helper()
+	var attrs []Attribute
+	for _, a := range []struct {
+		name string
+		card int
+	}{{"region", 12}, {"isp", 10}, {"proto", 8}} {
+		attr := Attribute{Name: a.name}
+		for v := 0; v < a.card; v++ {
+			attr.Values = append(attr.Values, a.name+string(rune('A'+v)))
+		}
+		attrs = append(attrs, attr)
+	}
+	schema := MustSchema(attrs...)
+	r := rand.New(rand.NewSource(int64(rate * 1000)))
+	all := NewCuboidIndexer(schema, Cuboid{0, 1, 2})
+	leaves := make([]Leaf, all.Size())
+	for i := range leaves {
+		leaves[i] = Leaf{Combo: all.Combination(i), Actual: 100 * r.Float64(), Forecast: 100, Anomalous: r.Float64() < rate}
+	}
+	snap, err := NewSnapshot(schema, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestRollupTotalsKeptAcrossWriters walks a snapshot through every writer
+// — labels, values, adds and removes — and after each checks that a
+// roll-up plan serves every cuboid from the kept totals exactly as a fresh
+// snapshot's scan counts it: with few anomalous leaves, counted per cuboid
+// (direct), and with half the leaves anomalous, counted once for the base.
+// It also pins when a plan reads the leaves and what it keeps: nothing on
+// a snapshot no writer has changed, and on a written one, a base other
+// than the kept one replaces it and every run in the generation that
+// counted the totals reads the leaves too.
+func TestRollupTotalsKeptAcrossWriters(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rate   float64
+		direct bool
+	}{{"few", 0.02, true}, {"large", 0.5, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := rollupTotalsWorld(t, tc.rate)
+			attrs := allAttrs(snap)
+			detect := func(actual, forecast float64) bool { return actual < tc.rate*forecast }
+			gone := []Combination{snap.Leaves[5].Combo.Clone(), snap.Leaves[700].Combo.Clone()}
+			writers := []struct {
+				name  string
+				write func()
+			}{
+				{"relabel", func() { snap.Relabel(detect) }},
+				{"relabel_touched", func() {
+					snap.RelabelTouched(func(actual, forecast float64) bool { return !detect(actual, forecast) }, []int{1, 2, 3})
+				}},
+				{"update", func() {
+					d := Delta{Updates: []LeafUpdate{{Combo: snap.Leaves[9].Combo, Actual: 1, Forecast: 100}}}
+					if _, err := snap.ApplyDelta(d); err != nil {
+						t.Fatal(err)
+					}
+				}},
+				{"remove", func() {
+					if _, err := snap.ApplyDelta(Delta{Removes: gone}); err != nil {
+						t.Fatal(err)
+					}
+				}},
+				{"add", func() {
+					d := Delta{Adds: []Leaf{{Combo: gone[1], Actual: 1, Forecast: 100, Anomalous: true}}}
+					if _, err := snap.ApplyDelta(d); err != nil {
+						t.Fatal(err)
+					}
+				}},
+				{"remove_and_add", func() {
+					d := Delta{
+						Removes: []Combination{snap.Leaves[0].Combo.Clone()},
+						Adds:    []Leaf{{Combo: gone[0], Actual: 50, Forecast: 100}},
+					}
+					if _, err := snap.ApplyDelta(d); err != nil {
+						t.Fatal(err)
+					}
+				}},
+				{"rewrite", func() {
+					snap.Rewrite(func(l Leaf) (float64, float64, bool) { return l.Actual, l.Forecast, !l.Anomalous })
+				}},
+			}
+			// A snapshot no writer has changed keeps no totals.
+			plan := snap.NewRollupPlan(attrs)
+			if !plan.Run(1, nil) || snap.frame.totals != nil {
+				t.Fatal("a search of an unwritten snapshot kept its totals")
+			}
+			plan.Close()
+			rewriteUnchanged(snap)
+			seedTotals(t, snap, attrs)
+			for i, w := range writers {
+				w.write()
+				workers := 1 << (i % 4)
+				// Rewrite flips every label: most leaves turn anomalous.
+				if direct := assertRollupReusesTotals(t, snap, attrs, workers); direct != (tc.direct && w.name != "rewrite") {
+					t.Fatalf("after %s: direct = %v", w.name, direct)
+				}
+			}
+
+			// A plan over another base reads the leaves and replaces the
+			// kept totals. Every run of the generation that counted them
+			// reads the leaves too, and every run of a later one reuses
+			// them, so the runs of one generation agree.
+			seedTotals(t, snap, attrs[:2])
+			seedTotals(t, snap, attrs[:2])
+			snap.Relabel(detect)
+			assertRollupReusesTotals(t, snap, attrs[:2], 2)
+			assertRollupReusesTotals(t, snap, attrs[:2], 8)
+			seedTotals(t, snap, attrs)
+			if _, err := snap.ApplyDelta(Delta{Removes: []Combination{snap.Leaves[3].Combo.Clone()}}); err != nil {
+				t.Fatal(err)
+			}
+			assertRollupReusesTotals(t, snap, attrs, 4)
+		})
+	}
+}
+
+// TestRollupTotalsHaltAborts checks that a run reusing the kept totals
+// polls halt while it counts a large incident's anomalous leaves, and
+// that a tripped halt leaves the kept totals in place.
+func TestRollupTotalsHaltAborts(t *testing.T) {
+	snap := rollupTotalsWorld(t, 0.5)
+	attrs := allAttrs(snap)
+	rewriteUnchanged(snap)
+	seedTotals(t, snap, attrs)
+	snap.Relabel(func(actual, forecast float64) bool { return actual < forecast/2 })
+	plan := snap.NewRollupPlan(attrs)
+	if plan.Run(1, func() bool { return true }) {
+		t.Fatal("Run completed under an always-tripped halt")
+	}
+	plan.Close()
+	assertRollupReusesTotals(t, snap, attrs, 1)
 }

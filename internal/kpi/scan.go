@@ -90,13 +90,13 @@ func (s *Snapshot) ScanCuboid(c Cuboid, dst []GroupCount, workers int, halt Halt
 		}
 		return dst, true
 	}
-	buf, ok := s.scanDense(ix, workers, halt)
-	if !ok {
-		return dst, false
+	buf := getAcc(2 * size)
+	ok := s.scanDense(ix, (*buf)[:size], (*buf)[size:], workers, halt)
+	if ok {
+		dst = appendGroups(dst, (*buf)[:size], (*buf)[size:])
 	}
-	dst = appendGroups(dst, (*buf)[:size], (*buf)[size:2*size])
 	accPool.Put(buf)
-	return dst, true
+	return dst, ok
 }
 
 // appendGroups appends the non-empty groups of dense count arrays to dst,
@@ -114,6 +114,27 @@ func appendGroups(dst []GroupCount, tot, anm []int32) []GroupCount {
 // accPool recycles the dense accumulator arrays across scans and runs.
 var accPool = sync.Pool{New: func() any { return new([]int32) }}
 
+// getAcc returns a pooled accumulator of n zeroed slots; the caller puts
+// it back into accPool.
+func getAcc(n int) *[]int32 {
+	return getAccInto(accPool.Get().(*[]int32), n)
+}
+
+// getAccInto resizes buf, or a pooled accumulator when buf is nil, to n
+// zeroed slots.
+func getAccInto(buf *[]int32, n int) *[]int32 {
+	if buf == nil {
+		buf = accPool.Get().(*[]int32)
+	}
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	} else {
+		*buf = (*buf)[:n]
+		clear(*buf)
+	}
+	return buf
+}
+
 // keyPool recycles the per-chunk group-key scratch of the dense scan (one
 // int32 per leaf of a chunk).
 var keyPool = sync.Pool{New: func() any {
@@ -122,17 +143,17 @@ var keyPool = sync.Pool{New: func() any {
 }}
 
 // scanDense counts the groups of ix's cuboid, whose domain must be dense,
-// with one pass over the columnar leaf store. The returned pooled buffer
-// holds the merged total counts at [0, size) and the anomalous counts at
-// [size, 2·size); the caller puts it back into accPool. halt (when non-nil)
-// is polled before the pass and every haltStride leaves on each worker; a
-// tripped halt discards the partial counts and returns false.
-func (s *Snapshot) scanDense(ix *CuboidIndexer, workers int, halt Halt) (*[]int32, bool) {
+// with one pass over the columnar leaf store, adding the total counts into
+// tot and the anomalous counts into anm (both of the domain's size, and
+// zeroed by the caller). halt (when non-nil) is polled before the pass and
+// every haltStride leaves on each worker; a tripped halt returns false,
+// leaving tot and anm partial.
+func (s *Snapshot) scanDense(ix *CuboidIndexer, tot, anm []int32, workers int, halt Halt) bool {
 	if halt != nil && halt() {
-		return nil, false
+		return false
 	}
 	cols := s.Columns()
-	n, size := cols.n, ix.Size()
+	n := cols.n
 	parts := 1
 	if workers > 1 && n >= 2*haltStride {
 		parts = workers
@@ -142,37 +163,30 @@ func (s *Snapshot) scanDense(ix *CuboidIndexer, workers int, halt Halt) (*[]int3
 			parts = mp
 		}
 	}
-	buf := accPool.Get().(*[]int32)
-	if need := parts * 2 * size; cap(*buf) < need {
-		*buf = make([]int32, need)
-	} else {
-		*buf = (*buf)[:need]
-		clear(*buf)
-	}
-	acc := *buf
-	var ok bool
 	if parts == 1 {
-		ok = cols.scanRange(ix, 0, n, acc[:size], acc[size:], halt)
-	} else {
-		ok = cols.scanParts(ix, acc, size, parts, halt)
+		return cols.scanRange(ix, 0, n, tot, anm, halt)
 	}
-	if !ok {
-		accPool.Put(buf)
-		return nil, false
-	}
-	return buf, true
+	return cols.scanParts(ix, tot, anm, parts, halt)
 }
 
 // scanParts runs the dense scan as parts workers over contiguous leaf
-// ranges, worker p counting into acc[2p·size, 2(p+1)·size), then merges
-// every part into the first. Per-slot integer sums are order-independent,
-// so the merged counts do not depend on parts.
-func (c *Columns) scanParts(ix *CuboidIndexer, acc []int32, size, parts int, halt Halt) bool {
+// ranges: worker 0 counts into tot and anm, worker p > 0 into its own
+// pooled pair, which is then merged into them. Per-slot integer sums are
+// order-independent, so the merged counts do not depend on parts.
+func (c *Columns) scanParts(ix *CuboidIndexer, tot, anm []int32, parts int, halt Halt) bool {
+	size := len(tot)
+	buf := getAcc((parts - 1) * 2 * size)
+	defer accPool.Put(buf)
+	acc := *buf
 	var aborted atomic.Bool
 	n := c.n
 	RunWorkers(parts, func(p int) {
-		part := acc[p*2*size : (p+1)*2*size]
-		if !c.scanRange(ix, p*n/parts, (p+1)*n/parts, part[:size], part[size:], halt) {
+		t, a := tot, anm
+		if p > 0 {
+			part := acc[(p-1)*2*size : p*2*size]
+			t, a = part[:size], part[size:]
+		}
+		if !c.scanRange(ix, p*n/parts, (p+1)*n/parts, t, a, halt) {
 			aborted.Store(true)
 		}
 	})
@@ -180,9 +194,12 @@ func (c *Columns) scanParts(ix *CuboidIndexer, acc []int32, size, parts int, hal
 		return false
 	}
 	for p := 1; p < parts; p++ {
-		part := acc[p*2*size : (p+1)*2*size]
-		for j, v := range part {
-			acc[j] += v
+		part := acc[(p-1)*2*size : p*2*size]
+		for j, v := range part[:size] {
+			tot[j] += v
+		}
+		for j, v := range part[size:] {
+			anm[j] += v
 		}
 	}
 	return true

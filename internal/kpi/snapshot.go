@@ -25,9 +25,9 @@ type Leaf struct {
 // product.
 //
 // A snapshot lazily caches structures derived from its leaves: the
-// columnar frame with its element counts, the leaf positions, the cuboid
-// indexers, and the label-derived set of anomalous leaves with its postings
-// and bitset. The caches are safe for concurrent readers. After
+// columnar frame with its element counts and roll-up totals, the leaf
+// positions, the cuboid indexers, and the label-derived set of anomalous
+// leaves with its postings and bitset. The caches are safe for concurrent readers. After
 // NewSnapshot, the leaves change only through this package's writers —
 // Relabel, RelabelTouched, Rewrite and ApplyDelta — and each of them drops
 // or patches exactly the caches its write affects, so no reader ever sees
@@ -44,8 +44,9 @@ type Snapshot struct {
 	indexers map[string]*CuboidIndexer
 	labeled  *labelDerived
 	// frame is the label-independent half of the columnar store (element
-	// IDs, v/f columns); built once, shared across label invalidations and
-	// patched in place by ApplyDelta.
+	// IDs, v/f columns, element counts, roll-up totals); built once,
+	// shared across label invalidations and patched in place by
+	// ApplyDelta.
 	frame *colFrame
 	// leafPos maps each leaf (under its leafKeyer key) to its index into
 	// Leaves; built lazily and maintained incrementally by ApplyDelta.

@@ -9,8 +9,8 @@ package kpi
 // Relabel sets every leaf's label to detect(actual, forecast) and returns
 // the number of anomalous leaves. It drops the label-derived caches (the
 // anomalous leaf set, the postings and the columnar bitset); the columnar
-// frame, the element counts and the leaf positions survive, so a relabel
-// cycle does not re-encode the world.
+// frame, the element counts, the roll-up totals and the leaf positions
+// survive, so a relabel cycle does not re-encode the world.
 func (s *Snapshot) Relabel(detect func(actual, forecast float64) bool) int {
 	n := 0
 	for i := range s.Leaves {
@@ -59,8 +59,8 @@ func (s *Snapshot) RelabelTouched(detect func(actual, forecast float64) bool, to
 // Rewrite calls fn once per leaf, in ascending index order on the caller's
 // goroutine, and sets the leaf's actual, forecast and label to what fn
 // returns; a leaf's combination cannot change. The columnar frame's value
-// columns are rewritten in place and the leaf positions and element counts
-// survive; the label-derived caches are dropped.
+// columns are rewritten in place and the leaf positions, element counts
+// and roll-up totals survive; the label-derived caches are dropped.
 func (s *Snapshot) Rewrite(fn func(l Leaf) (actual, forecast float64, anomalous bool)) {
 	for i := range s.Leaves {
 		l := &s.Leaves[i]

@@ -6,9 +6,12 @@ import (
 )
 
 // warmAll builds every cache a snapshot keeps: the columnar store, the
-// postings, the element counts, the leaf positions and (through the frame)
-// the root sum.
-func warmAll(s *Snapshot) {
+// postings, the element counts, the leaf positions, the roll-up totals of
+// every cuboid over all attributes and (through the frame) the root sum.
+// It first rewrites the leaves unchanged, since only a written snapshot
+// keeps roll-up totals.
+func warmAll(t testing.TB, s *Snapshot) {
+	rewriteUnchanged(s)
 	s.Columns()
 	s.AnomalousPostings()
 	s.ElemCounts()
@@ -16,13 +19,15 @@ func warmAll(s *Snapshot) {
 	s.leafPosLocked()
 	s.mu.Unlock()
 	s.Sum(NewRoot(s.Schema.NumAttributes()))
+	seedTotals(t, s, allAttrs(s))
 }
 
 // TestWritersMatchFresh runs each writer on a snapshot whose every cache is
 // warm and checks every cache-backed read against NewSnapshot over a copy
 // of the written leaves: the anomalous set, postings, columns, element
-// counts, leaf positions, root sums, group-bys and cuboid scans. Every
-// writer advances the generation and keeps the columnar frame.
+// counts, leaf positions, root sums, group-bys, cuboid scans and the
+// roll-up served from the kept totals. Every writer advances the generation
+// and keeps the columnar frame.
 func TestWritersMatchFresh(t *testing.T) {
 	writers := []struct {
 		name  string
@@ -94,7 +99,7 @@ func TestWritersMatchFresh(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			for _, sn := range snapshots {
 				snap := sn.make(t)
-				warmAll(snap)
+				warmAll(t, snap)
 				frame, gen := snap.colFrameCached(), snap.gen
 				w.write(t, snap)
 				if snap.gen == gen {
@@ -106,6 +111,7 @@ func TestWritersMatchFresh(t *testing.T) {
 				assertDeltaEquivalence(t, snap)
 				assertCountsMatchFresh(t, snap, 0)
 				assertLeafPosMatches(t, snap)
+				assertRollupReusesTotals(t, snap, allAttrs(snap), 1)
 				fresh := freshOf(t, snap)
 				for _, c := range AllCuboids([]int{0, 1, 2}) {
 					if got, want := snap.GroupBy(c), fresh.GroupBy(c); !reflect.DeepEqual(got, want) {

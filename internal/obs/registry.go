@@ -120,24 +120,21 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
 func (r *Registry) acquire(name, help string, kind metricKind, buckets []float64, labels []string) *series {
-	if !metricNameRE.MatchString(name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", name))
-	}
 	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("obs: metric %s: odd label count %d", name, len(labels)))
 	}
 	labels = sortLabelPairs(labels)
-	for i := 0; i < len(labels); i += 2 {
-		if !metricNameRE.MatchString(labels[i]) {
-			panic(fmt.Sprintf("obs: metric %s: invalid label name %q", name, labels[i]))
-		}
-	}
 	key := labelKey(labels)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// Names are validated only where a family or a series is created:
+	// every later lookup finds one whose names already passed.
 	fam, ok := r.families[name]
 	if !ok {
+		if !metricNameRE.MatchString(name) {
+			panic(fmt.Sprintf("obs: invalid metric name %q", name))
+		}
 		fam = &family{name: name, help: help, kind: kind, buckets: buckets, series: make(map[string]*series)}
 		r.families[name] = fam
 	} else if fam.kind != kind {
@@ -145,6 +142,11 @@ func (r *Registry) acquire(name, help string, kind metricKind, buckets []float64
 	}
 	s, ok := fam.series[key]
 	if !ok {
+		for i := 0; i < len(labels); i += 2 {
+			if !metricNameRE.MatchString(labels[i]) {
+				panic(fmt.Sprintf("obs: metric %s: invalid label name %q", name, labels[i]))
+			}
+		}
 		s = &series{labels: labels}
 		switch kind {
 		case counterKind:

@@ -93,6 +93,39 @@ func TestRegistryPanics(t *testing.T) {
 	}
 }
 
+// TestRegistryNameChecksOnCreation pins where names are validated: only
+// where a family or a series is created, so an invalid name panics at its
+// first registration — and again at every retry, since a refused
+// registration stores nothing — while a lookup of a registered series
+// never re-checks it.
+func TestRegistryNameChecksOnCreation(t *testing.T) {
+	r := NewRegistry()
+	ok := r.Counter("ok_total", "", "k", "v")
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for i := 0; i < 2; i++ {
+		if !panics(func() { r.Counter("bad name", "") }) {
+			t.Fatalf("registration %d of an invalid metric name did not panic", i+1)
+		}
+		if !panics(func() { r.Counter("ok_total", "", "bad-label", "v") }) {
+			t.Fatalf("registration %d of an invalid label name did not panic", i+1)
+		}
+	}
+	if got := r.Counter("ok_total", "", "k", "v"); got != ok {
+		t.Fatal("lookup of a registered series returned a new counter")
+	}
+	var out strings.Builder
+	if err := r.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if text := out.String(); strings.Contains(text, "bad") {
+		t.Fatalf("refused registrations left series behind:\n%s", text)
+	}
+}
+
 // TestConcurrentWriters is the -race stress test: many goroutines hammer
 // the same and fresh series of all three kinds while scrapers render the
 // registry.

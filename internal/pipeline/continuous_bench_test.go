@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,13 +38,90 @@ var (
 // ticks, localization of the patched snapshot. Each op cycles through one
 // failure period of pre-generated deltas, so ns/op is the mean tick.
 func BenchmarkObserveDelta(b *testing.B) {
-	base, err := tickWorld.Background().StreamSnapshot()
+	r := newTickRunner(b, tickWorld)
+	deltas := tickDeltas(b, tickWorld, tickSpec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts := t0.Add(time.Duration(i+1) * time.Minute)
+		if _, _, err := r.ObserveDelta(context.Background(), ts, deltas[i%len(deltas)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkObserveDeltaFailing measures a localizing tick on the world of
+// the ticks-115k benchmark workload: tickWorld's shape with two RAPs on
+// {region, isp, proto} and {isp, proto, tier}. Every tick of the stream
+// fails, so once the incident is open each op applies a delta and
+// localizes the patched snapshot. The large sub-benchmark first pushes
+// 7/16 of the leaves 50% below their forecasts (largeIncident), so the
+// search counts a large incident.
+func BenchmarkObserveDeltaFailing(b *testing.B) {
+	world := tickWorld
+	for world.Seed = 1; !rapsOn(world, [][]int{{0, 1, 2}, {1, 2, 3}}); world.Seed++ {
+	}
+	failing := gendata.TickSpec{TouchFraction: tickSpec.TouchFraction, FailEvery: 1, FailFor: 1}
+	for _, large := range []bool{false, true} {
+		name := "small"
+		if large {
+			name = "large"
+		}
+		b.Run(name, func(b *testing.B) {
+			r := newTickRunner(b, world)
+			deltas := tickDeltas(b, world, failing)
+			ctx := context.Background()
+			if large {
+				if _, _, err := r.ObserveDelta(ctx, t0, largeIncident(r.snap)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Open the incident, so every timed tick localizes.
+			ts := t0
+			for i := 0; i < 3; i++ {
+				ts = ts.Add(time.Minute)
+				if _, _, err := r.ObserveDelta(ctx, ts, deltas[i%len(deltas)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts = ts.Add(time.Minute)
+				ev, _, err := r.ObserveDelta(ctx, ts, deltas[i%len(deltas)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ev.Kind != EventOngoing && ev.Kind != EventUpdated {
+					b.Fatalf("tick %d: %s, want a localizing tick", i, ev.Kind)
+				}
+			}
+		})
+	}
+}
+
+// rapsOn reports whether world's RAPs constrain exactly the attribute sets
+// attrs, in order.
+func rapsOn(world gendata.StreamSpec, attrs [][]int) bool {
+	raps := world.RAPs()
+	if len(raps) != len(attrs) {
+		return false
+	}
+	for i, rap := range raps {
+		if !slices.Equal(rap.Attrs(), attrs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// newTickRunner returns a ContinuousRunner with world's clean baseline
+// installed.
+func newTickRunner(b *testing.B, world gendata.StreamSpec) *ContinuousRunner {
+	b.Helper()
+	base, err := world.Background().StreamSnapshot()
 	if err != nil {
 		b.Fatal(err)
-	}
-	deltas := make([]kpi.Delta, tickSpec.FailEvery)
-	for t := range deltas {
-		deltas[t] = tickDelta(b, tickWorld, tickSpec, t+1)
 	}
 	// Incident transitions log at info level; keep them out of the
 	// benchmark output.
@@ -55,18 +133,34 @@ func BenchmarkObserveDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
-	if _, err := r.ObserveSnapshot(ctx, t0, base); err != nil {
+	if _, err := r.ObserveSnapshot(context.Background(), t0, base); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ts := t0.Add(time.Duration(i+1) * time.Minute)
-		if _, _, err := r.ObserveDelta(ctx, ts, deltas[i%len(deltas)]); err != nil {
-			b.Fatal(err)
+	return r
+}
+
+// tickDeltas pre-generates world's deltas for ticks 1 to 10 under spec.
+func tickDeltas(b *testing.B, world gendata.StreamSpec, spec gendata.TickSpec) []kpi.Delta {
+	b.Helper()
+	deltas := make([]kpi.Delta, 10)
+	for t := range deltas {
+		deltas[t] = tickDelta(b, world, spec, t+1)
+	}
+	return deltas
+}
+
+// largeIncident returns a delta that sets to half its forecast every leaf
+// with isp < 10 and proto < 5 or with region < 24 and tier < 6: 7/16 of
+// the leaves, under two layer-2 patterns.
+func largeIncident(snap *kpi.Snapshot) kpi.Delta {
+	var d kpi.Delta
+	for _, l := range snap.Leaves {
+		c := l.Combo
+		if c[1] < 10 && c[2] < 5 || c[0] < 24 && c[3] < 6 {
+			d.Updates = append(d.Updates, kpi.LeafUpdate{Combo: c, Actual: l.Forecast / 2, Forecast: l.Forecast})
 		}
 	}
+	return d
 }
 
 // BenchmarkObserveActuals measures one actuals-only tick (ObserveActuals)

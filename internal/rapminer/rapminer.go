@@ -162,14 +162,18 @@ type LayerStats struct {
 	Candidates int `json:"candidates"`
 	// ScanPasses counts completed passes over the leaf store for this
 	// layer, however many workers partitioned each: one per scanned
-	// cuboid, plus the run's roll-up base pass on layer 1.
+	// cuboid, plus the run's roll-up base pass on layer 1. Layer 1 reads
+	// 0 when the run reused the totals the snapshot kept from an earlier
+	// generation (a continuous tick after the first localizing one) and
+	// counted only the anomalous leaves.
 	ScanPasses int `json:"scan_passes"`
 	// FusedCuboids counts cuboids of this layer whose counts came from a
 	// leaf scan of their own rather than the roll-up.
 	FusedCuboids int `json:"fused_cuboids"`
 	// RollupServed counts cuboids of this layer whose counts were rolled
-	// up from the run's materialized base cuboid — pure arithmetic over
-	// the base accumulators, zero leaf reads.
+	// up from the run's materialized base cuboid — arithmetic over the
+	// base's counts, plus the anomalous leaves when the totals were
+	// reused; no pass over the leaf store.
 	RollupServed int `json:"rollup_served"`
 }
 

@@ -41,12 +41,14 @@ type candidate struct {
 // leaves once into the finest materializable base cuboid
 // (kpi.RollupPlan), and every cuboid the base refines — across all layers
 // — is served by exact integer roll-up over that array, with zero further
-// leaf reads. A cuboid outside the base is counted by its own columnar
-// scan (kpi.ScanCuboid) when the merge loop reaches it. Both passes
-// partition across cfg.Workers goroutines by contiguous leaf range;
-// per-range partial counts merge by integer addition, which is exact and
-// order-independent. The cheap per-group decisions (Criteria 2/3,
-// coverage, journaling) run sequentially in cuboid order, then
+// leaf reads. When the snapshot kept the base's totals from an earlier
+// generation (a continuous tick), the pass is skipped and only the
+// anomalous leaves are counted. A cuboid outside the base is counted by
+// its own columnar scan (kpi.ScanCuboid) when the merge loop reaches it.
+// Both passes partition across cfg.Workers goroutines by contiguous leaf
+// range; per-range partial counts merge by integer addition, which is
+// exact and order-independent. The cheap per-group decisions (Criteria
+// 2/3, coverage, journaling) run sequentially in cuboid order, then
 // group-index order — exactly the sequential visit order, so candidates,
 // scores, ranking and Diagnostics are bit-identical to a single-worker
 // run. The layer barrier is preserved: no combination is judged before
@@ -229,8 +231,9 @@ func rapScore(conf float64, layer int) float64 {
 
 // layerScanner produces the count-only group-bys of the search's cuboids.
 // The run-level roll-up (kpi.RollupPlan) scans the leaves once, before
-// layer 1, into the base cuboid's flat accumulators, and every cuboid the
-// base refines is answered by mixed-radix roll-up over that array. Any
+// layer 1, into the base cuboid's flat accumulators — or reuses the totals
+// the snapshot kept and counts only the anomalous leaves — and every
+// cuboid the base refines is answered by mixed-radix roll-up. Any
 // other cuboid — its attributes too wide to materialize, or the base pass
 // abandoned because ctx ended — is scanned on its own when the merge
 // loop reaches it, so a search that stops early never pays for the scans
@@ -255,8 +258,9 @@ type layerScanner struct {
 }
 
 // runBase runs the roll-up base pass, dropping the plan when ctx ending
-// aborts it. The scan workers carry pprof labels so CPU profiles
-// attribute the pass to the run's base cuboid.
+// aborts it; a run that reused the snapshot's totals counts no pass. The
+// scan workers carry pprof labels so CPU profiles attribute the pass to
+// the run's base cuboid.
 func (ls *layerScanner) runBase() {
 	if ls.plan == nil {
 		return
@@ -274,8 +278,10 @@ func (ls *layerScanner) runBase() {
 		ls.plan = nil
 		return
 	}
-	ls.passes++
-	ls.mx.seconds.Observe(time.Since(start).Seconds())
+	if ls.plan.Scanned() {
+		ls.passes++
+		ls.mx.seconds.Observe(time.Since(start).Seconds())
+	}
 }
 
 // enterLayer records the roll-up telemetry of a layer the search enters:
