@@ -38,8 +38,8 @@ type colFrame struct {
 	// ApplyDelta.
 	count [][]int32
 	// totals holds the roll-up's per-group leaf counts of one base cuboid
-	// and their marginals; seeded by a RollupPlan's base pass and patched
-	// in place by ApplyDelta.
+	// and their marginals; seeded by a RollupPlan's base pass once
+	// ApplyDelta has patched the snapshot, and patched in place by it.
 	totals *rollupTotals
 }
 

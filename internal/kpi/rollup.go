@@ -22,8 +22,8 @@ import "slices"
 //     for the base and then by marginalization (see countAnomalous).
 //
 // A run on a snapshot without kept totals for its base makes one fused
-// pass over the leaves that counts both and, once a writer has changed the
-// snapshot, seeds the store (see Run).
+// pass over the leaves that counts both and, on a snapshot ApplyDelta
+// patches, seeds the store (see Run).
 //
 // The roll-up is exact, not approximate. A cuboid c ⊆ base partitions the
 // base's Cartesian groups — every base group projects onto exactly one
@@ -52,9 +52,12 @@ type RollupPlan struct {
 	base  Cuboid
 	cards []int
 	size  int
-	// totals is the store entry serving this run: the snapshot's kept
-	// one, or the one Run's base pass seeded. nil until Run succeeds.
+	// totals serves this run's totals: the snapshot's kept entry, the one
+	// Run's base pass seeded, or the pass's own when it keeps nothing. nil
+	// until Run succeeds. kept reports that it is the snapshot's entry,
+	// which concurrent runs share under the snapshot's mutex.
 	totals *rollupTotals
+	kept   bool
 	// scanned reports that Run read the leaves.
 	scanned bool
 	// anomIdx lists the snapshot's anomalous leaves and elem its element
@@ -68,9 +71,9 @@ type RollupPlan struct {
 	// the base's anomalous counts, from the base pass or from the anomalous
 	// leaves; it is empty when direct.
 	anm map[uint32][]int32
-	// buf backs anm's full mask (and, on a snapshot no writer has
-	// changed, the totals) and scratch the direct counts; both are pooled
-	// and nil until used.
+	// buf backs anm's full mask (and, when the run keeps nothing, the
+	// totals) and scratch the direct counts; both are pooled and nil until
+	// used.
 	buf, scratch *[]int32
 }
 
@@ -210,14 +213,15 @@ func (p *RollupPlan) Serves(c Cuboid) bool {
 // panic on a scan worker is rethrown on the calling goroutine as a
 // *ScanPanic.
 //
-// The pass seeds the snapshot's totals once a writer has changed the
-// snapshot (its generation is past 0): such a snapshot lives across
-// writes, as a continuous world does. One searched as it was built — a
-// one-shot request, a fresh clone — counts into pooled arrays and keeps
-// nothing. Totals counted in the snapshot's current generation are not
-// reused: every search of one generation reads the leaves, or every one
-// reuses, so repeated searches of an unchanged snapshot journal the same
-// Diagnostics.
+// The pass seeds the snapshot's totals only on a snapshot ApplyDelta has
+// patched, the one writer that marks a world kept across ticks (it builds
+// the leaf positions, which nothing else does): the next tick reuses them.
+// Any other snapshot — a one-shot request, a labeled or rewritten copy, a
+// fresh clone — is searched once or a few times in one generation, so the
+// pass counts into pooled arrays and keeps nothing. Totals counted in the
+// snapshot's current generation are not reused: every search of one
+// generation reads the leaves, or every one reuses, so repeated searches
+// of an unchanged snapshot journal the same Diagnostics.
 func (p *RollupPlan) Run(workers int, halt Halt) bool {
 	s := p.snap
 	s.mu.Lock()
@@ -225,17 +229,22 @@ func (p *RollupPlan) Run(workers int, halt Halt) bool {
 	if f := s.frame; f != nil && f.totals != nil && f.totals.gen != s.gen && slices.Equal(f.totals.base, p.base) {
 		t = f.totals
 	}
-	gen := s.gen
+	gen, seed := s.gen, s.leafPos != nil
 	s.mu.Unlock()
 	if t != nil {
+		p.kept = true
 		return p.countAnomalous(t, halt)
 	}
 	// A seeding pass counts its totals straight into the array the store
 	// keeps; the anomalous counts are this run's alone.
-	buf := getAcc(2 * p.size)
-	tot, anm := (*buf)[:p.size], (*buf)[p.size:]
-	if gen > 0 {
-		tot = make([]int32, p.size)
+	var buf *[]int32
+	var tot, anm []int32
+	if seed {
+		buf = getAcc(p.size)
+		tot, anm = make([]int32, p.size), *buf
+	} else {
+		buf = getAcc(2 * p.size)
+		tot, anm = (*buf)[:p.size], (*buf)[p.size:]
 	}
 	if !s.scanDense(s.Indexer(p.base), tot, anm, workers, halt) {
 		accPool.Put(buf)
@@ -243,13 +252,15 @@ func (p *RollupPlan) Run(workers int, halt Halt) bool {
 	}
 	full := p.fullMask()
 	t = &rollupTotals{base: p.base, cards: p.cards, gen: gen, marg: map[uint32][]int32{full: tot}}
-	// Stored only when no write landed during the pass (the same re-check
-	// colFrameCached makes); the run serves from t either way.
-	s.mu.Lock()
-	if gen > 0 && s.gen == gen && s.frame != nil {
-		s.frame.totals = t
+	if seed {
+		// Stored only when no write landed during the pass (the same
+		// re-check colFrameCached makes); the run serves from t either way.
+		s.mu.Lock()
+		if s.gen == gen && s.frame != nil {
+			s.frame.totals, p.kept = t, true
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	p.totals, p.scanned, p.buf = t, true, buf
 	p.anm = map[uint32][]int32{full: anm}
 	return true
@@ -323,9 +334,17 @@ func (p *RollupPlan) Groups(c Cuboid, dst []GroupCount) []GroupCount {
 }
 
 // total returns the totals marginal for mask, deriving and storing it on
-// the snapshot on first use. The derivation runs outside the lock;
-// concurrent runs derive identical arrays and the first store wins.
+// first use. On the snapshot's kept entry the derivation runs outside the
+// lock; concurrent runs derive identical arrays and the first store wins.
 func (p *RollupPlan) total(mask uint32) []int32 {
+	if !p.kept {
+		m, ok := p.totals.marg[mask]
+		if !ok {
+			m = p.deriveTotal(mask)
+			p.totals.marg[mask] = m
+		}
+		return m
+	}
 	s := p.snap
 	s.mu.Lock()
 	m, ok := p.totals.marg[mask]
@@ -334,8 +353,7 @@ func (p *RollupPlan) total(mask uint32) []int32 {
 	if ok {
 		return m
 	}
-	drop := p.dropFrom(p.fullMask() &^ mask)
-	m = p.project(p.total(mask|1<<drop), mask, drop)
+	m = p.deriveTotal(mask)
 	s.mu.Lock()
 	if prior, ok := p.totals.marg[mask]; ok {
 		m = prior
@@ -344,6 +362,13 @@ func (p *RollupPlan) total(mask uint32) []int32 {
 	}
 	s.mu.Unlock()
 	return m
+}
+
+// deriveTotal sums one base position out of the nearest finer totals
+// marginal of mask.
+func (p *RollupPlan) deriveTotal(mask uint32) []int32 {
+	drop := p.dropFrom(p.fullMask() &^ mask)
+	return p.project(p.total(mask|1<<drop), mask, drop)
 }
 
 // anomalous returns cuboid c's anomalous counts, laid out as its totals
@@ -452,5 +477,5 @@ func (p *RollupPlan) Close() {
 			accPool.Put(b)
 		}
 	}
-	p.buf, p.scratch, p.anm, p.totals = nil, nil, nil, nil
+	p.buf, p.scratch, p.anm, p.totals, p.kept = nil, nil, nil, nil, false
 }

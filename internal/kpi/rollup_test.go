@@ -180,14 +180,18 @@ func allAttrs(s *Snapshot) []int {
 	return attrs
 }
 
-// rewriteUnchanged rewrites every leaf with its own values and label: a
-// write that changes nothing but the generation.
-func rewriteUnchanged(s *Snapshot) {
-	s.Rewrite(func(l Leaf) (float64, float64, bool) { return l.Actual, l.Forecast, l.Anomalous })
+// patchNothing applies an empty delta: the snapshot turns into one
+// ApplyDelta patches, which keeps roll-up totals, and nothing else changes
+// but the generation.
+func patchNothing(t testing.TB, s *Snapshot) {
+	t.Helper()
+	if _, err := s.ApplyDelta(Delta{}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // seedTotals runs a roll-up plan over attrs that reads the leaves, and asks
-// it for every cuboid, so the snapshot — which a writer must have changed —
+// it for every cuboid, so the snapshot — which ApplyDelta must have patched —
 // keeps the base's totals with every marginal memoized.
 func seedTotals(t testing.TB, s *Snapshot, attrs []int) {
 	t.Helper()
@@ -275,9 +279,9 @@ func rollupTotalsWorld(t testing.TB, rate float64) *Snapshot {
 // snapshot's scan counts it: with few anomalous leaves, counted per cuboid
 // (direct), and with half the leaves anomalous, counted once for the base.
 // It also pins when a plan reads the leaves and what it keeps: nothing on
-// a snapshot no writer has changed, and on a written one, a base other
-// than the kept one replaces it and every run in the generation that
-// counted the totals reads the leaves too.
+// a snapshot ApplyDelta never patched, however written, and on a patched
+// one, a base other than the kept one replaces it and every run in the
+// generation that counted the totals reads the leaves too.
 func TestRollupTotalsKeptAcrossWriters(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -327,13 +331,19 @@ func TestRollupTotalsKeptAcrossWriters(t *testing.T) {
 					snap.Rewrite(func(l Leaf) (float64, float64, bool) { return l.Actual, l.Forecast, !l.Anomalous })
 				}},
 			}
-			// A snapshot no writer has changed keeps no totals.
-			plan := snap.NewRollupPlan(attrs)
-			if !plan.Run(1, nil) || snap.frame.totals != nil {
-				t.Fatal("a search of an unwritten snapshot kept its totals")
+			// A snapshot ApplyDelta never patched keeps no totals, as
+			// built or after a rewrite.
+			for _, write := range []func(){func() {}, func() {
+				snap.Rewrite(func(l Leaf) (float64, float64, bool) { return l.Actual, l.Forecast, l.Anomalous })
+			}} {
+				write()
+				plan := snap.NewRollupPlan(attrs)
+				if !plan.Run(1, nil) || snap.frame.totals != nil {
+					t.Fatal("a search of a snapshot ApplyDelta never patched kept its totals")
+				}
+				plan.Close()
 			}
-			plan.Close()
-			rewriteUnchanged(snap)
+			patchNothing(t, snap)
 			seedTotals(t, snap, attrs)
 			for i, w := range writers {
 				w.write()
@@ -368,7 +378,7 @@ func TestRollupTotalsKeptAcrossWriters(t *testing.T) {
 func TestRollupTotalsHaltAborts(t *testing.T) {
 	snap := rollupTotalsWorld(t, 0.5)
 	attrs := allAttrs(snap)
-	rewriteUnchanged(snap)
+	patchNothing(t, snap)
 	seedTotals(t, snap, attrs)
 	snap.Relabel(func(actual, forecast float64) bool { return actual < forecast/2 })
 	plan := snap.NewRollupPlan(attrs)

@@ -8,10 +8,10 @@ import (
 // warmAll builds every cache a snapshot keeps: the columnar store, the
 // postings, the element counts, the leaf positions, the roll-up totals of
 // every cuboid over all attributes and (through the frame) the root sum.
-// It first rewrites the leaves unchanged, since only a written snapshot
-// keeps roll-up totals.
+// It first applies an empty delta, since only a snapshot ApplyDelta
+// patches keeps roll-up totals.
 func warmAll(t testing.TB, s *Snapshot) {
-	rewriteUnchanged(s)
+	patchNothing(t, s)
 	s.Columns()
 	s.AnomalousPostings()
 	s.ElemCounts()

@@ -39,7 +39,7 @@ var (
 // failure period of pre-generated deltas, so ns/op is the mean tick.
 func BenchmarkObserveDelta(b *testing.B) {
 	r := newTickRunner(b, tickWorld)
-	deltas := tickDeltas(b, tickWorld, tickSpec)
+	deltas := tickDeltas(b, tickWorld, tickSpec, tickSpec.FailEvery)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +60,13 @@ func BenchmarkObserveDelta(b *testing.B) {
 func BenchmarkObserveDeltaFailing(b *testing.B) {
 	world := tickWorld
 	for world.Seed = 1; !rapsOn(world, [][]int{{0, 1, 2}, {1, 2, 3}}); world.Seed++ {
+		if world.Seed == 100 {
+			b.Fatal("no seed in 1..100 puts the RAPs on {0,1,2} and {1,2,3}")
+		}
 	}
+	// The stream fails every tick, so the cycle of pre-generated deltas
+	// is set by how many distinct ticks to replay, not by the spec.
+	const ticks = 10
 	failing := gendata.TickSpec{TouchFraction: tickSpec.TouchFraction, FailEvery: 1, FailFor: 1}
 	for _, large := range []bool{false, true} {
 		name := "small"
@@ -69,7 +75,7 @@ func BenchmarkObserveDeltaFailing(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			r := newTickRunner(b, world)
-			deltas := tickDeltas(b, world, failing)
+			deltas := tickDeltas(b, world, failing, ticks)
 			ctx := context.Background()
 			if large {
 				if _, _, err := r.ObserveDelta(ctx, t0, largeIncident(r.snap)); err != nil {
@@ -139,10 +145,10 @@ func newTickRunner(b *testing.B, world gendata.StreamSpec) *ContinuousRunner {
 	return r
 }
 
-// tickDeltas pre-generates world's deltas for ticks 1 to 10 under spec.
-func tickDeltas(b *testing.B, world gendata.StreamSpec, spec gendata.TickSpec) []kpi.Delta {
+// tickDeltas pre-generates world's deltas for ticks 1 to n under spec.
+func tickDeltas(b *testing.B, world gendata.StreamSpec, spec gendata.TickSpec, n int) []kpi.Delta {
 	b.Helper()
-	deltas := make([]kpi.Delta, 10)
+	deltas := make([]kpi.Delta, n)
 	for t := range deltas {
 		deltas[t] = tickDelta(b, world, spec, t+1)
 	}

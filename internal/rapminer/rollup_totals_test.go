@@ -87,9 +87,11 @@ func TestRollupTotalsReuseMatchesFresh(t *testing.T) {
 				}},
 				{"relabel_touched_again", func() error { flip(1, 2); return nil }},
 			}
-			// Only a written snapshot keeps totals: write the leaves
-			// unchanged, so the first search seeds them.
-			live.Rewrite(func(l kpi.Leaf) (float64, float64, bool) { return l.Actual, l.Forecast, l.Anomalous })
+			// Only a snapshot ApplyDelta patches keeps totals: apply an
+			// empty delta, so the first search seeds them.
+			if _, err := live.ApplyDelta(kpi.Delta{}); err != nil {
+				t.Fatal(err)
+			}
 			_, prev, err := m.LocalizeWithDiagnosticsContext(context.Background(), live, 10)
 			if err != nil {
 				t.Fatal(err)
@@ -133,11 +135,14 @@ func TestRollupTotalsReuseMatchesFresh(t *testing.T) {
 }
 
 // TestRollupTotalsConcurrentSearches runs two searches at once on a
-// written snapshot, first while neither finds kept totals (both read the
+// snapshot ApplyDelta patched, first while neither finds kept totals (both read the
 // leaves and race to seed them) and then after another write (both reuse
 // them), and checks each against a fresh snapshot. Run it under -race.
 func TestRollupTotalsConcurrentSearches(t *testing.T) {
 	live := benchCase(t)
+	if _, err := live.ApplyDelta(kpi.Delta{}); err != nil {
+		t.Fatal(err)
+	}
 	m := MustNew(DefaultConfig())
 	for round := 0; round < 2; round++ {
 		live.RelabelTouched(func(float64, float64) bool { return true }, []int{2 + round, 9 + round})
